@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import itertools
 import zlib
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -34,6 +35,7 @@ from .model import (
     TrialConfig,
     correlation,
     index_to_pair,
+    pair_to_index,
 )
 from .mvn import DEFAULT_ACCURACY, DEFAULT_QUANTILE_TOL, equicoord_quantile
 
@@ -54,6 +56,10 @@ __all__ = [
 
 # Full-lattice enumeration is reserved for family sizes where 2^m stays small.
 _LATTICE_LIMIT = 12
+# The step-down encodes tail sets as int64 bitmasks, one bit per comparison.
+_MASK_LIMIT = 62
+# Rows per step-down block; bounds the kernel's scratch arrays.
+_BLOCK_ROWS = 32_768
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,22 @@ def _class_key(config: TrialConfig, members: tuple[int, ...]):
     return (config.sided, best)
 
 
+def _key_correlation(key) -> CorrelationModel:
+    """Correlation matrix of a class, built from its canonical form alone.
+
+    The canonical graph becomes a trial with one arm per vertex, whose
+    variance is the vertex weight, and one comparison per edge in canonical
+    order.  Every member of the class therefore hands the quadrature the
+    same matrix, so a cached class value does not depend on which member was
+    looked up first.
+    """
+    sided, (edges, weights) = key
+    n_arms = len(weights)
+    canon = TrialConfig.single_stage(n_arms, weights, 1, sided=sided)
+    members = [pair_to_index(i + 1, j + 1, n_arms, sided).k for i, j in edges]
+    return correlation(canon, members)
+
+
 def _derived_seed(seed: int, key) -> int:
     """Stable per-class seed so table values do not depend on solve order."""
     digest = zlib.crc32(repr(key).encode())
@@ -113,8 +135,8 @@ def _derived_seed(seed: int, key) -> int:
 
 def _solve_class(args: tuple) -> float:
     """Worker for parallel class solves; must stay picklable."""
-    config, alpha, members, seed, accuracy, tol, tail = args
-    corr = correlation(config, members)
+    key, alpha, seed, accuracy, tol, tail = args
+    corr = _key_correlation(key)
     return equicoord_quantile(
         corr, 1.0 - alpha, seed=seed, tol=tol, accuracy=accuracy, tail=tail
     )
@@ -132,7 +154,10 @@ class CriticalValueTable:
 
     Values are computed lazily and cached by correlation-equivalence class,
     so looking up all 2^m - 1 subsets costs only one quantile solve per
-    class.  The table is deterministic in (config, alpha, seed).
+    class.  A class is solved from its canonical form and a seed derived
+    from it, so a subset's value depends only on (config, alpha, seed,
+    accuracy, tol), never on which subsets were looked up before it or in
+    what order.
     """
 
     config: TrialConfig
@@ -162,19 +187,15 @@ class CriticalValueTable:
             self._subset_keys[members] = key
         return key
 
-    def _solve_args(self, key, members: tuple[int, ...]) -> tuple:
+    def _solve_args(self, key) -> tuple:
         return (
-            self.config,
+            key,
             self.alpha,
-            members,
             _derived_seed(self.seed, key),
             self.accuracy,
             self.tol,
             self.tail,
         )
-
-    def _solve(self, key, members: tuple[int, ...]) -> float:
-        return _solve_class(self._solve_args(key, members))
 
     def value(self, members: Iterable[int]) -> float:
         """Critical value for one subset of comparison indices."""
@@ -185,7 +206,7 @@ class CriticalValueTable:
             raise ValueError(f"comparison indices must lie in 1..{self.n_comparisons}")
         key = self._key(subset)
         if key not in self._class_values:
-            self._class_values[key] = self._solve(key, tuple(sorted(subset)))
+            self._class_values[key] = _solve_class(self._solve_args(key))
         return self._class_values[key]
 
     def full_set(self) -> frozenset:
@@ -205,19 +226,17 @@ class CriticalValueTable:
                 "look values up per subset instead"
             )
         subsets = list(_all_subsets(m))
-        pending: dict = {}
-        for subset in subsets:
-            key = self._key(subset)
-            if key not in self._class_values and key not in pending:
-                pending[key] = tuple(sorted(subset))
+        pending = list(dict.fromkeys(
+            key for key in map(self._key, subsets) if key not in self._class_values
+        ))
         if pending:
-            if threads > 1 and len(pending) > 1:
-                jobs = [self._solve_args(key, mem) for key, mem in pending.items()]
+            jobs = [self._solve_args(key) for key in pending]
+            if threads > 1 and len(jobs) > 1:
                 with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
                     solved = list(pool.map(_solve_class, jobs))
             else:
-                solved = [self._solve(key, mem) for key, mem in pending.items()]
-            self._class_values.update(zip(pending.keys(), solved))
+                solved = [_solve_class(job) for job in jobs]
+            self._class_values.update(zip(pending, solved))
         return {s: self._class_values[self._key(s)] for s in subsets}
 
     def classes(self, threads: int = 1) -> list[dict]:
@@ -255,20 +274,61 @@ def critical_values(
     return CriticalValueTable(config, alpha, seed, accuracy, tol)
 
 
+class _LocalDecisions(Mapping):
+    """Read-only map from every intersection subset to its local decision.
+
+    Filled on first access, in the order of :func:`_all_subsets`, by calling
+    ``test(subset)``; a decision whose ``local`` is never read costs no
+    enumeration.
+    """
+
+    def __init__(self, m: int, test: Callable[[frozenset], bool]) -> None:
+        self._m = m
+        self._test = test
+        self._filled: dict | None = None
+
+    def _decisions(self) -> dict:
+        if self._filled is None:
+            self._filled = {s: bool(self._test(s)) for s in _all_subsets(self._m)}
+        return self._filled
+
+    def __getitem__(self, subset) -> bool:
+        return self._decisions()[subset]
+
+    def __iter__(self):
+        return iter(self._decisions())
+
+    def __len__(self) -> int:
+        return len(self._decisions())
+
+    def __repr__(self) -> str:
+        if self._filled is None:
+            return f"<local decisions for 2^{self._m} - 1 subsets, not yet filled>"
+        return repr(self._filled)
+
+
+def _lazy_local(m: int, test: Callable[[frozenset], bool]) -> _LocalDecisions | None:
+    """Local decisions of every intersection, or None beyond the lattice limit."""
+    return _LocalDecisions(m, test) if m <= _LATTICE_LIMIT else None
+
+
 @dataclass
 class ClosureDecision:
     """Outcome of a multiple-testing procedure on one data set.
 
     ``rejected[k-1]`` is the global decision for comparison k.  ``local``
-    maps each evaluated intersection subset to its local test decision.  For
-    staged procedures ``stopped_stage[k-1]`` is the analysis at which the
-    global rejection of k was reached (None if never).
+    maps each evaluated intersection subset to its local test decision; for
+    the single-stage procedures it is a read-only mapping over all 2^m - 1
+    subsets that is filled on first access (None when m exceeds the lattice
+    limit of 12), so a decision that is never asked for it solves nothing
+    extra.  For staged procedures ``stopped_stage[k-1]`` is the analysis at
+    which the global rejection of k was reached (None if never).
     """
 
     procedure: str
     alpha: float
     rejected: tuple[bool, ...]
-    local: dict | None = None
+    local: Mapping | None = None
     stopped_stage: tuple | None = None
     meta: dict = field(default_factory=dict)
 
@@ -290,27 +350,14 @@ def _extract_z(z: Sequence) -> np.ndarray:
     return arr
 
 
-def _step_down(stat: np.ndarray, table: CriticalValueTable) -> list[bool]:
-    """Consonance shortcut: walk statistics in decreasing order; the binding
-    intersection for the r-th largest is that statistic together with all
-    smaller ones."""
-    m = stat.size
-    order = np.argsort(-stat, kind="stable")
-    rejected = [False] * m
-    alive = True
-    for rank in range(m):
-        idx = int(order[rank])
-        if alive:
-            tail = frozenset(int(order[s]) + 1 for s in range(rank, m))
-            alive = stat[idx] > table.value(tail)
-        rejected[idx] = alive
-    return rejected
+def _subset_max(stat: np.ndarray, subset: frozenset) -> float:
+    return stat[[k - 1 for k in subset]].max()
 
 
 def _lattice(stat: np.ndarray, table: CriticalValueTable):
     m = stat.size
     entries = table.entries()
-    local = {s: bool(stat[[k - 1 for k in s]].max() > c) for s, c in entries.items()}
+    local = {s: bool(_subset_max(stat, s) > c) for s, c in entries.items()}
     rejected = []
     for k in range(1, m + 1):
         rejected.append(all(local[s] for s in entries if k in s))
@@ -331,7 +378,10 @@ def closed_test(
     table : CriticalValueTable
         Two-sided table for the same configuration.
     method : str
-        ``"shortcut"`` uses the consonance step-down rule (m subset lookups);
+        ``"shortcut"`` runs the consonance step-down of
+        :func:`batch_closed_test` on this one row: at most m lookups, and
+        only the classes of the tail sets it visits are solved.  ``local``
+        is then filled (solving every class) only when it is read.
         ``"lattice"`` evaluates every intersection explicitly.  Both give
         identical decisions.
 
@@ -348,12 +398,8 @@ def closed_test(
             f"expected {table.n_comparisons} statistics, got {stat.size}"
         )
     if method == "shortcut":
-        rejected = _step_down(stat, table)
-        local = None
-        if table.n_comparisons <= _LATTICE_LIMIT:
-            entries = table.entries()
-            local = {s: bool(stat[[k - 1 for k in s]].max() > c)
-                     for s, c in entries.items()}
+        rejected = batch_closed_test(stat[None, :], table)[0].tolist()
+        local = _lazy_local(stat.size, lambda s: _subset_max(stat, s) > table.value(s))
     elif method == "lattice":
         rejected, local = _lattice(stat, table)
     else:
@@ -380,7 +426,7 @@ def one_sided_closed_test(
             f"expected {table.n_comparisons} statistics, got {stat.size}"
         )
     if method == "shortcut":
-        rejected = _step_down(stat, table)
+        rejected = batch_closed_test(stat[None, :], table)[0].tolist()
         local = None
     elif method == "lattice":
         rejected, local = _lattice(stat, table)
@@ -391,12 +437,19 @@ def one_sided_closed_test(
 
 
 def batch_closed_test(abs_z: np.ndarray, table: CriticalValueTable) -> np.ndarray:
-    """Vectorized closure decisions for many replicates at once.
+    """Vectorized consonance step-down for many replicates at once.
+
+    Each row's statistics are walked in decreasing order; the r-th largest
+    is rejected when it and every larger one exceed the critical value of
+    their tail set (that statistic together with all smaller ones).  Only the
+    tail sets of rows still rejecting are looked up, so only the classes the
+    data visit are solved.  Decisions equal the full lattice walk because the
+    table is consonant.  Works for any family of up to 62 comparisons.
 
     Parameters
     ----------
     abs_z : ndarray, shape (n_replicates, m)
-        Absolute statistics (or signed, for one-sided tables).
+        Absolute statistics (or signed, for one-sided tables); must be finite.
     table : CriticalValueTable
 
     Returns
@@ -407,12 +460,36 @@ def batch_closed_test(abs_z: np.ndarray, table: CriticalValueTable) -> np.ndarra
     m = table.n_comparisons
     if abs_z.ndim != 2 or abs_z.shape[1] != m:
         raise ValueError(f"abs_z must have shape (n, {m})")
-    entries = table.entries()
-    rejected = np.ones(abs_z.shape, dtype=bool)
-    for subset, c in entries.items():
-        cols = [k - 1 for k in subset]
-        crossed = abs_z[:, cols].max(axis=1) > c
-        rejected[:, cols] &= crossed[:, None]
+    if m > _MASK_LIMIT:
+        raise ValueError(f"the step-down supports at most {_MASK_LIMIT} comparisons")
+    if not np.all(np.isfinite(abs_z)):
+        raise ValueError("statistics must be finite")
+    bits = np.left_shift(np.int64(1), np.arange(m, dtype=np.int64))
+    values: dict = {}
+
+    def critical(mask: int) -> float:
+        c = values.get(mask)
+        if c is None:
+            c = values[mask] = table.value(k + 1 for k in range(m) if mask >> k & 1)
+        return c
+
+    rejected = np.empty(abs_z.shape, dtype=bool)
+    for start in range(0, abs_z.shape[0], _BLOCK_ROWS):
+        block = abs_z[start:start + _BLOCK_ROWS]
+        order = np.argsort(-block, axis=1, kind="stable")
+        ranked = np.take_along_axis(block, order, axis=1)
+        # tails[:, r] marks the comparisons ranked r and below
+        tails = np.bitwise_or.accumulate(bits[order[:, ::-1]], axis=1)[:, ::-1]
+        crossed = np.zeros(block.shape, dtype=bool)
+        alive = np.arange(block.shape[0])
+        for rank in range(m):
+            masks, which = np.unique(tails[alive, rank], return_inverse=True)
+            cuts = np.array([critical(int(mask)) for mask in masks])
+            alive = alive[ranked[alive, rank] > cuts[which]]
+            if alive.size == 0:
+                break
+            crossed[alive, rank] = True
+        np.put_along_axis(rejected[start:start + _BLOCK_ROWS], order, crossed, axis=1)
     return rejected
 
 
@@ -437,10 +514,7 @@ def bonferroni_test(z: Sequence, alpha: float, m: int | None = None) -> ClosureD
         raise ValueError("m does not match the number of statistics")
     cut = bonferroni_cut(alpha, m)
     rejected = tuple(bool(s > cut) for s in stat)
-    local = None
-    if m <= _LATTICE_LIMIT:
-        local = {s: bool(stat[[k - 1 for k in s]].max() > cut)
-                 for s in _all_subsets(m)}
+    local = _lazy_local(m, lambda s: _subset_max(stat, s) > cut)
     meta = {"cut": cut, "normalization": "two-sided, alpha/(2m) per tail"}
     return ClosureDecision("bonferroni", alpha, rejected, local, meta=meta)
 
@@ -466,14 +540,9 @@ def gatekeeping_test(
         else:
             break
     position = {k: pos for pos, k in enumerate(order)}
-    local = None
-    if m <= _LATTICE_LIMIT:
-        # implied closure: an intersection is tested through its earliest
-        # member in the sequence
-        local = {
-            s: bool(stat[min(s, key=position.get) - 1] > cut)
-            for s in _all_subsets(m)
-        }
+    # implied closure: an intersection is tested through its earliest member
+    # in the sequence
+    local = _lazy_local(m, lambda s: stat[min(s, key=position.get) - 1] > cut)
     return ClosureDecision(
         "gatekeeping", alpha, tuple(rejected), local, meta={"order": list(order)}
     )
@@ -504,10 +573,7 @@ def tukey_global_test(
         table = CriticalValueTable(config, alpha, seed)
     c_full = table.value(table.full_set())
     rejected = tuple(bool(s > c_full) for s in stat)
-    local = None
-    if stat.size <= _LATTICE_LIMIT:
-        local = {s: bool(stat[[k - 1 for k in s]].max() > c_full)
-                 for s in _all_subsets(stat.size)}
+    local = _lazy_local(stat.size, lambda s: _subset_max(stat, s) > c_full)
     return ClosureDecision(
         "tukey_global", alpha, rejected, local, meta={"cut": c_full}
     )

@@ -23,7 +23,13 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtr, ndtri
 
-from .closure import ClosureDecision, _all_subsets, _class_key, _derived_seed
+from .closure import (
+    ClosureDecision,
+    _all_subsets,
+    _class_key,
+    _derived_seed,
+    _key_correlation,
+)
 from .model import TWO_SIDED, TrialConfig, correlation
 from .mvn import DEFAULT_ACCURACY, Rectangle, mvn_rect
 from .sequential import StageData
@@ -235,7 +241,8 @@ class TailProbabilityTable:
     """Interpolated stage p-values for bulk simulation.
 
     For each correlation-equivalence class of subsets the rectangle
-    probability G(c) = P(max statistic <= c) is evaluated on a fixed grid
+    probability G(c) = P(max statistic <= c) is evaluated on a fixed grid,
+    from the class's canonical form so it does not depend on lookup order,
     and bridged by a monotone cubic; ``pvalue`` then maps observed maxima to
     1 - G in vectorized form.  Grid nodes are solved to ``accuracy``, so
     interpolated p-values are good to a few times that; use the exact
@@ -257,7 +264,7 @@ class TailProbabilityTable:
         key = _class_key(self.config, subset)
         f = self._interp.get(key)
         if f is None:
-            corr = correlation(self.config, subset)
+            corr = _key_correlation(key)
             run_seed = _derived_seed(self.seed, ("grid", key))
             grid = self._grid()
             dim = len(subset)

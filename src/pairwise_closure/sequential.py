@@ -21,7 +21,13 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from .closure import ClosureDecision, _all_subsets, _class_key, _derived_seed
+from .closure import (
+    ClosureDecision,
+    _all_subsets,
+    _class_key,
+    _derived_seed,
+    _key_correlation,
+)
 from .model import (
     ONE_SIDED,
     TWO_SIDED,
@@ -256,7 +262,8 @@ class BoundarySchedule:
     """Stage boundaries for every intersection subset.
 
     ``value(members)`` returns the Q-vector of critical values for that
-    subset, solved lazily and cached per correlation-equivalence class.  A
+    subset, solved lazily and cached per correlation-equivalence class from
+    the class's canonical form, so it does not depend on lookup order.  A
     generalised schedule carries only the full-set vector and serves it for
     every subset, which is conservative for proper subsets.
     """
@@ -301,9 +308,9 @@ class BoundarySchedule:
             self._subset_keys[members] = key
         return key
 
-    def _solve(self, key, members: tuple[int, ...]) -> tuple[float, ...]:
-        base = correlation(self.config, members).matrix
-        width = len(members)
+    def _solve(self, key) -> tuple[float, ...]:
+        base = _key_correlation(key[0]).matrix
+        width = base.shape[0]
         times = self.config.info_fractions()
         seed = _derived_seed(self.seed, key)
         spends = self.schedule.per_stage
@@ -344,7 +351,7 @@ class BoundarySchedule:
             subset = self.full_set()
         key = self._key(subset)
         if key not in self._class_values:
-            self._class_values[key] = self._solve(key, tuple(sorted(subset)))
+            self._class_values[key] = self._solve(key)
         return self._class_values[key]
 
     def entries(self) -> dict:

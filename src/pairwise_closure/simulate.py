@@ -202,7 +202,6 @@ def _build_resources(scenario: SimScenario) -> _Resources:
         res.table = critical_values(
             cfg, alpha, seed=scenario.seed, accuracy=scenario.accuracy
         )
-        res.table.entries()
     if "global" in tags:
         res.c_full = res.table.value(res.table.full_set())
     if "bonferroni" in tags:

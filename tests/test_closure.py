@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from pairwise_closure import closure
 from pairwise_closure.closure import (
     batch_closed_test,
     bonferroni_cut,
@@ -77,6 +78,13 @@ class TestCriticalValueTable:
         table.entries()
         assert len(table.classes()) > 3
 
+    def test_value_does_not_depend_on_lookup_order(self, cfg_k4, table_k4):
+        # {2,3,5,6} is not the first member of its class that entries()
+        # reaches, so a fresh table solves the class from a different member
+        subset = frozenset({2, 3, 5, 6})
+        fresh = critical_values(cfg_k4, 0.05, seed=1)
+        assert fresh.value(subset) == table_k4.entries()[subset]
+
     def test_rebuild_is_bit_identical(self, cfg_k4, table_k4):
         again = critical_values(cfg_k4, 0.05, seed=1)
         assert again.entries() == table_k4.entries()
@@ -138,6 +146,28 @@ class TestClosedTest:
                 implied = all(v for s, v in decision.local.items() if k in s)
                 assert decision.rejected[k - 1] == implied
 
+    def test_null_data_solves_one_class(self, cfg_k3, table_k3, monkeypatch):
+        solves = []
+        quantile = closure.equicoord_quantile
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return quantile(*args, **kwargs)
+
+        monkeypatch.setattr(closure, "equicoord_quantile", counted)
+        fresh = critical_values(cfg_k3, 0.05, seed=1)
+        z = [0.4, -1.1, 0.7]
+        decision = closed_test(z, fresh)
+        assert decision.rejected_indices() == []
+        assert len(solves) == 1
+        assert decision.local == closed_test(z, table_k3, method="lattice").local
+        assert len(solves) == 3
+
+    def test_local_is_read_only(self, table_k3):
+        decision = closed_test([3.0, 0.2, 2.5], table_k3)
+        with pytest.raises(TypeError):
+            decision.local[frozenset({1})] = False
+
     def test_input_validation(self, table_k3):
         with pytest.raises(ValueError):
             closed_test([1.0, 2.0], table_k3)
@@ -161,6 +191,24 @@ def _stress_vectors(rng, m: int, count: int, near: float) -> np.ndarray:
         near + rng.normal(scale=0.02, size=(count - 2 * thirds, m)),
     ]
     return np.vstack(blocks)
+
+
+def _edge_vectors(rng, table, count: int) -> np.ndarray:
+    """Rows whose statistics sit exactly on, or one float away from, the
+    critical values of the tail sets the step-down visits, with ties."""
+    m = table.n_comparisons
+    rows = np.empty((count, m))
+    for row in rows:
+        order = rng.permutation(m) + 1
+        for rank in range(m):
+            if rank and rng.random() < 0.25:
+                row[order[rank] - 1] = row[order[rank - 1] - 1]
+                continue
+            c = table.value(order[rank:])
+            row[order[rank] - 1] = rng.choice(
+                [c, np.nextafter(c, np.inf), np.nextafter(c, -np.inf)]
+            )
+    return rows
 
 
 class TestShortcutAgainstLattice:
@@ -191,14 +239,25 @@ class TestShortcutAgainstLattice:
 
     def test_batch_matches_scalar(self, table_k4):
         rng = np.random.default_rng(14)
-        z = _stress_vectors(rng, 6, 300, table_k4.value(table_k4.full_set()))
+        z = np.vstack([
+            _stress_vectors(rng, 6, 300, table_k4.value(table_k4.full_set())),
+            _edge_vectors(rng, table_k4, 200),
+            np.full((1, 6), table_k4.value(table_k4.full_set())),
+        ])
         batch = batch_closed_test(np.abs(z), table_k4)
         for row, flags in zip(z, batch):
-            assert closed_test(row, table_k4).rejected == tuple(flags)
+            assert closed_test(row, table_k4, method="lattice").rejected == tuple(flags)
 
     def test_batch_shape_validation(self, table_k4):
         with pytest.raises(ValueError):
             batch_closed_test(np.zeros((5, 4)), table_k4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_batch_rejects_non_finite(self, table_k4, bad):
+        z = np.ones((3, 6))
+        z[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            batch_closed_test(z, table_k4)
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +303,15 @@ class TestOneSided:
             b = one_sided_closed_test(z6, one_sided_k3, method="lattice")
             assert a.rejected == b.rejected
 
+    def test_batch_matches_lattice(self, one_sided_k3):
+        rng = np.random.default_rng(23)
+        z3 = rng.normal(loc=rng.choice([-2.0, 0.0, 2.0], size=(200, 3)))
+        z = np.vstack([np.hstack([z3, -z3]), _edge_vectors(rng, one_sided_k3, 200)])
+        batch = batch_closed_test(z, one_sided_k3)
+        for row, flags in zip(z, batch):
+            lattice = one_sided_closed_test(row, one_sided_k3, method="lattice")
+            assert lattice.rejected == tuple(flags)
+
     def test_requires_one_sided_table(self, table_k3):
         with pytest.raises(ValueError):
             one_sided_closed_test([1.0] * 3, table_k3)
@@ -281,6 +349,20 @@ class TestComparators:
     def test_gatekeeping_rejects_order_that_is_not_a_permutation(self):
         with pytest.raises(ValueError):
             gatekeeping_test([1.0, 2.0], 0.05, order=[1, 1])
+
+    def test_comparator_local_covers_every_subset(self, cfg_k4, table_k4):
+        rng = np.random.default_rng(34)
+        z = rng.normal(scale=2.0, size=6)
+        for decision in (
+            bonferroni_test(z, 0.05),
+            gatekeeping_test(z, 0.05, order=[2, 5, 1, 6, 3, 4]),
+            tukey_global_test(z, cfg_k4, 0.05, table=table_k4),
+        ):
+            assert len(decision.local) == 63
+            for k in range(1, 7):
+                implied = all(v for s, v in decision.local.items() if k in s)
+                assert decision.rejected[k - 1] == implied
+        assert bonferroni_test(rng.normal(size=13), 0.05).local is None
 
     def test_gatekeeping_global_is_conjunction_of_local(self):
         rng = np.random.default_rng(32)

@@ -175,6 +175,24 @@ class TestRunScenario:
         assert np.array_equal(runs[0].decisions["dunnett"],
                               runs[1].decisions["dunnett"])
 
+    def test_dunnett_beyond_the_lattice_limit(self):
+        # K=6 has m=15 comparisons, past the 2^m enumeration limit; the
+        # step-down solves only the tail sets the replicates visit
+        scenario = SimScenario(
+            config=TrialConfig.single_stage(6, 1.0, 50),
+            means=MeanConfig((0.0,) * 6),
+            procedures=("dunnett", "global"),
+            replicates=2_000,
+            seed=4,
+            accuracy=1e-3,
+        )
+        result = run_scenario(scenario)
+        dunnett = result.summary("dunnett")
+        assert len(dunnett.per_count) == 16
+        # both procedures first test the full set against the same value
+        assert dunnett.any_reject == result.summary("global").any_reject
+        assert abs(dunnett.any_reject - 0.05) < 4.0 * dunnett.any_se
+
     def test_agrees_with_quadrature_power(self, cfg_k3, table_k3):
         means = (0.5, 0.0, 0.25)
         scenario = SimScenario(
