@@ -146,7 +146,10 @@ def _alpha_from(data: dict) -> float:
 
 
 def _accuracy(args) -> float:
-    return args.accuracy if args.accuracy is not None else DEFAULT_ACCURACY
+    value = args.accuracy if args.accuracy is not None else DEFAULT_ACCURACY
+    if not (math.isfinite(value) and value > 0.0):
+        raise _InputError("--accuracy must be finite and positive")
+    return value
 
 
 def _threads(args) -> int:
@@ -515,6 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
+        accuracy = _accuracy(args)
         if args.input is None and args.command in _OPTIONAL_INPUT:
             data = {}
         else:
@@ -530,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "seed": args.seed,
-        "accuracy": _accuracy(args),
+        "accuracy": accuracy,
     }
     if not args.deterministic:
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()

@@ -24,6 +24,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtr, ndtri
 
 from .closure import (
+    _LATTICE_LIMIT,
     ClosureDecision,
     _all_subsets,
     _class_key,
@@ -34,7 +35,6 @@ from .model import TWO_SIDED, TrialConfig, correlation
 from .mvn import DEFAULT_ACCURACY, Rectangle, mvn_rect
 from .sequential import StageData
 
-_ENUMERATION_LIMIT = 12
 # clamp for degenerate p-values so the normal quantile stays finite
 _P_FLOOR = 1e-300
 _P_CEIL = 1.0 - 1e-16
@@ -211,7 +211,7 @@ def flexible_closed_test(
         raise ValueError("alpha must lie strictly between 0 and 1")
     config = data.config
     m = config.n_comparisons
-    if m > _ENUMERATION_LIMIT:
+    if m > _LATTICE_LIMIT:
         raise ValueError(f"full enumeration of 2^{m} - 1 subsets is not supported")
     weights = _coerce_weights(weights, data.n_analyses)
     combined: dict = {}
@@ -319,7 +319,7 @@ def batch_flexible_test(
             f"{config.n_comparisons})"
         )
     m = config.n_comparisons
-    if m > _ENUMERATION_LIMIT:
+    if m > _LATTICE_LIMIT:
         raise ValueError(f"full enumeration of 2^{m} - 1 subsets is not supported")
     n_reps, n_stages, _ = z.shape
     weights = _coerce_weights(weights, n_stages)

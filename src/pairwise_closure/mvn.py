@@ -19,6 +19,13 @@ The integration scheme follows the separation-of-variables approach: a
 variance-minimizing ordered Cholesky factorization turns the rectangle
 probability into an integral over the unit cube of dimension rank - 1,
 evaluated with a randomly shifted Kronecker lattice and a tent transform.
+
+Points are evaluated in chunks of 2^15.  The unshifted lattice points of a
+chunk are built once and shared by all twelve random shifts.  The first
+integration variable has no predecessors, so its factor is one number,
+computed once for each chunk and shift rather than at every point.  Every
+shortcut is exact in IEEE arithmetic, so it does not change a single bit of
+the result.
 """
 
 from __future__ import annotations
@@ -234,59 +241,100 @@ def _integration_plan(cho, lo, hi, rank):
     return steps
 
 
+def _first_factor(constraints) -> tuple[float, float]:
+    """``(ndtr(a), mass)`` of variable 0, whose limits are plain numbers.
+
+    Variable 0 has an empty prefix, so its interval, and the factor it
+    contributes, is the same at every lattice point.
+    """
+    a = b = None
+    for _, coef, lo_c, hi_c in constraints:
+        av, bv = (lo_c, hi_c) if coef == 1.0 else (lo_c / coef, hi_c / coef)
+        if coef < 0:
+            av, bv = bv, av
+        a = av if a is None else max(a, av)
+        b = bv if b is None else min(b, bv)
+    ca = ndtr(a)
+    return ca, float(np.clip(ndtr(b) - ca, 0.0, 1.0))
+
+
 def _evaluate(steps, rank: int, x: np.ndarray) -> np.ndarray:
-    """Integrand over unit-cube points ``x`` of shape (npts, rank - 1)."""
-    npts = x.shape[0]
-    n_free = max(rank - 1, 0)
-    y = np.zeros((npts, n_free))
-    pv = np.ones(npts)
+    """Integrand over unit-cube points ``x`` of shape (rank - 1, npts).
+
+    The first factor is computed once on scalars and broadcast.  For each
+    later variable the interval starts from its first constraint and is
+    narrowed by the rest, in preallocated buffers; the pivot row's unit
+    coefficient is never divided by.  Every step gives the same bits as
+    narrowing (-inf, inf) with freshly allocated arrays.
+    """
+    npts = x.shape[1]
+    ca, dc = _first_factor(steps[0])
+    pv = np.full(npts, dc)
+    y = np.empty((npts, rank - 1))
+    u, s, a, b, av = np.empty((5, npts))
     for t in range(rank):
-        a = np.full(npts, -np.inf)
-        b = np.full(npts, np.inf)
-        for prefix, coef, lo_c, hi_c in steps[t]:
-            s = y[:, : prefix.shape[0]] @ prefix if prefix.shape[0] else 0.0
-            if coef > 0:
-                av = (lo_c - s) / coef
-                bv = (hi_c - s) / coef
-            else:
-                av = (hi_c - s) / coef
-                bv = (lo_c - s) / coef
-            a = np.maximum(a, av)
-            b = np.minimum(b, bv)
-        ca = ndtr(a)
-        dc = np.clip(ndtr(b) - ca, 0.0, 1.0)
-        pv *= dc
+        if t:
+            for i, (prefix, coef, lo_c, hi_c) in enumerate(steps[t]):
+                np.matmul(y[:, :t], prefix, out=s)
+                lo_v, hi_v = (a, b) if i == 0 else (av, s)
+                np.subtract(lo_c if coef > 0 else hi_c, s, out=lo_v)
+                np.subtract(hi_c if coef > 0 else lo_c, s, out=hi_v)
+                if coef != 1.0:
+                    lo_v /= coef
+                    hi_v /= coef
+                if i:
+                    np.maximum(a, av, out=a)
+                    np.minimum(b, s, out=b)
+            ca = ndtr(a, out=a)
+            dc = ndtr(b, out=b)
+            dc -= ca
+            np.maximum(dc, 0.0, out=dc)
+            np.minimum(dc, 1.0, out=dc)
+            pv *= dc
         if t < rank - 1:
-            u = ca + x[:, t] * dc
-            y[:, t] = ndtri(np.clip(u, _U_LO, _U_HI))
+            np.multiply(x[t], dc, out=u)
+            u += ca
+            np.maximum(u, _U_LO, out=u)
+            np.minimum(u, _U_HI, out=u)
+            ndtri(u, out=y[:, t])
     return pv
 
 
-def _shift_mean(steps, rank, gen, n_points, shift):
-    total = 0.0
+def _round_means(steps, rank, gen, n_points, shifts) -> np.ndarray:
+    """Integrand mean over the first ``n_points`` lattice points, per shift.
+
+    The unshifted points ``j * gen`` are built once per chunk and shared by
+    every shift; each shift's total adds its chunk sums in chunk order.
+    """
+    totals = np.zeros(len(shifts))
+    x = np.empty((gen.shape[0], min(_CHUNK, n_points)))
     for start in range(0, n_points, _CHUNK):
         stop = min(start + _CHUNK, n_points)
-        j = np.arange(start + 1, stop + 1, dtype=float)[:, None]
-        x = np.abs(2.0 * np.mod(j * gen + shift, 1.0) - 1.0)
-        total += float(_evaluate(steps, rank, x).sum())
-    return total / n_points
+        base = gen[:, None] * np.arange(start + 1, stop + 1, dtype=float)
+        xs = x[:, : stop - start]
+        for s, shift in enumerate(shifts):
+            np.add(base, shift[:, None], out=xs)
+            # fractional part, exact (and equal to np.mod) for xs >= 0
+            xs -= np.floor(xs)
+            xs *= 2.0
+            xs -= 1.0
+            np.abs(xs, out=xs)
+            totals[s] += float(_evaluate(steps, rank, xs).sum())
+    return totals / n_points
 
 
 def _qmc_estimate(steps, rank, accuracy, rng, max_points):
     dim = rank - 1
     if dim == 0:
         # every factor is a constant interval: the value is exact
-        value = float(_evaluate(steps, rank, np.zeros((1, 0)))[0])
-        return value, 0.0, 1
+        return _first_factor(steps[0])[1], 0.0, 1
     gen = _lattice_generators(dim)
     n = 1 << 10
     spent = 0
     weight_sum = 0.0
     weighted_est = 0.0
     while True:
-        means = np.empty(_N_SHIFTS)
-        for s in range(_N_SHIFTS):
-            means[s] = _shift_mean(steps, rank, gen, n, rng.random(dim))
+        means = _round_means(steps, rank, gen, n, rng.random((_N_SHIFTS, dim)))
         spent += n * _N_SHIFTS
         round_est = float(means.mean())
         round_err = 3.0 * max(float(means.std(ddof=1)) / math.sqrt(_N_SHIFTS), 1e-16)
@@ -302,6 +350,13 @@ def _qmc_estimate(steps, rank, accuracy, rng, max_points):
                 f"(error estimate {err:.2e})"
             )
         n *= 2
+
+
+def _check_accuracy(accuracy: float) -> None:
+    # a target of zero, below zero or NaN is never met: the loop would spend
+    # the whole point budget before failing
+    if not (math.isfinite(accuracy) and accuracy > 0.0):
+        raise ValueError(f"accuracy must be finite and positive, got {accuracy!r}")
 
 
 def mvn_rect(
@@ -325,7 +380,7 @@ def mvn_rect(
     rect : Rectangle
         Integration region; infinite limits allowed.
     accuracy : float
-        Absolute error target for the estimate.
+        Absolute error target for the estimate; finite and positive.
     seed : int
         Seed for the randomized lattice shifts.  Fixed seed gives
         bit-identical results.
@@ -338,6 +393,7 @@ def mvn_rect(
         ``value`` in [0, 1], ``err_est`` roughly three standard errors of the
         randomized-shift estimate, ``n_points`` evaluations spent.
     """
+    _check_accuracy(accuracy)
     if isinstance(corr, CorrelationModel):
         model = corr
     else:
@@ -405,6 +461,7 @@ def equicoord_quantile(
         raise ValueError("prob must lie strictly between 0 and 1")
     if tail not in ("central", "upper"):
         raise ValueError(f"tail must be 'central' or 'upper', got {tail!r}")
+    _check_accuracy(accuracy)
     if isinstance(corr, CorrelationModel):
         model = corr
     else:

@@ -22,6 +22,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .closure import (
+    _LATTICE_LIMIT,
     ClosureDecision,
     _all_subsets,
     _class_key,
@@ -44,7 +45,6 @@ from .mvn import (
     mvn_rect,
 )
 
-_LATTICE_LIMIT = 12
 _SPEND_FLOOR = 1e-6
 
 

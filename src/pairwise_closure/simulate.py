@@ -15,7 +15,7 @@ or how the work is chunked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -220,9 +220,13 @@ def _build_resources(scenario: SimScenario) -> _Resources:
         )
         res.bounds.entries()
     if "dunnett-gs-generalised" in tags:
-        res.gen_bounds = generalised_boundaries(
-            cfg, scenario.spending, seed=scenario.seed, accuracy=scenario.accuracy
-        )
+        if res.bounds is not None:
+            # shares the class cache: the full-set vector is solved once
+            res.gen_bounds = replace(res.bounds, generalised=True)
+        else:
+            res.gen_bounds = generalised_boundaries(
+                cfg, scenario.spending, seed=scenario.seed, accuracy=scenario.accuracy
+            )
     if "combination" in tags:
         res.weights = scenario.weights or CombinationWeights.from_information(cfg)
         res.tail_table = TailProbabilityTable(cfg, seed=scenario.seed)

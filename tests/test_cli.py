@@ -367,6 +367,20 @@ class TestSimulate:
 
 
 class TestDispatch:
+    @pytest.mark.parametrize("accuracy", ["0", "-1e-5", "nan", "inf"])
+    def test_invalid_accuracy_exits_2(self, capsys, monkeypatch, accuracy):
+        def never(*args, **kwargs):
+            raise AssertionError("the kernel ran on an invalid accuracy")
+
+        monkeypatch.setattr(cli, "critical_values", never)
+        status, out, err = run_cli(
+            ["critical-values", "--input", K3_CONFIG, f"--accuracy={accuracy}"], capsys
+        )
+        assert status == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "validation"
+        assert "accuracy" in error["message"]
+
     def test_numerics_failure_exits_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericsError("lattice budget exhausted")

@@ -14,6 +14,7 @@ from pairwise_closure.mvn import (
     equicoord_quantile,
     mvn_rect,
 )
+from pairwise_closure.sequential import joint_covariance
 
 
 def pairwise_corr(n_arms):
@@ -262,3 +263,45 @@ def test_quantile_round_trip():
     c = equicoord_quantile(corr, 0.95, seed=4)
     back = mvn_rect(0.0, corr, Rectangle.centered(c, 6), seed=99)
     assert back.value == pytest.approx(0.95, abs=3e-4)
+
+
+def staged_corr():
+    config = TrialConfig.single_stage(3, 1.0, 50).with_stage_n(((50,) * 3, (100,) * 3))
+    return joint_covariance(config)
+
+
+@pytest.mark.parametrize(
+    "mean, corr, rect, accuracy, seed, expected",
+    [
+        # singular K=4 full set, two-sided
+        (0.0, pairwise_corr(4), Rectangle.centered(2.5, 6), 1e-5, 10,
+         ProbResult(0.9401064942067595, 6.579526562808329e-06, 380928)),
+        # an infinite limit on each side and a nonzero mean, nonsingular
+        ([0.2, -0.1, 0.3],
+         np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.4], [-0.2, 0.4, 1.0]]),
+         Rectangle([-np.inf, -1.0, -0.5], [1.2, np.inf, 0.8]), 1e-5, 9,
+         ProbResult(0.31983401371493914, 4.750381778782532e-06, 184320)),
+        # one-sided singular K=3 full set with a nonzero mean
+        ([0.2, -0.1, 0.3], pairwise_corr(3), Rectangle.below(1.9, 3), 1e-5, 9,
+         ProbResult(0.8915085402862523, 5.144429066198361e-06, 380928)),
+        # staged K=3 Q=2 matrix: the last round has 65,536 points per shift,
+        # two lattice chunks
+        (0.0, staged_corr(), Rectangle.centered(2.4, 6), 1e-5, 1,
+         ProbResult(0.926429574227452, 6.282648033226002e-06, 1560576)),
+    ],
+    ids=["k4-two-sided", "infinite-limits-mean", "k3-one-sided-mean", "staged-chunks"],
+)
+def test_kernel_bits_are_pinned(mean, corr, rect, accuracy, seed, expected):
+    # exact literals: any change to the integrand or the lattice loop that
+    # moves a single bit fails here
+    assert mvn_rect(mean, corr, rect, accuracy=accuracy, seed=seed) == expected
+
+
+def test_quantile_bits_are_pinned():
+    assert equicoord_quantile(pairwise_corr(3), 0.95, seed=3) == 2.3437123584366133
+
+
+@pytest.mark.parametrize("accuracy", [0.0, -1e-5, np.nan, np.inf])
+def test_invalid_accuracy_is_rejected(accuracy):
+    with pytest.raises(ValueError, match="accuracy"):
+        mvn_rect(0.0, pairwise_corr(3), Rectangle.centered(2.0, 3), accuracy=accuracy)

@@ -7,11 +7,17 @@ import pytest
 
 from pairwise_closure.model import TrialConfig, standardized_means
 from pairwise_closure.power import MeanConfig, disjunctive_power
-from pairwise_closure.sequential import SpendingSchedule, stage_weights
+from pairwise_closure.sequential import (
+    BoundarySchedule,
+    SpendingSchedule,
+    generalised_boundaries,
+    stage_weights,
+)
 from pairwise_closure.simulate import (
     OperatingCharacteristics,
     ProcedureSummary,
     SimScenario,
+    _build_resources,
     run_scenario,
     simulate_statistics,
     table1_report,
@@ -290,3 +296,34 @@ class TestTable1:
         assert sum("Dunnett" in line for line in lines) == 3
         assert sum("Unadjusted" in line for line in lines) == 1
         assert len(lines) == 14
+
+
+def test_generalised_boundary_shares_the_full_set_solve(cfg_k3_q2, monkeypatch):
+    solved = []
+    solve = BoundarySchedule._solve
+
+    def counting_solve(self, key):
+        solved.append(key)
+        return solve(self, key)
+
+    monkeypatch.setattr(BoundarySchedule, "_solve", counting_solve)
+    scenario = SimScenario(
+        config=cfg_k3_q2,
+        means=MeanConfig((0.0, 0.0, 0.0)),
+        procedures=("dunnett-gs", "dunnett-gs-generalised"),
+        replicates=10,
+        seed=11,
+        accuracy=1e-3,
+        spending=SpendingSchedule.power_family(0.05, (0.5, 1.0)),
+    )
+    res = _build_resources(scenario)
+    full = res.bounds.full_set()
+    n_classes = len(solved)
+    assert res.gen_bounds.generalised and not res.bounds.generalised
+    assert res.gen_bounds.value({1}) == res.bounds.value(full)
+    # the generalised schedule reuses the full-set class instead of solving it
+    assert len(solved) == n_classes == len(set(solved))
+    alone = generalised_boundaries(
+        cfg_k3_q2, scenario.spending, seed=scenario.seed, accuracy=scenario.accuracy
+    )
+    assert alone.value(full) == res.gen_bounds.value(full)
