@@ -8,6 +8,12 @@ values are strictly monotone in subset inclusion (consonance), the full
 lattice walk collapses to a step-down rule over the ordered statistics; both
 forms are implemented and agree.
 
+This module also owns the intersection lattice that the group-sequential
+(``sequential``) and combination (``combination``) tests reuse: the one
+guarded subset enumeration, the one closure rule over it, and the one
+per-class cache behind every table of per-subset values.  Each of those
+procedures supplies only its local test.
+
 Subsets whose correlation matrices coincide up to relabelling share one
 critical value.  Equivalence is decided by canonicalizing the subset's
 comparison graph (arms as vertices weighted by sigma^2/n, comparisons as
@@ -71,17 +77,22 @@ class ComparisonSet:
 
     @classmethod
     def build(cls, config: TrialConfig, members: Iterable[int]) -> "ComparisonSet":
-        ordered = tuple(sorted(set(int(k) for k in members)))
-        if not ordered:
-            raise ValueError("a comparison set must not be empty")
-        m = config.n_comparisons
-        if ordered[0] < 1 or ordered[-1] > m:
-            raise ValueError(f"comparison indices must lie in 1..{m}")
+        ordered = tuple(sorted(_check_subset(config.n_comparisons, members)))
         return cls(ordered, correlation(config, ordered))
 
     @property
     def size(self) -> int:
         return len(self.members)
+
+
+def _check_subset(m: int, members: Iterable[int]) -> frozenset:
+    """A nonempty subset of the comparison indices 1..m."""
+    subset = frozenset(int(k) for k in members)
+    if not subset:
+        raise ValueError("a comparison set must not be empty")
+    if min(subset) < 1 or max(subset) > m:
+        raise ValueError(f"comparison indices must lie in 1..{m}")
+    return subset
 
 
 def _class_key(config: TrialConfig, members: tuple[int, ...]):
@@ -142,14 +153,73 @@ def _solve_class(args: tuple) -> float:
     )
 
 
-def _all_subsets(m: int):
-    for size in range(1, m + 1):
-        for combo in itertools.combinations(range(1, m + 1), size):
-            yield frozenset(combo)
+def _all_subsets(m: int) -> list[frozenset]:
+    """Every nonempty subset of 1..m, by size and then lexicographically.
+
+    The one enumeration of the intersection lattice; it refuses families
+    beyond the lattice limit rather than build 2^m - 1 subsets.
+    """
+    if m > _LATTICE_LIMIT:
+        raise ValueError(
+            f"full enumeration of 2^{m} - 1 subsets is not supported "
+            f"(at most {_LATTICE_LIMIT} comparisons); look values up per subset"
+        )
+    return [
+        frozenset(combo)
+        for size in range(1, m + 1)
+        for combo in itertools.combinations(range(1, m + 1), size)
+    ]
 
 
 @dataclass
-class CriticalValueTable:
+class _ClassCache:
+    """Per-subset values, solved once per correlation-equivalence class.
+
+    A subclass supplies ``_solve(key)``, the value of one class from its
+    canonical key.  ``value`` validates a subset, memoizes its class key and
+    solves each class once; ``entries`` materializes every subset of the
+    lattice.  The two dicts are ordinary fields, so a copy made with
+    ``dataclasses.replace`` shares the cache with its original.
+    """
+
+    config: TrialConfig
+    _class_values: dict = field(default_factory=dict, repr=False, kw_only=True)
+    _subset_keys: dict = field(default_factory=dict, repr=False, kw_only=True)
+
+    @property
+    def n_comparisons(self) -> int:
+        return self.config.n_comparisons
+
+    def full_set(self) -> frozenset:
+        return frozenset(range(1, self.n_comparisons + 1))
+
+    def _key(self, members: frozenset):
+        key = self._subset_keys.get(members)
+        if key is None:
+            key = _class_key(self.config, tuple(sorted(members)))
+            self._subset_keys[members] = key
+        return key
+
+    def _solve(self, key):
+        raise NotImplementedError
+
+    def _lookup(self, subset: frozenset):
+        key = self._key(subset)
+        if key not in self._class_values:
+            self._class_values[key] = self._solve(key)
+        return self._class_values[key]
+
+    def value(self, members: Iterable[int]):
+        """Value for one subset of comparison indices."""
+        return self._lookup(_check_subset(self.n_comparisons, members))
+
+    def entries(self) -> dict:
+        """Every subset's value; guarded by the lattice limit."""
+        return {s: self.value(s) for s in _all_subsets(self.n_comparisons)}
+
+
+@dataclass
+class CriticalValueTable(_ClassCache):
     """Per-subset critical values for one configuration and level.
 
     Values are computed lazily and cached by correlation-equivalence class,
@@ -160,32 +230,18 @@ class CriticalValueTable:
     what order.
     """
 
-    config: TrialConfig
     alpha: float
     seed: int = 0
     accuracy: float = DEFAULT_ACCURACY
     tol: float = DEFAULT_QUANTILE_TOL
-    _class_values: dict = field(default_factory=dict, repr=False)
-    _subset_keys: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
 
     @property
-    def n_comparisons(self) -> int:
-        return self.config.n_comparisons
-
-    @property
     def tail(self) -> str:
         return "upper" if self.config.sided == ONE_SIDED else "central"
-
-    def _key(self, members: frozenset) -> tuple:
-        key = self._subset_keys.get(members)
-        if key is None:
-            key = _class_key(self.config, tuple(sorted(members)))
-            self._subset_keys[members] = key
-        return key
 
     def _solve_args(self, key) -> tuple:
         return (
@@ -197,20 +253,8 @@ class CriticalValueTable:
             self.tail,
         )
 
-    def value(self, members: Iterable[int]) -> float:
-        """Critical value for one subset of comparison indices."""
-        subset = frozenset(int(k) for k in members)
-        if not subset:
-            raise ValueError("a comparison set must not be empty")
-        if min(subset) < 1 or max(subset) > self.n_comparisons:
-            raise ValueError(f"comparison indices must lie in 1..{self.n_comparisons}")
-        key = self._key(subset)
-        if key not in self._class_values:
-            self._class_values[key] = _solve_class(self._solve_args(key))
-        return self._class_values[key]
-
-    def full_set(self) -> frozenset:
-        return frozenset(range(1, self.n_comparisons + 1))
+    def _solve(self, key) -> float:
+        return _solve_class(self._solve_args(key))
 
     def entries(self, threads: int = 1) -> dict:
         """Materialize every subset's critical value.
@@ -219,25 +263,16 @@ class CriticalValueTable:
         solved concurrently with ``threads`` worker processes.  Per-class
         seeds make the result independent of solve order and worker count.
         """
-        m = self.n_comparisons
-        if m > _LATTICE_LIMIT:
-            raise ValueError(
-                f"full enumeration of 2^{m} - 1 subsets is not supported; "
-                "look values up per subset instead"
-            )
-        subsets = list(_all_subsets(m))
-        pending = list(dict.fromkeys(
-            key for key in map(self._key, subsets) if key not in self._class_values
-        ))
-        if pending:
-            jobs = [self._solve_args(key) for key in pending]
-            if threads > 1 and len(jobs) > 1:
+        if threads > 1:
+            pending = list(dict.fromkeys(
+                key for key in map(self._key, _all_subsets(self.n_comparisons))
+                if key not in self._class_values
+            ))
+            if len(pending) > 1:
+                jobs = [self._solve_args(key) for key in pending]
                 with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-                    solved = list(pool.map(_solve_class, jobs))
-            else:
-                solved = [_solve_class(job) for job in jobs]
-            self._class_values.update(zip(pending, solved))
-        return {s: self._class_values[self._key(s)] for s in subsets}
+                    self._class_values.update(zip(pending, pool.map(_solve_class, jobs)))
+        return super().entries()
 
     def classes(self, threads: int = 1) -> list[dict]:
         """Summaries of the distinct correlation-equivalence classes."""
@@ -354,14 +389,52 @@ def _subset_max(stat: np.ndarray, subset: frozenset) -> float:
     return stat[[k - 1 for k in subset]].max()
 
 
+def _closure_rule(
+    stat: np.ndarray, first_crossing: Callable
+) -> tuple[np.ndarray, np.ndarray]:
+    """The closure rule over the whole intersection lattice, for many rows.
+
+    ``stat`` has shape (rows, ..., m): the statistics the local tests read
+    (absolute values for two-sided families), which must be finite.  For
+    every subset, ``first_crossing(subset, top)`` receives ``top``, the
+    subset's largest statistic of shape (rows, ...), and returns per row the
+    analysis (counted from 1) at which the subset's local test first
+    rejects, or 0 if it never does; a boolean counts as a single analysis.
+    Comparison k is rejected when every subset containing it is rejected,
+    at the latest of their first crossings.
+
+    Returns
+    -------
+    rejected : ndarray of bool, shape (rows, m)
+    stopped : ndarray of int, shape (rows, m)
+        The analysis at which each rejection completed; 0 where not rejected.
+    """
+    if not np.all(np.isfinite(stat)):
+        raise ValueError("statistics must be finite")
+    n_rows, m = stat.shape[0], stat.shape[-1]
+    rejected = np.ones((n_rows, m), dtype=bool)
+    stopped = np.zeros((n_rows, m), dtype=np.int64)
+    for subset in _all_subsets(m):
+        cols = [k - 1 for k in subset]
+        first = np.asarray(first_crossing(subset, stat[..., cols].max(axis=-1)),
+                           dtype=np.int64)
+        crossed = first > 0
+        for col in cols:
+            rejected[:, col] &= crossed
+            np.maximum(stopped[:, col], first, out=stopped[:, col])
+    stopped[~rejected] = 0
+    return rejected, stopped
+
+
 def _lattice(stat: np.ndarray, table: CriticalValueTable):
-    m = stat.size
-    entries = table.entries()
-    local = {s: bool(_subset_max(stat, s) > c) for s, c in entries.items()}
-    rejected = []
-    for k in range(1, m + 1):
-        rejected.append(all(local[s] for s in entries if k in s))
-    return rejected, local
+    local = {}
+
+    def crossing(subset, top):
+        local[subset] = bool(top[0] > table.value(subset))
+        return local[subset]
+
+    rejected, _ = _closure_rule(stat[None, :], crossing)
+    return rejected[0].tolist(), local
 
 
 def closed_test(

@@ -10,13 +10,16 @@ test rejects a hypothesis when every subset containing it combines below
 alpha.  Mid-trial redesign (sample size reestimation in particular) does not
 inflate the error rate because the combination weights are fixed before the
 first stage.
+
+The subset lattice, the closure rule and the per-class cache come from
+``closure``; this module supplies the stage p-values and their combination.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,10 +27,11 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtr, ndtri
 
 from .closure import (
-    _LATTICE_LIMIT,
     ClosureDecision,
-    _all_subsets,
+    _check_subset,
+    _ClassCache,
     _class_key,
+    _closure_rule,
     _derived_seed,
     _key_correlation,
 )
@@ -88,17 +92,6 @@ class CombinationWeights:
         return cls(tuple(np.sqrt(inc / inc.sum())))
 
 
-def _check_members(config: TrialConfig, members: Iterable[int]) -> tuple[int, ...]:
-    subset = tuple(sorted({int(k) for k in members}))
-    if not subset:
-        raise ValueError("a comparison set must not be empty")
-    if subset[0] < 1 or subset[-1] > config.n_comparisons:
-        raise ValueError(
-            f"comparison indices must lie in 1..{config.n_comparisons}"
-        )
-    return subset
-
-
 def _observed_max(config: TrialConfig, z_row: Sequence[float], cols: Sequence[int]):
     z = np.asarray(z_row, dtype=float)
     if z.shape != (config.n_comparisons,):
@@ -136,7 +129,7 @@ def stage_pvalue(
     correlation stays inside the corresponding rectangle.  Uniform under the
     intersection null whatever sample size this stage used.
     """
-    subset = _check_members(config, members)
+    subset = tuple(sorted(_check_subset(config.n_comparisons, members)))
     cols = [k - 1 for k in subset]
     z_obs = float(_observed_max(config, z_row, cols))
     if len(subset) == 1:
@@ -210,26 +203,24 @@ def flexible_closed_test(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     config = data.config
-    m = config.n_comparisons
-    if m > _LATTICE_LIMIT:
-        raise ValueError(f"full enumeration of 2^{m} - 1 subsets is not supported")
     weights = _coerce_weights(weights, data.n_analyses)
     combined: dict = {}
-    for subset in _all_subsets(m):
+
+    def crossing(subset: frozenset, top: np.ndarray) -> bool:
         stage_ps = [
             stage_pvalue(config, subset, data.z_stage[q], stage=q + 1,
                          seed=seed, accuracy=accuracy)
             for q in range(data.n_analyses)
         ]
         combined[subset] = combine(stage_ps, weights)
+        return combined[subset] < alpha
+
+    rejected, _ = _closure_rule(data.z_stage[None], crossing)
     local = {s: p < alpha for s, p in combined.items()}
-    rejected = tuple(
-        all(local[s] for s in local if k in s) for k in range(1, m + 1)
-    )
     return ClosureDecision(
         "dunnett-combination",
         alpha,
-        rejected,
+        tuple(rejected[0].tolist()),
         local,
         None,
         meta={"combined_p": combined, "analyses": data.n_analyses},
@@ -237,7 +228,7 @@ def flexible_closed_test(
 
 
 @dataclass
-class TailProbabilityTable:
+class TailProbabilityTable(_ClassCache):
     """Interpolated stage p-values for bulk simulation.
 
     For each correlation-equivalence class of subsets the rectangle
@@ -249,48 +240,41 @@ class TailProbabilityTable:
     :func:`stage_pvalue` when single evaluations matter more than throughput.
     """
 
-    config: TrialConfig
     seed: int = 0
     accuracy: float = 1e-4
     grid_step: float = 0.05
-    _interp: dict = field(default_factory=dict, repr=False)
 
     def _grid(self) -> np.ndarray:
         lo = 0.0 if self.config.sided == TWO_SIDED else -8.0
         n = int(round((8.0 - lo) / self.grid_step)) + 1
         return np.linspace(lo, 8.0, n)
 
-    def _interpolant(self, subset: tuple[int, ...]):
-        key = _class_key(self.config, subset)
-        f = self._interp.get(key)
-        if f is None:
-            corr = _key_correlation(key)
-            run_seed = _derived_seed(self.seed, ("grid", key))
-            grid = self._grid()
-            dim = len(subset)
-            two_sided = self.config.sided == TWO_SIDED
-            vals = np.empty_like(grid)
-            for idx, c in enumerate(grid):
-                rect = (Rectangle.centered(c, dim) if two_sided
-                        else Rectangle.below(c, dim))
-                vals[idx] = mvn_rect(
-                    0.0, corr, rect, accuracy=self.accuracy, seed=run_seed
-                ).value
-            vals = np.clip(np.maximum.accumulate(vals), 0.0, 1.0)
-            f = PchipInterpolator(grid, vals, extrapolate=False)
-            self._interp[key] = f
-        return f
+    def _solve(self, key) -> PchipInterpolator:
+        """Interpolant of G(c) over the grid for one class."""
+        corr = _key_correlation(key)
+        run_seed = _derived_seed(self.seed, ("grid", key))
+        grid = self._grid()
+        dim = corr.dim
+        two_sided = self.config.sided == TWO_SIDED
+        vals = np.empty_like(grid)
+        for idx, c in enumerate(grid):
+            rect = (Rectangle.centered(c, dim) if two_sided
+                    else Rectangle.below(c, dim))
+            vals[idx] = mvn_rect(
+                0.0, corr, rect, accuracy=self.accuracy, seed=run_seed
+            ).value
+        vals = np.clip(np.maximum.accumulate(vals), 0.0, 1.0)
+        return PchipInterpolator(grid, vals, extrapolate=False)
 
     def pvalue(self, members: Iterable[int], z_obs):
         """p-values for observed subset maxima; ``z_obs`` may be an array."""
-        subset = _check_members(self.config, members)
+        subset = _check_subset(self.n_comparisons, members)
         z = np.asarray(z_obs, dtype=float)
         if len(subset) == 1:
             p = _singleton_p(z, self.config.sided)
         else:
             grid = self._grid()
-            f = self._interpolant(subset)
-            g = f(np.clip(z, grid[0], grid[-1]))
+            g = self._lookup(subset)(np.clip(z, grid[0], grid[-1]))
             p = np.clip(1.0 - g, 0.0, 1.0)
         return float(p) if np.ndim(z_obs) == 0 else p
 
@@ -305,10 +289,10 @@ def batch_flexible_test(
     """Vectorized :func:`flexible_closed_test` over many replicates.
 
     ``z_stage`` has shape (replicates, stages, comparisons) of stage-wise
-    statistics.  Returns the (replicates, comparisons) boolean rejection
-    matrix.  Stage p-values come from ``table`` (built on demand), trading
-    the exact rectangle quadrature for interpolation error of a few times
-    the table accuracy.
+    statistics, which must be finite.  Returns the (replicates, comparisons)
+    boolean rejection matrix.  Stage p-values come from ``table`` (built on
+    demand), trading the exact rectangle quadrature for interpolation error
+    of a few times the table accuracy.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -318,20 +302,14 @@ def batch_flexible_test(
             f"need statistics of shape (replicates, stages, "
             f"{config.n_comparisons})"
         )
-    m = config.n_comparisons
-    if m > _LATTICE_LIMIT:
-        raise ValueError(f"full enumeration of 2^{m} - 1 subsets is not supported")
-    n_reps, n_stages, _ = z.shape
+    n_stages = z.shape[1]
     weights = _coerce_weights(weights, n_stages)
     if table is None:
         table = TailProbabilityTable(config)
     stat = np.abs(z) if config.sided == TWO_SIDED else z
-    rejected = np.ones((n_reps, m), dtype=bool)
-    for subset in _all_subsets(m):
-        cols = [k - 1 for k in subset]
-        z_obs = stat[:, :, cols].max(axis=2)
-        stage_ps = [table.pvalue(subset, z_obs[:, q]) for q in range(n_stages)]
-        crossed = combine(stage_ps, weights) < alpha
-        for k in subset:
-            rejected[:, k - 1] &= crossed
-    return rejected
+
+    def crossing(subset: frozenset, top: np.ndarray) -> np.ndarray:
+        stage_ps = [table.pvalue(subset, top[:, q]) for q in range(n_stages)]
+        return combine(stage_ps, weights) < alpha
+
+    return _closure_rule(stat, crossing)[0]

@@ -488,11 +488,20 @@ def equicoord_quantile(
         raise SolverError(
             f"failed to bracket the {tail} quantile at prob={prob} within [{lo}, {hi}]"
         )
-    # Locate the root cheaply first, then polish at full accuracy on a
-    # narrow bracket; the two-phase split spends the expensive evaluations
-    # only where they matter.
-    if coarse_acc > accuracy:
-        c0 = float(brentq(objective, lo, hi, xtol=5e-3, args=(coarse_acc,)))
+    return _two_phase_brentq(objective, lo, hi, tol, accuracy, coarse_acc)
+
+
+def _two_phase_brentq(objective, lo, hi, tol, accuracy, coarse) -> float:
+    """Root of a monotone ``objective(c, accuracy)`` bracketed by [lo, hi].
+
+    The root is located cheaply at the ``coarse`` accuracy first, then
+    polished at full ``accuracy`` on a narrow bracket around it; the
+    two-phase split spends the expensive evaluations only where they
+    matter.  Shared by the equicoordinate quantile and the group-sequential
+    boundary solve.
+    """
+    if coarse > accuracy:
+        c0 = float(brentq(objective, lo, hi, xtol=5e-3, args=(coarse,)))
         for half in (0.05, 0.5):
             a, b = max(lo, c0 - half), min(hi, c0 + half)
             try:

@@ -9,23 +9,26 @@ across stages, whose covariance factorizes as the single-stage correlation
 times sqrt(t_min/t_max) in the information fractions; that joint form
 replaces the equivalent stage-conditioning integral and is what the
 quadrature kernel consumes directly.
+
+The subset lattice, the closure rule and the per-class cache come from
+``closure``; this module supplies the boundary solve and the staged local
+test (a subset is rejected at the first analysis its maximum crosses).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .closure import (
-    _LATTICE_LIMIT,
     ClosureDecision,
-    _all_subsets,
-    _class_key,
+    _check_subset,
+    _ClassCache,
+    _closure_rule,
     _derived_seed,
     _key_correlation,
 )
@@ -42,6 +45,7 @@ from .mvn import (
     DEFAULT_QUANTILE_TOL,
     Rectangle,
     SolverError,
+    _two_phase_brentq,
     mvn_rect,
 )
 
@@ -213,15 +217,7 @@ def _two_phase_root(objective, lo, hi, tol, accuracy, coarse) -> float:
     f_hi = objective(hi, coarse)
     if f_lo < 0.0 or f_hi > 0.0:
         raise SolverError(f"failed to bracket the boundary in [{lo}, {hi}]")
-    if coarse > accuracy:
-        c0 = float(brentq(objective, lo, hi, xtol=5e-3, args=(coarse,)))
-        for half in (0.05, 0.5):
-            a, b = max(lo, c0 - half), min(hi, c0 + half)
-            try:
-                return float(brentq(objective, a, b, xtol=0.5 * tol, args=(accuracy,)))
-            except ValueError:
-                continue
-    return float(brentq(objective, lo, hi, xtol=0.5 * tol, args=(accuracy,)))
+    return _two_phase_brentq(objective, lo, hi, tol, accuracy, coarse)
 
 
 def joint_covariance(config: TrialConfig, members: Iterable[int] | None = None) -> np.ndarray:
@@ -258,24 +254,23 @@ def _stage_rect(
 
 
 @dataclass
-class BoundarySchedule:
+class BoundarySchedule(_ClassCache):
     """Stage boundaries for every intersection subset.
 
     ``value(members)`` returns the Q-vector of critical values for that
     subset, solved lazily and cached per correlation-equivalence class from
     the class's canonical form, so it does not depend on lookup order.  A
     generalised schedule carries only the full-set vector and serves it for
-    every subset, which is conservative for proper subsets.
+    every subset, which is conservative for proper subsets.  The spending
+    schedule is part of every class key, so schedules that share one cache
+    through ``dataclasses.replace`` never mix up their values.
     """
 
-    config: TrialConfig
     schedule: SpendingSchedule
     seed: int = 0
     accuracy: float = DEFAULT_ACCURACY
     tol: float = DEFAULT_QUANTILE_TOL
     generalised: bool = False
-    _class_values: dict = field(default_factory=dict, repr=False)
-    _subset_keys: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.schedule.n_stages != self.config.n_stages:
@@ -289,24 +284,12 @@ class BoundarySchedule:
         return self.schedule.alpha
 
     @property
-    def n_comparisons(self) -> int:
-        return self.config.n_comparisons
-
-    @property
     def n_stages(self) -> int:
         return self.config.n_stages
 
-    def full_set(self) -> frozenset:
-        return frozenset(range(1, self.n_comparisons + 1))
-
     def _key(self, members: frozenset) -> tuple:
-        key = self._subset_keys.get(members)
-        if key is None:
-            key = _class_key(self.config, tuple(sorted(members)))
-            key = (key, self.schedule.info_times,
-                   tuple(round(a, 12) for a in self.schedule.per_stage))
-            self._subset_keys[members] = key
-        return key
+        return (super()._key(members), self.schedule.info_times,
+                tuple(round(a, 12) for a in self.schedule.per_stage))
 
     def _solve(self, key) -> tuple[float, ...]:
         base = _key_correlation(key[0]).matrix
@@ -342,25 +325,10 @@ class BoundarySchedule:
         return tuple(values)
 
     def value(self, members: Iterable[int]) -> tuple[float, ...]:
-        subset = frozenset(int(k) for k in members)
-        if not subset:
-            raise ValueError("a comparison set must not be empty")
-        if min(subset) < 1 or max(subset) > self.n_comparisons:
-            raise ValueError(f"comparison indices must lie in 1..{self.n_comparisons}")
-        if self.generalised:
-            subset = self.full_set()
-        key = self._key(subset)
-        if key not in self._class_values:
-            self._class_values[key] = self._solve(key)
-        return self._class_values[key]
-
-    def entries(self) -> dict:
-        m = self.n_comparisons
-        if m > _LATTICE_LIMIT:
-            raise ValueError(
-                f"full enumeration of 2^{m} - 1 subsets is not supported"
-            )
-        return {s: self.value(s) for s in _all_subsets(m)}
+        """Q-vector of boundaries for one subset (the full set's when
+        generalised)."""
+        subset = _check_subset(self.n_comparisons, members)
+        return self._lookup(self.full_set() if self.generalised else subset)
 
 
 def gs_boundaries(
@@ -467,6 +435,18 @@ def stage_weights(config: TrialConfig, upto: int | None = None) -> np.ndarray:
     return w
 
 
+def _first_crossings(boundaries: BoundarySchedule, q_obs: int):
+    """The staged local test, as a per-subset callback for the closure rule:
+    the first of the ``q_obs`` analyses whose boundary the subset's maximum
+    crosses, or 0."""
+
+    def first_crossing(subset: frozenset, top: np.ndarray) -> np.ndarray:
+        hits = top > np.asarray(boundaries.value(subset)[:q_obs])
+        return np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0)
+
+    return first_crossing
+
+
 def gs_closed_test(data: StageData, boundaries: BoundarySchedule) -> ClosureDecision:
     """Multi-stage closed test of all pairwise hypotheses.
 
@@ -474,41 +454,30 @@ def gs_closed_test(data: StageData, boundaries: BoundarySchedule) -> ClosureDeci
     maximum statistic crosses that analysis's boundary; rejections are
     absorbing.  A hypothesis is globally rejected once every subset
     containing it is rejected, and its ``stopped_stage`` entry records the
-    analysis at which that happened.
+    analysis at which that happened.  Runs the kernel of
+    :func:`batch_gs_test` on this one row.
     """
     if data.config != boundaries.config:
         raise ValueError("data and boundaries disagree on the trial configuration")
-    m = boundaries.n_comparisons
     stat = np.abs(data.z_cum) if data.config.sided == TWO_SIDED else data.z_cum
     q_obs = data.n_analyses
-    entries = boundaries.entries()
+    crossing = _first_crossings(boundaries, q_obs)
     crossed_at: dict = {}
-    for subset, c_vec in entries.items():
-        cols = [k - 1 for k in subset]
-        stage = None
-        for q in range(q_obs):
-            if stat[q, cols].max() > c_vec[q]:
-                stage = q + 1
-                break
-        crossed_at[subset] = stage
-    rejected = []
-    stopped = []
-    for k in range(1, m + 1):
-        stages = [crossed_at[s] for s in entries if k in s]
-        if all(s is not None for s in stages):
-            rejected.append(True)
-            stopped.append(max(stages))
-        else:
-            rejected.append(False)
-            stopped.append(None)
+
+    def record(subset: frozenset, top: np.ndarray) -> np.ndarray:
+        first = crossing(subset, top)
+        crossed_at[subset] = int(first[0]) or None
+        return first
+
+    rejected, stopped = _closure_rule(stat[None], record)
     local = {s: q is not None for s, q in crossed_at.items()}
     name = "dunnett-gs-generalised" if boundaries.generalised else "dunnett-gs"
     return ClosureDecision(
         name,
         boundaries.alpha,
-        tuple(rejected),
+        tuple(rejected[0].tolist()),
         local,
-        tuple(stopped),
+        tuple(q if r else None for r, q in zip(rejected[0], stopped[0].tolist())),
         meta={"analyses": q_obs, "crossed_at": crossed_at},
     )
 
@@ -519,9 +488,9 @@ def batch_gs_test(
     """Vectorized :func:`gs_closed_test` over many replicates.
 
     ``z_cum`` has shape (replicates, analyses, comparisons) of cumulative
-    statistics.  Returns ``(rejected, stopped)``: a boolean rejection matrix
-    and an integer matrix of the analyses at which each rejection completed
-    (0 where not rejected).
+    statistics, which must be finite.  Returns ``(rejected, stopped)``: a
+    boolean rejection matrix and an integer matrix of the analyses at which
+    each rejection completed (0 where not rejected).
     """
     z = np.asarray(z_cum, dtype=float)
     config = boundaries.config
@@ -532,21 +501,8 @@ def batch_gs_test(
         )
     if not 1 <= z.shape[1] <= config.n_stages:
         raise ValueError("number of analyses exceeds the planned schedule")
-    q_obs = z.shape[1]
     stat = np.abs(z) if config.sided == TWO_SIDED else z
-    n_reps = z.shape[0]
-    rejected = np.ones((n_reps, m), dtype=bool)
-    stopped = np.zeros((n_reps, m), dtype=np.int64)
-    for subset, c_vec in boundaries.entries().items():
-        cols = [k - 1 for k in subset]
-        hits = stat[:, :, cols].max(axis=2) > np.asarray(c_vec[:q_obs])
-        crossed = hits.any(axis=1)
-        first = np.where(crossed, hits.argmax(axis=1) + 1, 0)
-        for col in cols:
-            rejected[:, col] &= crossed
-            np.maximum(stopped[:, col], first, out=stopped[:, col])
-    stopped[~rejected] = 0
-    return rejected, stopped
+    return _closure_rule(stat, _first_crossings(boundaries, z.shape[1]))
 
 
 def drop_treatments(decision: ClosureDecision, config: TrialConfig) -> set[int]:

@@ -31,6 +31,41 @@ K3_MAX_ABS_TAIL_AT_2 = 0.112039
 COMBINED_05_05 = 0.010004627
 
 
+# Exact bits of the combination layer: a refactor that moves any of them
+# fails here.
+# tail_table.pvalue over np.linspace(0.5, 3.5, 7), for {1, 2, 3} and {1, 3}
+TAIL_PVALUE_BITS = {
+    (1, 2, 3): [0.8713124040271841, 0.5768576557494991, 0.29091545989708756,
+                0.11218775754122234, 0.033240433720846285, 0.00760349700654539,
+                0.0013472309946138683],
+    (1, 3): [0.8349154773813797, 0.5020344466131237, 0.23024949238202896,
+             0.08289700637813047, 0.023503249729172615, 0.0052365095697485264,
+             0.0009157052071770977],
+}
+# flexible_closed_test combined p-values on PINNED_STAGE_Z (both stages)
+PINNED_STAGE_Z = np.array([[2.4, -0.3, 1.1], [2.0, 0.8, -1.6]])
+COMBINED_P_BITS = {
+    (1,): 0.0034200266707986966,
+    (2,): 0.645397625074693,
+    (3,): 0.09692448465094089,
+    (1, 2): 0.010683855451706676,
+    (1, 3): 0.010683855451706676,
+    (2, 3): 0.2335714905092176,
+    (1, 2, 3): 0.019188846692642474,
+}
+# batch_flexible_test rejections per row of the batch below, with tail_table
+BATCH_FLEXIBLE_REJECTED = [
+    "101", "000", "000", "000", "110", "110", "000", "010", "111", "000",
+    "111", "010", "100", "000", "000", "111", "010", "000", "100", "010",
+    "101", "010", "111", "110", "000", "000", "011", "001", "010", "001",
+    "001", "001", "100", "000", "000", "000", "111", "000", "100", "101",
+]
+
+
+def _pinned_batch() -> np.ndarray:
+    return np.random.default_rng(2026).normal(scale=1.8, size=(40, 2, 3))
+
+
 @pytest.fixture(scope="module")
 def tail_table(cfg_k3_q2) -> TailProbabilityTable:
     return TailProbabilityTable(cfg_k3_q2, seed=5)
@@ -199,6 +234,14 @@ class TestFlexibleClosedTest:
         assert decision.rejected == (False, False, False)
         assert all(p > 0.49 for p in decision.meta["combined_p"].values())
 
+    def test_combined_p_bits_are_pinned(self, cfg_k3_q2):
+        z = PINNED_STAGE_Z
+        decision = flexible_closed_test(StageData(cfg_k3_q2, z, z))
+        assert decision.meta["combined_p"] == {
+            frozenset(s): p for s, p in COMBINED_P_BITS.items()
+        }
+        assert decision.rejected == (True, False, False)
+
     def test_meta_and_local(self, cfg_k3_q2):
         z = np.array([[3.5, 0.5, 0.1], [3.5, 0.5, 0.1]])
         decision = flexible_closed_test(StageData(cfg_k3_q2, z, z))
@@ -256,6 +299,12 @@ class TestTailProbabilityTable:
             tail_table.pvalue([], 1.0)
         with pytest.raises(ValueError):
             tail_table.pvalue([9], 1.0)
+
+
+    def test_pvalue_bits_are_pinned(self, tail_table):
+        z = np.linspace(0.5, 3.5, 7)
+        for members, expect in TAIL_PVALUE_BITS.items():
+            assert tail_table.pvalue(members, z).tolist() == expect
 
 
 class TestNullUniformity:
@@ -322,6 +371,19 @@ class TestBatchFlexibleTest:
         fwer = rejected.any(axis=1).mean()
         assert fwer <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / n)
         assert fwer > 0.01
+
+    def test_decisions_are_pinned(self, cfg_k3_q2, tail_table):
+        rejected = batch_flexible_test(_pinned_batch(), cfg_k3_q2, table=tail_table)
+        assert [
+            "".join(str(int(v)) for v in row) for row in rejected
+        ] == BATCH_FLEXIBLE_REJECTED
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_statistics_are_rejected(self, cfg_k3_q2, tail_table, bad):
+        z = np.zeros((3, 2, 3))
+        z[1, 0, 2] = bad
+        with pytest.raises(ValueError, match="statistics must be finite"):
+            batch_flexible_test(z, cfg_k3_q2, table=tail_table)
 
     def test_input_validation(self, cfg_k3_q2, tail_table):
         with pytest.raises(ValueError):

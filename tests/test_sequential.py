@@ -1,6 +1,7 @@
 """Error spending, per-subset stage boundaries, and the staged closed test."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,24 @@ K3_STAGE_BOUNDS = {
 
 TWO_LOOKS = (0.5, 1.0)
 
+# Exact bits of the session fixture ``gs_k3_q2`` (linear spend, seed 3, the
+# default accuracy), one vector per class, and of one generalised vector.  A
+# refactor of the cache or the root finder that moves a single bit fails.
+K3_STAGE_BOUNDS_BITS = {
+    1: (2.241414815715685, 2.1250628049804487),
+    2: (2.477521983474544, 2.3759631741887883),
+    3: (2.6038052143471764, 2.506387122043034),
+}
+GENERALISED_OBF_BITS = (3.0956414905086715, 2.363904813828494)
+# batch_gs_test on _pinned_batch() against gs_k3_q2: per row, the analysis at
+# which each comparison's rejection completed (0 = not rejected)
+BATCH_GS_STOPPED = [
+    "201", "000", "000", "000", "210", "000", "000", "020", "111", "000",
+    "200", "020", "100", "001", "000", "211", "020", "000", "200", "010",
+    "000", "010", "212", "211", "011", "002", "012", "001", "000", "011",
+    "000", "001", "220", "000", "000", "000", "021", "000", "222", "102",
+]
+
 
 @pytest.fixture(scope="module")
 def cfg_k2_q2() -> TrialConfig:
@@ -68,6 +87,10 @@ def _staged_null_z(cfg: TrialConfig, n_reps: int, seed: int) -> np.ndarray:
     ii = np.array([p.i - 1 for p in cfg.pairs()])
     jj = np.array([p.j - 1 for p in cfg.pairs()])
     return (means[:, :, ii] - means[:, :, jj]) / se
+
+
+def _pinned_batch() -> np.ndarray:
+    return np.random.default_rng(2026).normal(scale=1.8, size=(40, 2, 3))
 
 
 class TestSpendingSchedule:
@@ -191,6 +214,15 @@ class TestBoundarySchedule:
         assert len(entries) == 7
         for subset, expect in K3_STAGE_BOUNDS.items():
             assert entries[subset] == pytest.approx(expect, abs=1e-3)
+
+    def test_boundary_bits_are_pinned(self, gs_k3_q2):
+        entries = gs_k3_q2.entries()
+        assert entries == {s: K3_STAGE_BOUNDS_BITS[len(s)] for s in entries}
+
+    def test_generalised_bits_are_pinned(self, cfg_k3_q2):
+        sched = SpendingSchedule.obrien_fleming(0.05, TWO_LOOKS)
+        gen = generalised_boundaries(cfg_k3_q2, sched, seed=4, accuracy=1e-3)
+        assert gen.value({2}) == GENERALISED_OBF_BITS
 
     def test_stagewise_consonance(self, gs_k3_q2):
         # larger subsets get larger boundaries, stage by stage
@@ -418,6 +450,19 @@ class TestBatchGsTest:
         assert rejected.tolist() == [[True, True, False], [False, False, False]]
         assert stopped.tolist() == [[1, 1, 0], [0, 0, 0]]
 
+    def test_decisions_are_pinned(self, gs_k3_q2):
+        rejected, stopped = batch_gs_test(_pinned_batch(), gs_k3_q2)
+        assert ["".join(map(str, row)) for row in stopped] == BATCH_GS_STOPPED
+        assert np.array_equal(rejected, stopped > 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_statistics_are_rejected(self, gs_k3_q2, bad):
+        # a non-finite first look must not count as "not crossed" and let a
+        # later look reject
+        z = np.array([[[bad, bad, bad], [5.0, 5.0, 5.0]]])
+        with pytest.raises(ValueError, match="statistics must be finite"):
+            batch_gs_test(z, gs_k3_q2)
+
     def test_validation(self, gs_k3_q2):
         with pytest.raises(ValueError):
             batch_gs_test(np.zeros((5, 2)), gs_k3_q2)
@@ -449,6 +494,22 @@ class TestGeneralisedBoundaries:
                 assert not flag_c or flag_f
                 if flag_c:
                     assert stop_c >= stop_f
+
+
+    def test_shared_cache_serves_subsets_after_a_generalised_lookup(self, cfg_k3_q2):
+        # the reverse of the order run_scenario uses: the generalised copy is
+        # asked first, and the subset-wise schedule sharing its cache must
+        # still answer per subset
+        sched = SpendingSchedule.power_family(0.05, TWO_LOOKS)
+        bounds = gs_boundaries(cfg_k3_q2, sched, seed=6, accuracy=1e-3)
+        gen = replace(bounds, generalised=True)
+        full = gen.value({1})
+        assert gen.value({2, 3}) == full
+        alone = gs_boundaries(cfg_k3_q2, sched, seed=6, accuracy=1e-3)
+        for subset in ({1}, {2, 3}, {1, 2, 3}):
+            assert bounds.value(subset) == alone.value(subset)
+        assert bounds.value({1}) != full
+        assert bounds.value({1, 2, 3}) == full
 
 
 class TestDropTreatments:
