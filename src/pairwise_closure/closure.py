@@ -27,8 +27,8 @@ import itertools
 import zlib
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -39,9 +39,9 @@ from .model import (
     ComparisonStats,
     CorrelationModel,
     TrialConfig,
+    _pair_arms,
+    _pair_correlation,
     correlation,
-    index_to_pair,
-    pair_to_index,
 )
 from .mvn import DEFAULT_ACCURACY, DEFAULT_QUANTILE_TOL, equicoord_quantile
 
@@ -62,6 +62,9 @@ __all__ = [
 
 # Full-lattice enumeration is reserved for family sizes where 2^m stays small.
 _LATTICE_LIMIT = 12
+# Class keys try every relabelling of a subset's arms: 40,320 for eight arms,
+# nine times that for nine.
+_KEY_ARM_LIMIT = 8
 # The step-down encodes tail sets as int64 bitmasks, one bit per comparison.
 _MASK_LIMIT = 62
 # Rows per step-down block; bounds the kernel's scratch arrays.
@@ -100,21 +103,27 @@ def _class_key(config: TrialConfig, members: tuple[int, ...]):
 
     Two subsets share a key exactly when some relabelling of arms carries one
     onto the other while preserving sigma_a^2 / n_a, which makes their
-    correlation matrices permutation-identical.
+    correlation matrices permutation-identical.  Every relabelling is tried,
+    so a subset spanning more than eight arms raises ``ValueError``.
     """
-    pairs = [index_to_pair(k, config.n_arms, config.sided) for k in members]
-    arms = sorted({a for p in pairs for a in (p.i, p.j)})
+    ii, jj = _pair_arms(config.n_arms, config.sided)
+    cols = [k - 1 for k in members]
+    pairs = list(zip(ii[cols].tolist(), jj[cols].tolist()))
+    arms = sorted({a for pair in pairs for a in pair})
+    if len(arms) > _KEY_ARM_LIMIT:
+        raise ValueError(f"subsets spanning {len(arms)} arms are not supported "
+                         f"(at most {_KEY_ARM_LIMIT}): keying tries every relabelling")
     v = config.arm_variances(1)
-    scale = max(v[a - 1] for a in arms)
-    weights = {a: round(v[a - 1] / scale, 12) for a in arms}
+    scale = max(v[a] for a in arms)
+    weights = {a: round(v[a] / scale, 12) for a in arms}
     directed = config.sided == ONE_SIDED
     best = None
     for perm in itertools.permutations(range(len(arms))):
         relabel = {arm: perm[idx] for idx, arm in enumerate(arms)}
         if directed:
-            edges = sorted((relabel[p.i], relabel[p.j]) for p in pairs)
+            edges = sorted((relabel[i], relabel[j]) for i, j in pairs)
         else:
-            edges = sorted(tuple(sorted((relabel[p.i], relabel[p.j]))) for p in pairs)
+            edges = sorted(tuple(sorted((relabel[i], relabel[j]))) for i, j in pairs)
         w = tuple(weights[arm] for arm in sorted(arms, key=lambda a: relabel[a]))
         cand = (tuple(edges), w)
         if best is None or cand < best:
@@ -125,17 +134,14 @@ def _class_key(config: TrialConfig, members: tuple[int, ...]):
 def _key_correlation(key) -> CorrelationModel:
     """Correlation matrix of a class, built from its canonical form alone.
 
-    The canonical graph becomes a trial with one arm per vertex, whose
-    variance is the vertex weight, and one comparison per edge in canonical
-    order.  Every member of the class therefore hands the quadrature the
-    same matrix, so a cached class value does not depend on which member was
-    looked up first.
+    The canonical graph has one arm per vertex, whose variance is the vertex
+    weight, and one comparison per edge in canonical order.  Every member of
+    the class therefore hands the quadrature the same matrix, so a cached
+    class value does not depend on which member was looked up first.
     """
-    sided, (edges, weights) = key
-    n_arms = len(weights)
-    canon = TrialConfig.single_stage(n_arms, weights, 1, sided=sided)
-    members = [pair_to_index(i + 1, j + 1, n_arms, sided).k for i, j in edges]
-    return correlation(canon, members)
+    _, (edges, weights) = key
+    ii, jj = np.array(edges).T
+    return CorrelationModel(_pair_correlation(np.asarray(weights, dtype=float), ii, jj))
 
 
 def _derived_seed(seed: int, key) -> int:
@@ -179,12 +185,24 @@ class _ClassCache:
     canonical key.  ``value`` validates a subset, memoizes its class key and
     solves each class once; ``entries`` materializes every subset of the
     lattice.  The two dicts are ordinary fields, so a copy made with
-    ``dataclasses.replace`` shares the cache with its original.
+    ``dataclasses.replace`` shares the cache with its original, unless the
+    copy changes a solve input (any public field not listed in
+    ``_SERVING_FIELDS``); such a copy starts with an empty cache.
     """
 
     config: TrialConfig
     _class_values: dict = field(default_factory=dict, repr=False, kw_only=True)
     _subset_keys: dict = field(default_factory=dict, repr=False, kw_only=True)
+    _inputs: list | None = field(default=None, repr=False, kw_only=True)
+
+    # public fields that change how values are served, not how they are solved
+    _SERVING_FIELDS: ClassVar[tuple[str, ...]] = ()
+
+    def __post_init__(self) -> None:
+        inputs = [getattr(self, f.name) for f in fields(self)
+                  if f.name[0] != "_" and f.name not in self._SERVING_FIELDS]
+        if inputs != self._inputs:
+            self._class_values, self._subset_keys, self._inputs = {}, {}, inputs
 
     @property
     def n_comparisons(self) -> int:
@@ -238,6 +256,7 @@ class CriticalValueTable(_ClassCache):
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
+        super().__post_init__()
 
     @property
     def tail(self) -> str:

@@ -7,10 +7,16 @@ correlation structure induced purely by shared arms.  This module owns that
 bookkeeping: the bijection between pair labels and flat comparison indices,
 the standardized statistics themselves, and the correlation matrix for any
 subset of comparisons.
+
+Every pair-indexed quantity derives from one arm-index table,
+:func:`_pair_arms`: comparison k contrasts arm ``ii[k-1]`` with arm
+``jj[k-1]``.  In matrix form that is the signed comparison-arm incidence
+matrix B, and the covariance of the statistics is B diag(sigma^2/n) B^T.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -83,40 +89,83 @@ def pair_to_index(i: int, j: int, n_arms: int, sided: str = TWO_SIDED) -> PairIn
         raise ValueError(f"arm labels must lie in 1..{n_arms}, got ({i}, {j})")
     if i == j:
         raise ValueError("a comparison needs two distinct arms")
-    if sided == TWO_SIDED:
-        if i > j:
-            raise ValueError("two-sided comparisons are labelled with i < j")
-        k = (i - 1) * n_arms - i * (i - 1) // 2 + (j - i)
-        return PairIndex(k, i, j)
-    lo, hi = (i, j) if i < j else (j, i)
-    base = (lo - 1) * n_arms - lo * (lo - 1) // 2 + (hi - lo)
-    if i < j:
-        return PairIndex(base, i, j)
-    return PairIndex(base + n_arms * (n_arms - 1) // 2, i, j)
+    if sided == TWO_SIDED and i > j:
+        raise ValueError("two-sided comparisons are labelled with i < j")
+    lo, hi = min(i, j), max(i, j)
+    k = (lo - 1) * n_arms - lo * (lo - 1) // 2 + (hi - lo)
+    return PairIndex(k + n_arms * (n_arms - 1) // 2 if i > j else k, i, j)
 
 
 def index_to_pair(k: int, n_arms: int, sided: str = TWO_SIDED) -> PairIndex:
     """Inverse of :func:`pair_to_index`."""
-    _check_sided(sided)
-    m2 = n_arms * (n_arms - 1) // 2
     m = n_comparisons(n_arms, sided)
     if not (1 <= k <= m):
         raise ValueError(f"index must lie in 1..{m}, got {k}")
-    base, flipped = (k, False) if k <= m2 else (k - m2, True)
-    i = 1
-    offset = base
-    while offset > n_arms - i:
-        offset -= n_arms - i
-        i += 1
-    j = i + offset
-    if flipped:
-        i, j = j, i
-    return PairIndex(k, i, j)
+    ii, jj = _pair_arms(n_arms, sided)
+    return PairIndex(k, int(ii[k - 1]) + 1, int(jj[k - 1]) + 1)
 
 
 def all_pairs(n_arms: int, sided: str = TWO_SIDED) -> list[PairIndex]:
     """All comparisons in index order."""
-    return [index_to_pair(k, n_arms, sided) for k in range(1, n_comparisons(n_arms, sided) + 1)]
+    m = n_comparisons(n_arms, sided)
+    return [index_to_pair(k, n_arms, sided) for k in range(1, m + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_arms(n_arms: int, sided: str) -> tuple[np.ndarray, np.ndarray]:
+    """The arm-index table: 0-based arms ``(ii, jj)`` of every comparison.
+
+    Entry k-1 belongs to comparison k, which tests mu_ii - mu_jj: the pairs
+    i < j in lexicographic order, followed for one-sided families by the
+    same pairs reversed.  The arrays are cached and read-only.
+    """
+    n_comparisons(n_arms, sided)
+    ii, jj = np.triu_indices(n_arms, 1)
+    if sided == ONE_SIDED:
+        ii, jj = np.concatenate([ii, jj]), np.concatenate([jj, ii])
+    ii.flags.writeable = jj.flags.writeable = False
+    return ii, jj
+
+
+def _pair_correlation(v: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """Correlation of the differences mu_ii - mu_jj for arm variances ``v``.
+
+    With B the signed incidence matrix (row r has +1 at arm ii[r] and -1 at
+    arm jj[r]), the covariance is B diag(v) B^T, normalized here by the outer
+    product of its root diagonal; the diagonal is exactly one.
+    """
+    rows = np.arange(len(ii))
+    b = np.zeros((len(ii), len(v)))
+    b[rows, ii] = 1.0
+    b[rows, jj] = -1.0
+    cov = (b * v) @ b.T
+    sd = np.sqrt(np.diag(cov))
+    mat = cov / np.outer(sd, sd)
+    np.fill_diagonal(mat, 1.0)
+    return mat
+
+
+def _resolved_arms(
+    n_arms: int, rejected: np.ndarray, stopped: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arms with a rejected direction in every pair that touches them.
+
+    ``rejected`` and ``stopped`` have shape (rows, m) for a two- or
+    one-sided family, ``stopped`` holding the analysis of each rejection.
+    A pair resolves at its earliest rejecting direction, and an arm at the
+    latest of its pairs.  Returns ``(resolved, stage)``, both of shape
+    (rows, K); ``stage`` is meaningful only where ``resolved`` holds.
+    """
+    m2 = n_arms * (n_arms - 1) // 2
+    # one-sided columns k and k + m2 are the two directions of one pair
+    hit = rejected.reshape(len(rejected), -1, m2)
+    first = np.where(hit, stopped.reshape(hit.shape), np.iinfo(np.int64).max).min(axis=1)
+    hit = hit.any(axis=1)
+    ii, jj = _pair_arms(n_arms, TWO_SIDED)
+    touching = [(ii == arm) | (jj == arm) for arm in range(n_arms)]
+    resolved = np.stack([hit[:, cols].all(axis=1) for cols in touching], axis=1)
+    stage = np.stack([first[:, cols].max(axis=1) for cols in touching], axis=1)
+    return resolved, stage
 
 
 @dataclass(frozen=True)
@@ -225,8 +274,8 @@ class TrialConfig:
     def sigma_p(self, stage: int = 1) -> np.ndarray:
         """Standard error of each pairwise difference at ``stage``."""
         v = self.arm_variances(stage)
-        pairs = self.pairs()
-        return np.sqrt([v[p.i - 1] + v[p.j - 1] for p in pairs])
+        ii, jj = _pair_arms(self.n_arms, self.sided)
+        return np.sqrt(v[ii] + v[jj])
 
     def info_fractions(self) -> np.ndarray:
         """Information fractions t_q = n^(q) / n^(Q) of the analysis schedule."""
@@ -278,6 +327,32 @@ class TrialConfig:
 
 
 @dataclass(frozen=True)
+class MeanConfig:
+    """True per-arm means, in response units.
+
+    ``delta`` optionally records the clinically relevant difference the
+    configuration was built around.
+    """
+
+    mu: tuple[float, ...]
+    delta: float | None = None
+
+    def __post_init__(self) -> None:
+        mu = tuple(float(x) for x in self.mu)
+        object.__setattr__(self, "mu", mu)
+        if len(mu) < 2:
+            raise ValueError("need means for at least two arms")
+        if not all(math.isfinite(x) for x in mu):
+            raise ValueError("arm means must be finite")
+        if self.delta is not None and not math.isfinite(self.delta):
+            raise ValueError("delta must be finite")
+
+    @property
+    def n_arms(self) -> int:
+        return len(self.mu)
+
+
+@dataclass(frozen=True)
 class ComparisonStats:
     """Standardized statistic for one comparison at one analysis."""
 
@@ -312,13 +387,11 @@ def z_statistics(
         raise ValueError(f"means must have length {config.n_arms}")
     if not np.all(np.isfinite(mu)):
         raise ValueError("arm means must be finite")
-    v = config.arm_variances(stage)
-    out = []
-    for p in config.pairs():
-        theta = mu[p.i - 1] - mu[p.j - 1]
-        sp = math.sqrt(v[p.i - 1] + v[p.j - 1])
-        out.append(ComparisonStats(p.k, theta, sp, theta / sp, stage))
-    return out
+    ii, jj = _pair_arms(config.n_arms, config.sided)
+    theta = mu[ii] - mu[jj]
+    sp = config.sigma_p(stage)
+    return [ComparisonStats(k, t, s, t / s, stage)
+            for k, (t, s) in enumerate(zip(theta, sp.tolist()), start=1)]
 
 
 def standardized_means(
@@ -386,25 +459,13 @@ def correlation(
     -------
     CorrelationModel
     """
-    members = [int(k) for k in getattr(subset, "members", subset)]
-    if not members:
+    members = np.array([int(k) for k in getattr(subset, "members", subset)], dtype=int)
+    if not members.size:
         raise ValueError("subset must contain at least one comparison")
-    pairs = [index_to_pair(k, config.n_arms, config.sided) for k in members]
+    m = config.n_comparisons
+    outside = members[(members < 1) | (members > m)]
+    if outside.size:
+        raise ValueError(f"index must lie in 1..{m}, got {outside[0]}")
+    ii, jj = _pair_arms(config.n_arms, config.sided)
     v = config.arm_variances(stage)
-    sp = np.sqrt([v[p.i - 1] + v[p.j - 1] for p in pairs])
-    dim = len(members)
-    mat = np.eye(dim)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            pa, pb = pairs[a], pairs[b]
-            cov = 0.0
-            if pa.i == pb.i:
-                cov += v[pa.i - 1]
-            if pa.j == pb.j:
-                cov += v[pa.j - 1]
-            if pa.i == pb.j:
-                cov -= v[pa.i - 1]
-            if pa.j == pb.i:
-                cov -= v[pa.j - 1]
-            mat[a, b] = mat[b, a] = cov / (sp[a] * sp[b])
-    return CorrelationModel(mat)
+    return CorrelationModel(_pair_correlation(v, ii[members - 1], jj[members - 1]))

@@ -19,7 +19,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .closure import CriticalValueTable, batch_closed_test, critical_values
-from .model import ONE_SIDED, TWO_SIDED, TrialConfig, correlation, standardized_means
+from .model import (
+    ONE_SIDED,
+    TWO_SIDED,
+    MeanConfig,
+    TrialConfig,
+    correlation,
+    standardized_means,
+)
 from .mvn import (
     DEFAULT_ACCURACY,
     DEFAULT_QUANTILE_TOL,
@@ -28,32 +35,7 @@ from .mvn import (
     equicoord_quantile,
     mvn_rect,
 )
-
-
-@dataclass(frozen=True)
-class MeanConfig:
-    """True per-arm means, in response units.
-
-    ``delta`` optionally records the clinically relevant difference the
-    configuration was built around.
-    """
-
-    mu: tuple[float, ...]
-    delta: float | None = None
-
-    def __post_init__(self) -> None:
-        mu = tuple(float(x) for x in self.mu)
-        object.__setattr__(self, "mu", mu)
-        if len(mu) < 2:
-            raise ValueError("need means for at least two arms")
-        if not all(math.isfinite(x) for x in mu):
-            raise ValueError("arm means must be finite")
-        if self.delta is not None and not math.isfinite(self.delta):
-            raise ValueError("delta must be finite")
-
-    @property
-    def n_arms(self) -> int:
-        return len(self.mu)
+from .simulate import simulate_statistics
 
 
 @dataclass(frozen=True)
@@ -119,8 +101,9 @@ def disjunctive_power(
     alpha : float
     method : str
         ``"quadrature"`` evaluates one shifted rectangle probability;
-        ``"simulation"`` draws replicated trials and also returns the
-        distribution of the number of rejections.
+        ``"simulation"`` draws replicated trials with
+        :func:`~pairwise_closure.simulate.simulate_statistics` and also
+        returns the distribution of the number of rejections.
     seed : int
     accuracy : float
         Accuracy of the quadrature path.
@@ -152,14 +135,7 @@ def disjunctive_power(
         return PowerResult(disjunctive=1.0 - prob.value)
     if method != "simulation":
         raise ValueError(f"unknown method {method!r}")
-    rng = np.random.default_rng(seed)
-    arm_sd = np.sqrt(config.arm_variances(1))
-    pairs = config.pairs()
-    ii = np.array([p.i - 1 for p in pairs])
-    jj = np.array([p.j - 1 for p in pairs])
-    sigma_p = config.sigma_p(1)
-    x = mu + rng.standard_normal((n_reps, config.n_arms)) * arm_sd
-    z = (x[:, ii] - x[:, jj]) / sigma_p
+    z = simulate_statistics(config, mu, n_reps, seed)[0][:, 0, :]
     stat = np.abs(z) if config.sided == TWO_SIDED else z
     rejected = batch_closed_test(stat, table)
     count = rejected.sum(axis=1)

@@ -37,6 +37,8 @@ from .model import (
     TWO_SIDED,
     CorrelationModel,
     TrialConfig,
+    _pair_arms,
+    _resolved_arms,
     correlation,
     z_statistics,
 )
@@ -261,9 +263,10 @@ class BoundarySchedule(_ClassCache):
     subset, solved lazily and cached per correlation-equivalence class from
     the class's canonical form, so it does not depend on lookup order.  A
     generalised schedule carries only the full-set vector and serves it for
-    every subset, which is conservative for proper subsets.  The spending
-    schedule is part of every class key, so schedules that share one cache
-    through ``dataclasses.replace`` never mix up their values.
+    every subset, which is conservative for proper subsets, and shares the
+    class cache with a subset-wise copy made by ``dataclasses.replace``.
+    The spending schedule is part of every class key and so of every
+    derived seed.
     """
 
     schedule: SpendingSchedule
@@ -272,12 +275,15 @@ class BoundarySchedule(_ClassCache):
     tol: float = DEFAULT_QUANTILE_TOL
     generalised: bool = False
 
+    _SERVING_FIELDS = ("generalised",)
+
     def __post_init__(self) -> None:
         if self.schedule.n_stages != self.config.n_stages:
             raise ValueError("schedule and config disagree on the number of analyses")
         times = self.config.info_fractions()
         if np.max(np.abs(times - np.asarray(self.schedule.info_times))) > 1e-6:
             raise ValueError("schedule information times do not match the config")
+        super().__post_init__()
 
     @property
     def alpha(self) -> float:
@@ -404,18 +410,11 @@ class StageData:
         # increment sizes
         inc = config.stage_increments()[:q_obs]
         cum_n = np.asarray(config.stage_n[:q_obs], dtype=float)
-        stage_means = np.empty_like(cum)
-        stage_means[0] = cum[0]
-        for q in range(1, q_obs):
-            stage_means[q] = (cum[q] * cum_n[q] - cum[q - 1] * cum_n[q - 1]) / inc[q]
-        sigma2 = np.asarray(config.sigma2)
-        pairs = config.pairs()
-        z_stage = np.empty((q_obs, config.n_comparisons))
-        for q in range(q_obs):
-            v = sigma2 / inc[q]
-            for col, p in enumerate(pairs):
-                theta = stage_means[q, p.i - 1] - stage_means[q, p.j - 1]
-                z_stage[q, col] = theta / math.sqrt(v[p.i - 1] + v[p.j - 1])
+        stage_means = cum.copy()
+        stage_means[1:] = (cum[1:] * cum_n[1:] - cum[:-1] * cum_n[:-1]) / inc[1:]
+        ii, jj = _pair_arms(config.n_arms, config.sided)
+        v = np.asarray(config.sigma2) / inc
+        z_stage = (stage_means[:, ii] - stage_means[:, jj]) / np.sqrt(v[:, ii] + v[:, jj])
         return cls(config, z_cum, z_stage)
 
 
@@ -511,13 +510,7 @@ def drop_treatments(decision: ClosureDecision, config: TrialConfig) -> set[int]:
     For one-sided families a pair counts as resolved when either direction
     is rejected (both can never be).
     """
-    rejected_pairs = set()
-    for p in config.pairs():
-        if decision.rejected[p.k - 1]:
-            rejected_pairs.add(frozenset((p.i, p.j)))
-    eligible = set()
-    for arm in range(1, config.n_arms + 1):
-        others = [frozenset((arm, j)) for j in range(1, config.n_arms + 1) if j != arm]
-        if all(pair in rejected_pairs for pair in others):
-            eligible.add(arm)
-    return eligible
+    rejected = np.asarray(decision.rejected, dtype=bool)[None, :]
+    stopped = np.zeros(rejected.shape, dtype=np.int64)
+    resolved, _ = _resolved_arms(config.n_arms, rejected, stopped)
+    return {arm + 1 for arm in np.flatnonzero(resolved[0]).tolist()}

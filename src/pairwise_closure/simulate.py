@@ -28,9 +28,8 @@ from .closure import (
     critical_values,
 )
 from .combination import CombinationWeights, TailProbabilityTable, batch_flexible_test
-from .model import TWO_SIDED, TrialConfig
+from .model import TWO_SIDED, MeanConfig, TrialConfig, _pair_arms, _resolved_arms
 from .mvn import DEFAULT_ACCURACY, NumericsError
-from .power import MeanConfig
 from .sequential import (
     BoundarySchedule,
     SpendingSchedule,
@@ -165,12 +164,9 @@ def _draw_statistics(config, mu, n_reps, rng):
     sums += np.asarray(mu) * inc
     cum_means = np.cumsum(sums, axis=1) / np.asarray(config.stage_n, dtype=float)
     stage_means = sums / inc
-    pairs = config.pairs()
-    ii = np.array([p.i - 1 for p in pairs])
-    jj = np.array([p.j - 1 for p in pairs])
-    se_cum = np.array(
-        [config.sigma_p(q) for q in range(1, config.n_stages + 1)]
-    )
+    ii, jj = _pair_arms(config.n_arms, config.sided)
+    v_cum = sig2 / np.asarray(config.stage_n, dtype=float)
+    se_cum = np.sqrt(v_cum[:, ii] + v_cum[:, jj])
     v_stage = sig2 / inc
     se_stage = np.sqrt(v_stage[:, ii] + v_stage[:, jj])
     z_cum = (cum_means[:, :, ii] - cum_means[:, :, jj]) / se_cum
@@ -269,28 +265,10 @@ def _total_sample_size(config, rejected, stopped):
     rejected (either direction for one-sided families); it then keeps the
     enrolment of the analysis that resolved it.
     """
-    n_reps = rejected.shape[0]
-    n_stages = config.n_stages
+    resolved, stage = _resolved_arms(config.n_arms, rejected, stopped)
+    drop_stage = np.where(resolved, stage, config.n_stages)
     stage_n = np.asarray(config.stage_n, dtype=float)
-    pair_cols: dict[frozenset, list[int]] = {}
-    for p in config.pairs():
-        pair_cols.setdefault(frozenset((p.i, p.j)), []).append(p.k - 1)
-    total = np.zeros(n_reps)
-    never = n_stages + 1
-    for arm in range(1, config.n_arms + 1):
-        drop_stage = np.zeros(n_reps, dtype=np.int64)
-        resolved = np.ones(n_reps, dtype=bool)
-        for pair, cols in pair_cols.items():
-            if arm not in pair:
-                continue
-            hit = rejected[:, cols]
-            # the pair resolves at the earliest rejecting direction
-            stage = np.where(hit, stopped[:, cols], never).min(axis=1)
-            resolved &= hit.any(axis=1)
-            np.maximum(drop_stage, stage, out=drop_stage)
-        drop_stage = np.where(resolved, np.minimum(drop_stage, n_stages), n_stages)
-        total += stage_n[drop_stage - 1, arm - 1]
-    return total
+    return stage_n[drop_stage - 1, np.arange(config.n_arms)].sum(axis=1)
 
 
 def run_scenario(

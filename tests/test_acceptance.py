@@ -118,6 +118,20 @@ def test_2_critical_values_match_brute_force(report, table_k3, table_k4):
     assert ok
 
 
+def test_2_critical_values_match_studentized_range(report, table_k3, table_k4):
+    # with equal variances and sizes the full-set statistic is the
+    # studentized range with infinite degrees of freedom, over sqrt(2)
+    errors = []
+    for table in (table_k3, table_k4):
+        k = table.config.n_arms
+        oracle = stats.studentized_range.ppf(0.95, k, math.inf) / math.sqrt(2.0)
+        errors.append((k, abs(table.value(table.full_set()) - oracle)))
+    ok = all(err < 1e-4 for _, err in errors)
+    detail = ", ".join(f"K={k} |diff| {err:.1e} < 1e-4" for k, err in errors)
+    report(2, "studentized-range oracle", ok, detail)
+    assert ok
+
+
 def test_3_closure_dominates_single_step(report, cfg_k4, table_k4):
     c_full = table_k4.value(table_k4.full_set())
     strict = c_full < 2.6383

@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +139,15 @@ class TestAnalyze:
         status, _, err = run_cli(["analyze", "--input", K3_CONFIG], capsys)
         assert status == 2
         assert "means" in json.loads(err)["error"]["message"]
+
+    def test_fails_fast_beyond_eight_arms(self, capsys):
+        request = json.dumps({
+            "config": {"n_arms": 9, "sigma2": 1.0, "n": 50},
+            "means": [0.0] * 8 + [0.5],
+        })
+        status, out, err = run_cli(["analyze", "--input", request], capsys)
+        assert status == 2 and out == ""
+        assert "9 arms" in json.loads(err)["error"]["message"]
 
 
 class TestGsBoundaries:
@@ -411,6 +422,10 @@ class TestDispatch:
         assert inline == from_file
 
     def test_module_invocation(self):
+        # the child imports the package from where this process found it,
+        # so the test also runs from a checkout that is not installed
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
                 sys.executable, "-m", "pairwise_closure.cli", "critical-values",
@@ -418,6 +433,7 @@ class TestDispatch:
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "1.95996" in proc.stdout

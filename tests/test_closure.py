@@ -1,5 +1,7 @@
 """Closed testing of all pairwise comparisons, plus the comparator procedures."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,26 @@ class TestCriticalValueTable:
             critical_values(cfg_k4, 0.0)
         with pytest.raises(ValueError):
             critical_values(cfg_k4, 1.0)
+
+    def test_copy_with_new_inputs_does_not_serve_old_values(self, cfg_k3):
+        table = critical_values(cfg_k3, 0.05)
+        assert table.value({1}) == pytest.approx(1.959964, abs=1e-4)
+        strict = replace(table, alpha=0.01)
+        assert strict.value({1}) == critical_values(cfg_k3, 0.01).value({1})
+        assert strict.value({1}) == pytest.approx(2.575829, abs=1e-4)
+        for change in ({"seed": 1}, {"accuracy": 1e-4}, {"tol": 1e-5},
+                       {"config": TrialConfig.single_stage(3, 1.0, 50)}):
+            copy = replace(table, **change)
+            assert not copy._class_values and not copy._subset_keys
+        # a copy that keeps every solve input keeps the cache
+        assert replace(table)._class_values is table._class_values
+
+    def test_class_key_refuses_more_than_eight_arms(self):
+        table = critical_values(TrialConfig.single_stage(9, 1.0, 10), 0.05)
+        with pytest.raises(ValueError, match="9 arms"):
+            table.value(table.full_set())
+        # subsets on at most eight of the nine arms still key
+        assert table.value({1}) == pytest.approx(1.959964, abs=1e-4)
 
 
 class TestClosedTest:

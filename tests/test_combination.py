@@ -1,6 +1,7 @@
 """Stage-wise p-values, inverse-normal combination, and flexible closure."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,6 +282,13 @@ class TestTailProbabilityTable:
                 assert tail_table.pvalue(members, z_obs) == pytest.approx(
                     exact, abs=1e-4
                 )
+
+    def test_copy_with_a_new_grid_starts_a_fresh_cache(self, tail_table):
+        tail_table.pvalue([1, 2], 1.0)
+        for change in ({"grid_step": 0.1}, {"seed": 6}, {"accuracy": 1e-3}):
+            copy = replace(tail_table, **change)
+            assert not copy._class_values and not copy._subset_keys
+        assert replace(tail_table)._class_values is tail_table._class_values
 
     def test_singletons_are_exact(self, tail_table):
         z = np.array([0.0, 1.0, 2.5, 7.9])

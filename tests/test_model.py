@@ -11,6 +11,7 @@ from pairwise_closure.model import (
     ComparisonStats,
     CorrelationModel,
     TrialConfig,
+    _pair_arms,
     all_pairs,
     correlation,
     index_to_pair,
@@ -262,3 +263,68 @@ def test_stage_increments():
     config = TrialConfig(2, (1.0, 1.0), (0.5, 0.5), ((10, 10), (25, 25), (50, 50)))
     inc = config.stage_increments()
     assert inc.tolist() == [[10, 10], [15, 15], [25, 25]]
+
+
+def _reference_pairs(n_arms, sided):
+    pairs = lexicographic_pairs(n_arms)
+    return pairs if sided == TWO_SIDED else pairs + [(j, i) for i, j in pairs]
+
+
+def _reference_correlation(config, members):
+    # the pairwise double loop that the incidence-matrix form replaced
+    pairs = [_reference_pairs(config.n_arms, config.sided)[k - 1] for k in members]
+    v = config.arm_variances(1)
+    sp = np.sqrt([v[i - 1] + v[j - 1] for i, j in pairs])
+    dim = len(pairs)
+    mat = np.eye(dim)
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            (i1, j1), (i2, j2) = pairs[a], pairs[b]
+            cov = 0.0
+            if i1 == i2:
+                cov += v[i1 - 1]
+            if j1 == j2:
+                cov += v[j1 - 1]
+            if i1 == j2:
+                cov -= v[i1 - 1]
+            if j1 == i2:
+                cov -= v[j1 - 1]
+            mat[a, b] = mat[b, a] = cov / (sp[a] * sp[b])
+    return mat
+
+
+@pytest.mark.parametrize("sided", [TWO_SIDED, ONE_SIDED])
+def test_correlation_is_bit_identical_to_the_pairwise_loop(sided):
+    rng = np.random.default_rng(2024)
+    for n_arms in range(2, 8):
+        for _ in range(20):
+            config = TrialConfig.single_stage(
+                n_arms,
+                tuple(rng.uniform(0.2, 3.0, n_arms)),
+                tuple(int(n) for n in rng.integers(5, 200, n_arms)),
+                sided=sided,
+            )
+            m = config.n_comparisons
+            shuffled = rng.permutation(np.arange(1, m + 1))[: rng.integers(1, m + 1)]
+            for members in (list(range(1, m + 1)), shuffled.tolist()):
+                got = correlation(config, members).matrix
+                assert got.tobytes() == _reference_correlation(config, members).tobytes()
+
+
+def test_pair_arms_agree_with_pair_to_index():
+    for n_arms in range(2, 9):
+        for sided in (TWO_SIDED, ONE_SIDED):
+            ii, jj = _pair_arms(n_arms, sided)
+            assert len(ii) == len(jj) == n_comparisons(n_arms, sided)
+            for k, (i, j) in enumerate(zip(ii.tolist(), jj.tolist()), start=1):
+                assert pair_to_index(i + 1, j + 1, n_arms, sided).k == k
+            assert not ii.flags.writeable and not jj.flags.writeable
+
+
+@pytest.mark.parametrize("sided", [TWO_SIDED, ONE_SIDED])
+def test_correlation_rejects_indices_outside_the_family(sided):
+    config = TrialConfig.single_stage(3, 1.0, 10, sided=sided)
+    m = config.n_comparisons
+    for bad in (0, m + 1):
+        with pytest.raises(ValueError, match="index must lie"):
+            correlation(config, [1, bad])

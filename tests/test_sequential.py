@@ -511,6 +511,42 @@ class TestGeneralisedBoundaries:
         assert bounds.value({1}) != full
         assert bounds.value({1, 2, 3}) == full
 
+    def test_copy_with_new_inputs_starts_a_fresh_cache(self, gs_k3_q2):
+        other = SpendingSchedule.obrien_fleming(0.05, TWO_LOOKS)
+        for change in ({"schedule": other}, {"seed": 4}, {"accuracy": 1e-4},
+                       {"tol": 1e-5}):
+            copy = replace(gs_k3_q2, **change)
+            assert not copy._class_values and not copy._subset_keys
+        gen = replace(gs_k3_q2, generalised=True)
+        assert gen._class_values is gs_k3_q2._class_values
+
+
+@pytest.mark.parametrize("sided", ["two-sided", "one-sided"])
+def test_stage_statistics_match_the_pairwise_loop(sided):
+    cfg = TrialConfig(
+        3, (1.0, 2.0, 0.5), (0.25, 0.25, 0.5),
+        ((10, 10, 20), (20, 20, 40), (30, 30, 60)), sided,
+    )
+    cum = np.random.default_rng(5).normal(size=(3, 3))
+    data = StageData.from_cumulative_means(cfg, cum)
+    # the loop over comparisons that the arm-index table replaced
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    if sided == "one-sided":
+        pairs += [(j, i) for i, j in pairs]
+    inc = cfg.stage_increments()
+    cum_n = np.asarray(cfg.stage_n, dtype=float)
+    expected = np.empty((3, len(pairs)))
+    for q in range(3):
+        if q == 0:
+            stage_mean = cum[0]
+        else:
+            stage_mean = (cum[q] * cum_n[q] - cum[q - 1] * cum_n[q - 1]) / inc[q]
+        v = np.asarray(cfg.sigma2) / inc[q]
+        for col, (i, j) in enumerate(pairs):
+            theta = stage_mean[i - 1] - stage_mean[j - 1]
+            expected[q, col] = theta / math.sqrt(v[i - 1] + v[j - 1])
+    assert data.z_stage.tobytes() == expected.tobytes()
+
 
 class TestDropTreatments:
     def _decision(self, rejected):
@@ -531,6 +567,12 @@ class TestDropTreatments:
     def test_single_rejection_is_not_enough(self, cfg_k4):
         decision = self._decision([True] + [False] * 5)
         assert drop_treatments(decision, cfg_k4) == set()
+
+    def test_one_sided_pair_resolves_in_either_direction(self):
+        cfg = TrialConfig.single_stage(3, 1.0, 10, sided="one-sided")
+        # (1,2) forward and (1,3) reversed resolve both pairs of arm 1
+        decision = self._decision([True, False, False, False, True, False])
+        assert drop_treatments(decision, cfg) == {1}
 
 
 class TestSpendCalibration:
