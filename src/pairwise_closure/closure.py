@@ -43,7 +43,7 @@ from .model import (
     _pair_correlation,
     correlation,
 )
-from .mvn import DEFAULT_ACCURACY, DEFAULT_QUANTILE_TOL, equicoord_quantile
+from .mvn import DEFAULT_ACCURACY, DEFAULT_QUANTILE_TOL, _check_tol, equicoord_quantile
 
 __all__ = [
     "ComparisonSet",
@@ -256,6 +256,7 @@ class CriticalValueTable(_ClassCache):
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
+        _check_tol(self.tol)
         super().__post_init__()
 
     @property

@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtr, ndtri
 
 from .closure import (
@@ -38,6 +37,9 @@ from .closure import (
 from .model import TWO_SIDED, TrialConfig, correlation
 from .mvn import DEFAULT_ACCURACY, Rectangle, mvn_rect
 from .sequential import StageData
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 # clamp for degenerate p-values so the normal quantile stays finite
 _P_FLOOR = 1e-300
@@ -251,6 +253,10 @@ class TailProbabilityTable(_ClassCache):
 
     def _solve(self, key) -> PchipInterpolator:
         """Interpolant of G(c) over the grid for one class."""
+        # imported here so that importing the package does not load
+        # scipy.interpolate
+        from scipy.interpolate import PchipInterpolator
+
         corr = _key_correlation(key)
         run_seed = _derived_seed(self.seed, ("grid", key))
         grid = self._grid()

@@ -20,12 +20,18 @@ variance-minimizing ordered Cholesky factorization turns the rectangle
 probability into an integral over the unit cube of dimension rank - 1,
 evaluated with a randomly shifted Kronecker lattice and a tent transform.
 
-Points are evaluated in chunks of 2^15.  The unshifted lattice points of a
-chunk are built once and shared by all twelve random shifts.  The first
-integration variable has no predecessors, so its factor is one number,
-computed once for each chunk and shift rather than at every point.  Every
-shortcut is exact in IEEE arithmetic, so it does not change a single bit of
-the result.
+Points are evaluated in chunks of 2^13, small enough that the prefix
+matrix-vector products and the interval buffers of a chunk stay in cache.
+The unshifted lattice points of a chunk are built once and shared by all
+twelve random shifts.  The first integration variable has no predecessors,
+so its factor is one number, computed once for each chunk and shift rather
+than at every point.  These shortcuts are exact in IEEE arithmetic; only the
+chunk size itself fixes the order in which partial sums are added.
+
+Equicoordinate quantiles, and the stage boundaries of the group-sequential
+module, are roots in one scalar of such probabilities.  ``_two_phase_root``
+finds them with cheap low-accuracy evaluations first and only two
+full-accuracy ones in the usual case.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .model import CorrelationModel
@@ -113,10 +118,14 @@ _COEF_TOL = 1e-9
 _U_LO = 1e-300
 _U_HI = float(np.nextafter(1.0, 0.0))
 _N_SHIFTS = 12
-_CHUNK = 1 << 15
+_CHUNK = 1 << 13
 DEFAULT_ACCURACY = 1e-5
 DEFAULT_QUANTILE_TOL = 1e-4
 DEFAULT_MAX_POINTS = 1 << 26
+# coarse-phase root tolerance, also the half-step of its slope difference
+_COARSE_XTOL = 5e-3
+# full-accuracy secant steps before the bracketed fallback
+_SECANT_STEPS = 3
 
 
 @lru_cache(maxsize=None)
@@ -432,11 +441,12 @@ def equicoord_quantile(
     Solves for c such that P(all |Z_k| < c) = prob when ``tail`` is
     ``"central"``, or P(all Z_k < c) = prob when ``tail`` is ``"upper"``.
 
-    The root is bracketed on [0, 6] (widened once if needed), located with
-    cheap low-accuracy probability evaluations, then polished by Brent's
-    method at full accuracy on a narrow bracket.  Every probability
-    evaluation reuses the same seed, so the objective is a smooth, strictly
-    monotone function of c and the result is deterministic.
+    The root is bracketed on [0, 8] (``"central"``) or [-8, 8]
+    (``"upper"``) and found by :func:`_two_phase_root`: Illinois regula
+    falsi on cheap low-accuracy probabilities locates it, then two
+    full-accuracy evaluations, a Newton step and a secant step, polish it.
+    Every probability evaluation reuses the same seed, so the objective is a
+    fixed function of c and the result is deterministic.
 
     Parameters
     ----------
@@ -445,9 +455,12 @@ def equicoord_quantile(
         Target probability in (0, 1).
     seed : int
     tol : float
-        Tolerance on the quantile.  The solver stops once the bracket is
-        narrower than tol; the result can additionally be off by roughly
-        ``accuracy`` divided by the local density of the maximum statistic.
+        Tolerance on the quantile; finite and positive.  The secant result
+        is accepted once its last step is at most tol/2; when the secant
+        steps do not settle, a bracketed fallback returns a point within
+        tol of a sign change of the full-accuracy objective.  The result
+        can additionally be off by roughly ``accuracy`` divided by the
+        local density of the maximum statistic.
     accuracy : float
         Accuracy of the inner rectangle probabilities.
     tail : str
@@ -462,6 +475,7 @@ def equicoord_quantile(
     if tail not in ("central", "upper"):
         raise ValueError(f"tail must be 'central' or 'upper', got {tail!r}")
     _check_accuracy(accuracy)
+    _check_tol(tol)
     if isinstance(corr, CorrelationModel):
         model = corr
     else:
@@ -474,38 +488,124 @@ def equicoord_quantile(
         rect = Rectangle.centered(c, dim) if tail == "central" else Rectangle.below(c, dim)
         return mvn_rect(0.0, model, rect, accuracy=acc, seed=seed).value - prob
 
-    lo, hi = 0.0, 6.0
     coarse_acc = max(accuracy, min(5e-4, 0.05 * (1.0 - prob)))
-    f_lo = objective(lo, coarse_acc)
-    if f_lo > 0.0:
-        if tail == "central":
-            raise SolverError("probability at zero half-width exceeds the target")
-        lo, f_lo = -8.0, objective(-8.0, coarse_acc)
-    f_hi = objective(hi, coarse_acc)
-    if f_hi < 0.0:
-        hi, f_hi = 8.0, objective(8.0, coarse_acc)
-    if f_lo > 0.0 or f_hi < 0.0:
-        raise SolverError(
-            f"failed to bracket the {tail} quantile at prob={prob} within [{lo}, {hi}]"
-        )
-    return _two_phase_brentq(objective, lo, hi, tol, accuracy, coarse_acc)
+    lo = 0.0 if tail == "central" else -8.0
+    return _two_phase_root(objective, lo, 8.0, tol, accuracy, coarse_acc)
 
 
-def _two_phase_brentq(objective, lo, hi, tol, accuracy, coarse) -> float:
-    """Root of a monotone ``objective(c, accuracy)`` bracketed by [lo, hi].
+def _check_tol(tol: float) -> None:
+    # a zero, negative or NaN tolerance is never met, and an infinite one
+    # would accept the first coarse guess
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
-    The root is located cheaply at the ``coarse`` accuracy first, then
-    polished at full ``accuracy`` on a narrow bracket around it; the
-    two-phase split spends the expensive evaluations only where they
-    matter.  Shared by the equicoordinate quantile and the group-sequential
-    boundary solve.
+
+def _two_phase_root(objective, lo, hi, tol, accuracy, coarse) -> float:
+    """Root of a monotone ``objective(c, accuracy)`` that changes sign on [lo, hi].
+
+    Shared by the equicoordinate quantile and the group-sequential boundary
+    solves; the objective may increase or decrease.
+
+    * Coarse phase: Illinois regula falsi at the ``coarse`` accuracy finds
+      c0 to a bracket of width 5e-3, and two more coarse evaluations at
+      c0 +- 5e-3 give the local slope.
+    * Fine phase: one evaluation at full ``accuracy`` at c0 gives a Newton
+      step to c1, a second at c1 a secant step to c2.  c2 is accepted when
+      the step is at most tol/2 and c2 lies inside the bracket known at
+      full accuracy.  Otherwise further secant steps follow, one
+      full-accuracy evaluation each, up to ``_SECANT_STEPS`` in all.
+    * Fallback: when an iterate leaves the bracket, the slope has the wrong
+      sign or the steps run out, Illinois at full accuracy shrinks the
+      bracket known at full accuracy to a width of at most ``tol``.
+
+    Raises :class:`SolverError` when the objective does not change sign on
+    [lo, hi] at the coarse accuracy.
     """
-    if coarse > accuracy:
-        c0 = float(brentq(objective, lo, hi, xtol=5e-3, args=(coarse,)))
-        for half in (0.05, 0.5):
-            a, b = max(lo, c0 - half), min(hi, c0 + half)
-            try:
-                return float(brentq(objective, a, b, xtol=0.5 * tol, args=(accuracy,)))
-            except ValueError:
-                continue  # root drifted outside the guess; widen
-    return float(brentq(objective, lo, hi, xtol=0.5 * tol, args=(accuracy,)))
+    _check_tol(tol)
+    f_lo, f_hi = objective(lo, coarse), objective(hi, coarse)
+    if min(f_lo, f_hi) > 0.0 or max(f_lo, f_hi) < 0.0:
+        raise SolverError(f"failed to bracket the root in [{lo}, {hi}]")
+    # orient the objective so that it increases
+    sign = 1.0 if f_hi >= f_lo else -1.0
+
+    def coarse_g(c: float) -> float:
+        return sign * objective(c, coarse)
+
+    def full_g(c: float) -> float:
+        return sign * objective(c, accuracy)
+
+    if coarse <= accuracy:
+        return _illinois(full_g, lo, sign * f_lo, hi, sign * f_hi, tol)
+    c0 = _illinois(coarse_g, lo, sign * f_lo, hi, sign * f_hi, _COARSE_XTOL)
+    left, right = max(lo, c0 - _COARSE_XTOL), min(hi, c0 + _COARSE_XTOL)
+    slope = (coarse_g(right) - coarse_g(left)) / (right - left)
+
+    # [a, b] is the bracket known at full accuracy; ga or gb stays None
+    # while that end's value is known only coarsely
+    a, ga, b, gb = lo, None, hi, None
+
+    def g_full(c: float) -> float:
+        nonlocal a, ga, b, gb
+        value = full_g(c)
+        if value < 0.0:
+            a, ga = c, value
+        elif value > 0.0:
+            b, gb = c, value
+        return value
+
+    x0, g0 = c0, g_full(c0)
+    if g0 == 0.0:
+        return x0
+    # a slope of the wrong sign leaves x1 as NaN, outside every bracket
+    x1 = x0 - g0 / slope if slope > 0.0 else math.nan
+    for _ in range(_SECANT_STEPS):
+        if not a < x1 < b:
+            break
+        g1 = g_full(x1)
+        if g1 == 0.0:
+            return x1
+        if g1 == g0:
+            break
+        x2 = x1 - g1 * (x1 - x0) / (g1 - g0)
+        if a < x2 < b and abs(x2 - x1) <= 0.5 * tol:
+            return x2
+        x0, g0, x1 = x1, g1, x2
+    ga = full_g(a) if ga is None else ga
+    gb = full_g(b) if gb is None else gb
+    return _illinois(full_g, a, ga, b, gb, tol)
+
+
+def _illinois(f, a, fa, b, fb, xtol) -> float:
+    """Illinois regula falsi (Dowell & Jarratt 1971) for an increasing ``f``.
+
+    ``fa = f(a) <= 0 <= fb = f(b)`` with ``a < b``.  Each step samples the
+    secant point of the bracket and keeps the part with the sign change; an
+    end kept twice in a row has its weight halved, so both ends converge.
+    A bracket that has not halved over two steps is bisected instead.
+    Returns the secant point of the final bracket, whose width is at most
+    ``xtol``.
+    """
+    wa, wb, kept = fa, fb, 0
+    widths = (math.inf, math.inf)  # bracket widths one and two steps back
+    while b - a > xtol:
+        width = b - a
+        if width > 0.5 * widths[1]:
+            c = 0.5 * (a + b)
+        else:
+            # sample no closer than xtol/2 to either end: once the root is
+            # pinned near one end, the next sample closes the bracket
+            c = b - wb * width / (wb - wa)
+            c = min(max(c, a + 0.5 * xtol), b - 0.5 * xtol)
+        widths = (width, widths[0])
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        if fc < 0.0:
+            if kept == 1:
+                wb *= 0.5
+            a, fa, wa, kept = c, fc, fc, 1
+        else:
+            if kept == -1:
+                wa *= 0.5
+            b, fb, wb, kept = c, fc, fc, -1
+    return b - fb * (b - a) / (fb - fa) if fb > fa else 0.5 * (a + b)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .closure import CriticalValueTable, batch_closed_test, critical_values
 from .model import (
@@ -310,6 +309,8 @@ def lfc_check(
 
     if mode != "search":
         raise ValueError(f"unknown mode {mode!r}")
+    # imported here so that importing the package does not load scipy.optimize
+    from scipy.optimize import minimize
 
     def objective(mid: np.ndarray) -> float:
         mu = np.concatenate([[delta, 0.0], mid])

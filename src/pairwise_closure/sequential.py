@@ -46,8 +46,8 @@ from .mvn import (
     DEFAULT_ACCURACY,
     DEFAULT_QUANTILE_TOL,
     Rectangle,
-    SolverError,
-    _two_phase_brentq,
+    _check_tol,
+    _two_phase_root,
     mvn_rect,
 )
 
@@ -213,15 +213,6 @@ def _reference_corr(times: Sequence[float]) -> np.ndarray:
     return np.minimum.outer(s, s) / np.maximum.outer(s, s)
 
 
-def _two_phase_root(objective, lo, hi, tol, accuracy, coarse) -> float:
-    """Root of a monotone, noisy-but-deterministic objective(c, accuracy)."""
-    f_lo = objective(lo, coarse)
-    f_hi = objective(hi, coarse)
-    if f_lo < 0.0 or f_hi > 0.0:
-        raise SolverError(f"failed to bracket the boundary in [{lo}, {hi}]")
-    return _two_phase_brentq(objective, lo, hi, tol, accuracy, coarse)
-
-
 def joint_covariance(config: TrialConfig, members: Iterable[int] | None = None) -> np.ndarray:
     """Covariance of the cumulative statistics across comparisons and stages.
 
@@ -283,6 +274,7 @@ class BoundarySchedule(_ClassCache):
         times = self.config.info_fractions()
         if np.max(np.abs(times - np.asarray(self.schedule.info_times))) > 1e-6:
             raise ValueError("schedule information times do not match the config")
+        _check_tol(self.tol)
         super().__post_init__()
 
     @property

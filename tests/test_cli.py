@@ -438,6 +438,23 @@ class TestDispatch:
         assert proc.returncode == 0
         assert "1.95996" in proc.stdout
 
+    def test_import_leaves_optimize_and_interpolate_unloaded(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import sys, pairwise_closure.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate') "
+            "if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_json_outputs_reparse(self, capsys):
         argv_sets = [
             ["critical-values", "--input", K2_CONFIG],

@@ -112,6 +112,11 @@ class TestCriticalValueTable:
         with pytest.raises(ValueError):
             critical_values(cfg_k4, 1.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, np.nan, np.inf])
+    def test_tol_validation(self, cfg_k4, tol):
+        with pytest.raises(ValueError, match="tol"):
+            critical_values(cfg_k4, 0.05, tol=tol)
+
     def test_copy_with_new_inputs_does_not_serve_old_values(self, cfg_k3):
         table = critical_values(cfg_k3, 0.05)
         assert table.value({1}) == pytest.approx(1.959964, abs=1e-4)

@@ -2,15 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal
 
+from pairwise_closure import mvn
 from pairwise_closure.model import TrialConfig, correlation
 from pairwise_closure.mvn import (
     AccuracyError,
     ProbResult,
     Rectangle,
     SolverError,
+    _two_phase_root,
     equicoord_quantile,
     mvn_rect,
 )
@@ -285,9 +288,9 @@ def staged_corr():
         ([0.2, -0.1, 0.3], pairwise_corr(3), Rectangle.below(1.9, 3), 1e-5, 9,
          ProbResult(0.8915085402862523, 5.144429066198361e-06, 380928)),
         # staged K=3 Q=2 matrix: the last round has 65,536 points per shift,
-        # two lattice chunks
+        # eight lattice chunks
         (0.0, staged_corr(), Rectangle.centered(2.4, 6), 1e-5, 1,
-         ProbResult(0.926429574227452, 6.282648033226002e-06, 1560576)),
+         ProbResult(0.9264295742274519, 6.2826480332136275e-06, 1560576)),
     ],
     ids=["k4-two-sided", "infinite-limits-mean", "k3-one-sided-mean", "staged-chunks"],
 )
@@ -298,7 +301,74 @@ def test_kernel_bits_are_pinned(mean, corr, rect, accuracy, seed, expected):
 
 
 def test_quantile_bits_are_pinned():
-    assert equicoord_quantile(pairwise_corr(3), 0.95, seed=3) == 2.3437123584366133
+    assert equicoord_quantile(pairwise_corr(3), 0.95, seed=3) == 2.3437241994404863
+
+
+@pytest.mark.parametrize("n_arms", [3, 4])
+def test_quantile_takes_two_full_accuracy_evaluations(n_arms, monkeypatch):
+    accuracies = []
+
+    def counting(*args, **kwargs):
+        accuracies.append(kwargs["accuracy"])
+        return mvn_rect(*args, **kwargs)
+
+    monkeypatch.setattr(mvn, "mvn_rect", counting)
+    equicoord_quantile(pairwise_corr(n_arms), 0.95, seed=1, accuracy=1e-5)
+    assert accuracies.count(1e-5) == 2
+    assert len(accuracies) > 2  # the rest ran at the coarse accuracy
+
+
+def _kinked(c, acc):
+    # Monotone with a kink at its root 2.05: steep below, flat above.  Its
+    # coarse evaluations see only a near-flat line through 2, so the coarse
+    # slope sends the Newton step far outside the bracket.
+    if acc > 1e-5:
+        return 1e-6 * (c - 2.0)
+    return c - 2.05 if c < 2.05 else 1e-3 * (c - 2.05)
+
+
+def test_root_falls_back_to_illinois_when_newton_leaves_the_bracket(monkeypatch):
+    xtols = []
+    illinois = mvn._illinois
+
+    def recording(f, a, fa, b, fb, xtol):
+        xtols.append(xtol)
+        return illinois(f, a, fa, b, fb, xtol)
+
+    monkeypatch.setattr(mvn, "_illinois", recording)
+    tol = 1e-4
+    root = _two_phase_root(_kinked, 0.0, 8.0, tol=tol, accuracy=1e-5, coarse=5e-4)
+    assert xtols == [5e-3, tol]  # the coarse phase, then the fallback
+    expected = brentq(lambda c: _kinked(c, 1e-5), 0.0, 8.0, xtol=1e-12)
+    assert root == pytest.approx(expected, abs=tol)
+    again = _two_phase_root(_kinked, 0.0, 8.0, tol=tol, accuracy=1e-5, coarse=5e-4)
+    assert again == root
+
+
+def test_root_of_a_decreasing_objective():
+    def falling(c, acc):
+        return ndtr(-c) - 0.025
+
+    root = _two_phase_root(falling, 0.0, 8.0, tol=1e-6, accuracy=1e-5, coarse=5e-4)
+    assert root == pytest.approx(ndtri(0.975), abs=1e-6)
+
+
+def test_unbracketed_root_raises():
+    with pytest.raises(SolverError):
+        _two_phase_root(lambda c, acc: c + 1.0, 0.0, 8.0, tol=1e-4, accuracy=1e-5,
+                        coarse=5e-4)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-4, np.nan, np.inf])
+def test_invalid_tol_is_rejected(tol):
+    with pytest.raises(ValueError, match="tol"):
+        equicoord_quantile(pairwise_corr(3), 0.95, tol=tol)
+
+    def never(c, acc):
+        raise AssertionError("objective evaluated despite an invalid tol")
+
+    with pytest.raises(ValueError, match="tol"):
+        _two_phase_root(never, 0.0, 8.0, tol=tol, accuracy=1e-5, coarse=5e-4)
 
 
 @pytest.mark.parametrize("accuracy", [0.0, -1e-5, np.nan, np.inf])

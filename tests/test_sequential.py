@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+from pairwise_closure import sequential
 from pairwise_closure.closure import closed_test
 from pairwise_closure.model import TrialConfig, correlation, z_statistics
+from pairwise_closure.mvn import mvn_rect
 from pairwise_closure.sequential import (
     SpendingSchedule,
     StageData,
@@ -41,11 +43,11 @@ TWO_LOOKS = (0.5, 1.0)
 # default accuracy), one vector per class, and of one generalised vector.  A
 # refactor of the cache or the root finder that moves a single bit fails.
 K3_STAGE_BOUNDS_BITS = {
-    1: (2.241414815715685, 2.1250628049804487),
-    2: (2.477521983474544, 2.3759631741887883),
-    3: (2.6038052143471764, 2.506387122043034),
+    1: (2.2414027276049446, 2.125062425504342),
+    2: (2.47751307376471, 2.3759636108431317),
+    3: (2.6037967283146126, 2.5063881980131457),
 }
-GENERALISED_OBF_BITS = (3.0956414905086715, 2.363904813828494)
+GENERALISED_OBF_BITS = (3.095634491226506, 2.363905361980798)
 # batch_gs_test on _pinned_batch() against gs_k3_q2: per row, the analysis at
 # which each comparison's rejection completed (0 = not rejected)
 BATCH_GS_STOPPED = [
@@ -272,6 +274,31 @@ class TestBoundarySchedule:
         with pytest.raises(ValueError):
             gs_boundaries(cfg_k3_q2, single)
         gs_boundaries(cfg_k3, single)  # matching single look is fine
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, np.nan, np.inf])
+    def test_tol_validation(self, cfg_k3_q2, tol):
+        sched = SpendingSchedule.power_family(0.05, TWO_LOOKS)
+        with pytest.raises(ValueError, match="tol"):
+            gs_boundaries(cfg_k3_q2, sched, tol=tol)
+
+    def test_each_stage_takes_two_full_accuracy_evaluations(self, cfg_k3_q2, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((kwargs["accuracy"], args[2].dim))
+            return mvn_rect(*args, **kwargs)
+
+        monkeypatch.setattr(sequential, "mvn_rect", counting)
+        sched = SpendingSchedule.power_family(0.05, TWO_LOOKS)
+        bounds = gs_boundaries(cfg_k3_q2, sched, seed=3)
+        bounds.value({1, 2, 3})
+        # stage 1 integrates 3 coordinates, stage 2 all 6
+        full = [dim for acc, dim in calls if acc == bounds.accuracy]
+        assert full == [3, 3, 6, 6]
+
+    def test_rebuild_is_bit_identical(self, cfg_k3_q2, gs_k3_q2):
+        again = gs_boundaries(cfg_k3_q2, gs_k3_q2.schedule, seed=3)
+        assert again.entries() == gs_k3_q2.entries()
 
     def test_value_validation(self, gs_k3_q2):
         with pytest.raises(ValueError):
