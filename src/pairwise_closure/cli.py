@@ -138,6 +138,15 @@ def _spending_from(data: dict, config: TrialConfig, alpha: float, args) -> Spend
     )
 
 
+def _weights_from(data: dict) -> CombinationWeights | None:
+    if "weights" not in data:
+        return None
+    try:
+        return CombinationWeights(tuple(data["weights"]))
+    except (TypeError, ValueError) as err:
+        raise _InputError(f"invalid weights: {err}") from err
+
+
 def _alpha_from(data: dict) -> float:
     alpha = data.get("alpha", 0.05)
     if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
@@ -187,28 +196,21 @@ def _cmd_design(data: dict, args) -> tuple[dict, list, list]:
     sided = _SIDED.get(data.get("sided", "two-sided"))
     if sided is None:
         raise _InputError("sided must be 'two-sided' or 'one-sided'")
-    try:
-        if "means" in data:
-            means = MeanConfig(tuple(data["means"]), delta=data.get("delta"))
-            if len(set(means.mu)) == 1:
-                raise _InputError(
-                    "all arm means are equal; no difference to power for"
-                )
-        else:
-            means = lfc(int(n_arms), float(_require(data, "delta", "the request")))
-        config = TrialConfig.single_stage(int(n_arms), sigma2, 2, sided=sided)
-        result = sample_size(
-            config,
-            means,
-            alpha=alpha,
-            power_target=float(target),
-            seed=args.seed,
-            accuracy=_accuracy(args),
-        )
-    except (TypeError, ValueError) as err:
-        if isinstance(err, _InputError):
-            raise
-        raise _InputError(str(err)) from err
+    if "means" in data:
+        means = MeanConfig(tuple(data["means"]), delta=data.get("delta"))
+        if len(set(means.mu)) == 1:
+            raise _InputError("all arm means are equal; no difference to power for")
+    else:
+        means = lfc(int(n_arms), float(_require(data, "delta", "the request")))
+    config = TrialConfig.single_stage(int(n_arms), sigma2, 2, sided=sided)
+    result = sample_size(
+        config,
+        means,
+        alpha=alpha,
+        power_target=float(target),
+        seed=args.seed,
+        accuracy=_accuracy(args),
+    )
     payload = {
         "means": list(means.mu),
         "alpha": alpha,
@@ -252,10 +254,7 @@ def _cmd_analyze(data: dict, args) -> tuple[dict, list, list]:
         bounds = gs_boundaries(
             config, schedule, seed=args.seed, accuracy=_accuracy(args)
         )
-        try:
-            stage_data = StageData.from_cumulative_means(config, cum_means)
-        except (TypeError, ValueError) as err:
-            raise _InputError(str(err)) from err
+        stage_data = StageData.from_cumulative_means(config, cum_means)
         decision = gs_closed_test(stage_data, bounds)
         z_final = stage_data.z_cum[-1]
     else:
@@ -263,10 +262,7 @@ def _cmd_analyze(data: dict, args) -> tuple[dict, list, list]:
         table = critical_values(
             config, alpha, seed=args.seed, accuracy=_accuracy(args)
         )
-        try:
-            stats = z_statistics(config, means, stage=config.n_stages)
-        except (TypeError, ValueError) as err:
-            raise _InputError(str(err)) from err
+        stats = z_statistics(config, means, stage=config.n_stages)
         test = closed_test if config.sided == TWO_SIDED else one_sided_closed_test
         decision = test(stats, table)
         z_final = [s.z for s in stats]
@@ -330,16 +326,8 @@ def _cmd_combine(data: dict, args) -> tuple[dict, list, list]:
     pvalues = _require(data, "p_values", "the request")
     if not isinstance(pvalues, list) or not pvalues:
         raise _InputError("p_values must be a nonempty list")
-    weights = None
-    if "weights" in data:
-        try:
-            weights = CombinationWeights(tuple(data["weights"]))
-        except (TypeError, ValueError) as err:
-            raise _InputError(f"invalid weights: {err}") from err
-    try:
-        combined = float(combine(pvalues, weights))
-    except (TypeError, ValueError) as err:
-        raise _InputError(str(err)) from err
+    weights = _weights_from(data)
+    combined = float(combine(pvalues, weights))
     used = weights or CombinationWeights.equal(len(pvalues))
     payload = {
         "p_values": [float(p) for p in pvalues],
@@ -382,26 +370,18 @@ def _cmd_simulate(data: dict, args) -> tuple[dict, list, list]:
     spending = None
     if "spending" in data:
         spending = _spending_from(data, config, alpha, args)
-    weights = None
-    if "weights" in data:
-        try:
-            weights = CombinationWeights(tuple(data["weights"]))
-        except (TypeError, ValueError) as err:
-            raise _InputError(f"invalid weights: {err}") from err
-    try:
-        scenario = SimScenario(
-            config=config,
-            means=MeanConfig(tuple(_require(data, "means", "the request"))),
-            procedures=tuple(_require(data, "procedures", "the request")),
-            replicates=int(data.get("replicates", 100_000)),
-            seed=args.seed,
-            spending=spending,
-            weights=weights,
-            alpha=alpha,
-            accuracy=_accuracy(args),
-        )
-    except (TypeError, ValueError) as err:
-        raise _InputError(str(err)) from err
+    weights = _weights_from(data)
+    scenario = SimScenario(
+        config=config,
+        means=MeanConfig(tuple(_require(data, "means", "the request"))),
+        procedures=tuple(_require(data, "procedures", "the request")),
+        replicates=int(data.get("replicates", 100_000)),
+        seed=args.seed,
+        spending=spending,
+        weights=weights,
+        alpha=alpha,
+        accuracy=_accuracy(args),
+    )
     result = run_scenario(scenario)
     m = config.n_comparisons
     payload = {

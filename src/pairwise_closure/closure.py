@@ -41,12 +41,11 @@ from .model import (
     TrialConfig,
     _pair_arms,
     _pair_correlation,
-    correlation,
+    correlation,  # noqa: F401  perfbench/spans.py wraps closure.correlation
 )
 from .mvn import DEFAULT_ACCURACY, DEFAULT_QUANTILE_TOL, _check_tol, equicoord_quantile
 
 __all__ = [
-    "ComparisonSet",
     "CriticalValueTable",
     "ClosureDecision",
     "critical_values",
@@ -69,23 +68,6 @@ _KEY_ARM_LIMIT = 8
 _MASK_LIMIT = 62
 # Rows per step-down block; bounds the kernel's scratch arrays.
 _BLOCK_ROWS = 32_768
-
-
-@dataclass(frozen=True)
-class ComparisonSet:
-    """A subset of comparison indices with its induced correlation matrix."""
-
-    members: tuple[int, ...]
-    corr: CorrelationModel
-
-    @classmethod
-    def build(cls, config: TrialConfig, members: Iterable[int]) -> "ComparisonSet":
-        ordered = tuple(sorted(_check_subset(config.n_comparisons, members)))
-        return cls(ordered, correlation(config, ordered))
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 def _check_subset(m: int, members: Iterable[int]) -> frozenset:
@@ -457,6 +439,31 @@ def _lattice(stat: np.ndarray, table: CriticalValueTable):
     return rejected[0].tolist(), local
 
 
+def _closed_test(z, table, method, sided, name) -> ClosureDecision:
+    """The closed test of :func:`closed_test` and :func:`one_sided_closed_test`."""
+    if table.config.sided != sided:
+        raise ValueError(f"{name} requires a {sided} configuration")
+    stat = _extract_z(z)
+    if sided == TWO_SIDED:
+        stat = np.abs(stat)
+    if stat.size != table.n_comparisons:
+        raise ValueError(
+            f"expected {table.n_comparisons} statistics, got {stat.size}"
+        )
+    if method == "shortcut":
+        rejected = batch_closed_test(stat[None, :], table)[0].tolist()
+        local = None
+        if sided == TWO_SIDED:
+            local = _lazy_local(stat.size,
+                                lambda s: _subset_max(stat, s) > table.value(s))
+    elif method == "lattice":
+        rejected, local = _lattice(stat, table)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    meta = {} if sided == TWO_SIDED else {"sided": ONE_SIDED}
+    return ClosureDecision("dunnett", table.alpha, tuple(rejected), local, meta=meta)
+
+
 def closed_test(
     z: Sequence,
     table: CriticalValueTable,
@@ -483,21 +490,7 @@ def closed_test(
     ClosureDecision
         A statistic exactly equal to a boundary does not reject.
     """
-    if table.config.sided != TWO_SIDED:
-        raise ValueError("closed_test requires a two-sided configuration")
-    stat = np.abs(_extract_z(z))
-    if stat.size != table.n_comparisons:
-        raise ValueError(
-            f"expected {table.n_comparisons} statistics, got {stat.size}"
-        )
-    if method == "shortcut":
-        rejected = batch_closed_test(stat[None, :], table)[0].tolist()
-        local = _lazy_local(stat.size, lambda s: _subset_max(stat, s) > table.value(s))
-    elif method == "lattice":
-        rejected, local = _lattice(stat, table)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return ClosureDecision("dunnett", table.alpha, tuple(rejected), local)
+    return _closed_test(z, table, method, TWO_SIDED, "closed_test")
 
 
 def one_sided_closed_test(
@@ -509,24 +502,10 @@ def one_sided_closed_test(
 
     Statistics are signed; the intersection tests are one-sided max-z tests.
     At most one direction per pair can be rejected because the two directed
-    statistics are perfectly negatively correlated.
+    statistics are perfectly negatively correlated.  The shortcut leaves
+    ``local`` as None.
     """
-    if table.config.sided != ONE_SIDED:
-        raise ValueError("one_sided_closed_test requires a one-sided configuration")
-    stat = _extract_z(z)
-    if stat.size != table.n_comparisons:
-        raise ValueError(
-            f"expected {table.n_comparisons} statistics, got {stat.size}"
-        )
-    if method == "shortcut":
-        rejected = batch_closed_test(stat[None, :], table)[0].tolist()
-        local = None
-    elif method == "lattice":
-        rejected, local = _lattice(stat, table)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return ClosureDecision("dunnett", table.alpha, tuple(rejected), local,
-                           meta={"sided": ONE_SIDED})
+    return _closed_test(z, table, method, ONE_SIDED, "one_sided_closed_test")
 
 
 def batch_closed_test(abs_z: np.ndarray, table: CriticalValueTable) -> np.ndarray:
@@ -586,13 +565,44 @@ def batch_closed_test(abs_z: np.ndarray, table: CriticalValueTable) -> np.ndarra
     return rejected
 
 
+def _normal_cut(alpha: float, m: int, sided: str) -> float:
+    """Per-comparison normal cut at level alpha/m, split over two tails when
+    the family is two-sided."""
+    tails = 2.0 if sided == TWO_SIDED else 1.0
+    return float(ndtri(1.0 - alpha / (tails * m)))
+
+
+def _fixed_sequence(stat: np.ndarray, cut: float, order: Iterable[int]) -> np.ndarray:
+    """Fixed-sequence rule on (rows, m) statistics: comparison k is rejected
+    when it and every comparison before it in ``order`` (a permutation of
+    1..m) clear ``cut``."""
+    cols = np.asarray(order) - 1
+    passed = stat > cut
+    passed[:, cols] = np.logical_and.accumulate(passed[:, cols], axis=1)
+    return passed
+
+
+def _check_global_design(config: TrialConfig) -> None:
+    """The global single-step comparator needs one critical value for every
+    comparison: a two-sided family with equal variances and sample sizes."""
+    if config.sided != TWO_SIDED or len(set(config.sigma2)) != 1:
+        raise ValueError(
+            "the global single-step comparator needs a two-sided, "
+            "equal-variance design"
+        )
+    if any(len(set(row)) != 1 for row in config.stage_n):
+        raise ValueError(
+            "the global single-step comparator needs equal per-arm sample sizes"
+        )
+
+
 def bonferroni_cut(alpha: float, m: int) -> float:
     """Two-sided Bonferroni critical value: the upper alpha/(2m) normal point."""
     if m < 1:
         raise ValueError("need at least one comparison")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    return float(ndtri(1.0 - alpha / (2.0 * m)))
+    return _normal_cut(alpha, m, TWO_SIDED)
 
 
 def bonferroni_test(z: Sequence, alpha: float, m: int | None = None) -> ClosureDecision:
@@ -625,19 +635,14 @@ def gatekeeping_test(
         order = [int(k) for k in order]
         if sorted(order) != list(range(1, m + 1)):
             raise ValueError("order must be a permutation of 1..m")
-    cut = float(ndtri(1.0 - alpha / 2.0))
-    rejected = [False] * m
-    for k in order:
-        if stat[k - 1] > cut:
-            rejected[k - 1] = True
-        else:
-            break
+    cut = _normal_cut(alpha, 1, TWO_SIDED)
+    rejected = tuple(_fixed_sequence(stat[None, :], cut, order)[0].tolist())
     position = {k: pos for pos, k in enumerate(order)}
     # implied closure: an intersection is tested through its earliest member
     # in the sequence
     local = _lazy_local(m, lambda s: stat[min(s, key=position.get) - 1] > cut)
     return ClosureDecision(
-        "gatekeeping", alpha, tuple(rejected), local, meta={"order": list(order)}
+        "gatekeeping", alpha, rejected, local, meta={"order": list(order)}
     )
 
 
@@ -649,21 +654,16 @@ def tukey_global_test(
     table: CriticalValueTable | None = None,
 ) -> ClosureDecision:
     """Single-step comparator: every |z_k| against the full-family critical
-    value.  Requires equal per-arm sample sizes and variances."""
-    if config.sided != TWO_SIDED:
-        raise ValueError("the global single-step comparator is two-sided")
-    if len(set(config.sigma2)) != 1:
-        raise ValueError("the global single-step comparator requires equal variances")
-    for row in config.stage_n:
-        if len(set(row)) != 1:
-            raise ValueError(
-                "the global single-step comparator requires equal per-arm sample sizes"
-            )
+    value.  Requires equal per-arm sample sizes and variances; a ``table``
+    must have been built for this config and alpha."""
+    _check_global_design(config)
     stat = np.abs(_extract_z(z))
     if stat.size != config.n_comparisons:
         raise ValueError(f"expected {config.n_comparisons} statistics")
     if table is None:
         table = CriticalValueTable(config, alpha, seed)
+    elif table.config != config or table.alpha != alpha:
+        raise ValueError("table was built for a different config or alpha")
     c_full = table.value(table.full_set())
     rejected = tuple(bool(s > c_full) for s in stat)
     local = _lazy_local(stat.size, lambda s: _subset_max(stat, s) > c_full)
@@ -676,6 +676,6 @@ def unadjusted_test(z: Sequence, alpha: float) -> ClosureDecision:
     """Per-comparison two-sided tests at level alpha, with no multiplicity
     adjustment.  Comparator only; does not control the family-wise error."""
     stat = np.abs(_extract_z(z))
-    cut = float(ndtri(1.0 - alpha / 2.0))
+    cut = _normal_cut(alpha, 1, TWO_SIDED)
     rejected = tuple(bool(s > cut) for s in stat)
     return ClosureDecision("unadjusted", alpha, rejected, meta={"cut": cut})

@@ -459,7 +459,7 @@ def correlation(
     -------
     CorrelationModel
     """
-    members = np.array([int(k) for k in getattr(subset, "members", subset)], dtype=int)
+    members = np.array([int(k) for k in subset], dtype=int)
     if not members.size:
         raise ValueError("subset must contain at least one comparison")
     m = config.n_comparisons

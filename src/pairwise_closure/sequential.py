@@ -48,6 +48,7 @@ from .mvn import (
     Rectangle,
     _check_tol,
     _two_phase_root,
+    equicoord_quantile,
     mvn_rect,
 )
 
@@ -168,7 +169,8 @@ class SpendingSchedule:
         analysis with probability alpha; the cumulative crossing
         probabilities through each analysis are the spends.  With equal
         information increments this reproduces the classic Pocock
-        constants exactly (2.178 for two looks at alpha = 0.05).
+        constants exactly (2.178 for two looks at alpha = 0.05).  The
+        constant is the equicoordinate quantile of the reference process.
         """
         _check_alpha(alpha)
         times = _check_info_times(info_times)
@@ -182,21 +184,8 @@ class SpendingSchedule:
             rect = Rectangle.centered(c, stage)
             return 1.0 - mvn_rect(0.0, sub, rect, accuracy=accuracy, seed=seed).value
 
-        c_const = _two_phase_root(
-            lambda c, acc: 1.0
-            - mvn_rect(
-                0.0,
-                CorrelationModel(corr),
-                Rectangle.centered(c, q),
-                accuracy=acc,
-                seed=seed,
-            ).value
-            - alpha,
-            0.0,
-            8.0,
-            tol=tol,
-            accuracy=accuracy,
-            coarse=max(accuracy, min(5e-4, 0.05 * alpha)),
+        c_const = equicoord_quantile(
+            corr, 1.0 - alpha, seed=seed, tol=tol, accuracy=accuracy
         )
         spends = [escape_by(stage, c_const) for stage in range(1, q)] + [alpha]
         return cls(times, tuple(spends), name="pocock")

@@ -16,22 +16,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .closure import (
-    CriticalValueTable,
+    _check_global_design,
+    _fixed_sequence,
+    _normal_cut,
     batch_closed_test,
-    bonferroni_cut,
     critical_values,
 )
 from .combination import CombinationWeights, TailProbabilityTable, batch_flexible_test
 from .model import TWO_SIDED, MeanConfig, TrialConfig, _pair_arms, _resolved_arms
 from .mvn import DEFAULT_ACCURACY, NumericsError
 from .sequential import (
-    BoundarySchedule,
     SpendingSchedule,
     batch_gs_test,
     generalised_boundaries,
@@ -87,16 +86,7 @@ class SimScenario:
         if any(t in _STAGED for t in procedures) and self.spending is None:
             raise ValueError("staged procedures need a spending schedule")
         if "global" in procedures:
-            if self.config.sided != TWO_SIDED or len(set(self.config.sigma2)) != 1:
-                raise ValueError(
-                    "the global single-step comparator needs a two-sided, "
-                    "equal-variance design"
-                )
-            if any(len(set(row)) != 1 for row in self.config.stage_n):
-                raise ValueError(
-                    "the global single-step comparator needs equal per-arm "
-                    "sample sizes"
-                )
+            _check_global_design(self.config)
 
 
 @dataclass(frozen=True)
@@ -174,88 +164,66 @@ def _draw_statistics(config, mu, n_reps, rng):
     return z_cum, z_stage
 
 
-@dataclass
-class _Resources:
-    """Tables and boundaries shared by every replicate of a scenario."""
+def _build_resources(scenario: SimScenario) -> dict[str, Callable]:
+    """The decision rule of every requested procedure, keyed by its tag.
 
-    table: CriticalValueTable | None = None
-    c_full: float | None = None
-    cut_bonferroni: float | None = None
-    cut_unadjusted: float | None = None
-    bounds: BoundarySchedule | None = None
-    gen_bounds: BoundarySchedule | None = None
-    weights: CombinationWeights | None = None
-    tail_table: TailProbabilityTable | None = None
-
-
-def _build_resources(scenario: SimScenario) -> _Resources:
+    Each procedure's table, boundaries or cut is built here once and shared
+    by every replicate; the two Dunnett-type single-stage procedures share
+    one table, and the generalised boundaries share the class cache of the
+    Dunnett boundaries when both run.  ``rule(z_cum, z_stage)`` returns the
+    (replicates, m) rejection matrix and, for staged procedures, the
+    stopping stages (None otherwise).  The comparator cuts and the
+    fixed-sequence rule are those of the single-trial tests in ``closure``.
+    """
     cfg = scenario.config
-    alpha = scenario.alpha
+    alpha, sided = scenario.alpha, cfg.sided
     m = cfg.n_comparisons
-    res = _Resources()
     tags = scenario.procedures
+    solve = {"seed": scenario.seed, "accuracy": scenario.accuracy}
+
+    def single(decide):
+        # single-analysis rules read the final statistics, as absolute values
+        # for two-sided families
+        def rule(z_cum, z_stage):
+            final = z_cum[:, -1, :]
+            return decide(np.abs(final) if sided == TWO_SIDED else final), None
+        return rule
+
+    cut_one = _normal_cut(alpha, 1, sided)
+    cut_all = _normal_cut(alpha, m, sided)
+    natural = range(1, m + 1)
+    rules = {
+        "bonferroni": single(lambda stat: stat > cut_all),
+        "unadjusted": single(lambda stat: stat > cut_one),
+        "gatekeeping": single(lambda stat: _fixed_sequence(stat, cut_one, natural)),
+    }
     if "dunnett" in tags or "global" in tags:
-        res.table = critical_values(
-            cfg, alpha, seed=scenario.seed, accuracy=scenario.accuracy
-        )
+        table = critical_values(cfg, alpha, **solve)
+        rules["dunnett"] = single(lambda stat: batch_closed_test(stat, table))
     if "global" in tags:
-        res.c_full = res.table.value(res.table.full_set())
-    if "bonferroni" in tags:
-        res.cut_bonferroni = (
-            bonferroni_cut(alpha, m)
-            if cfg.sided == TWO_SIDED
-            else float(ndtri(1.0 - alpha / m))
-        )
-    if "unadjusted" in tags or "gatekeeping" in tags:
-        res.cut_unadjusted = float(
-            ndtri(1.0 - alpha / 2.0) if cfg.sided == TWO_SIDED else ndtri(1.0 - alpha)
-        )
+        c_full = table.value(table.full_set())
+        rules["global"] = single(lambda stat: stat > c_full)
+    bounds = None
     if "dunnett-gs" in tags:
-        res.bounds = gs_boundaries(
-            cfg, scenario.spending, seed=scenario.seed, accuracy=scenario.accuracy
-        )
-        res.bounds.entries()
+        bounds = gs_boundaries(cfg, scenario.spending, **solve)
+        bounds.entries()
+        rules["dunnett-gs"] = lambda z_cum, z_stage: batch_gs_test(z_cum, bounds)
     if "dunnett-gs-generalised" in tags:
-        if res.bounds is not None:
-            # shares the class cache: the full-set vector is solved once
-            res.gen_bounds = replace(res.bounds, generalised=True)
-        else:
-            res.gen_bounds = generalised_boundaries(
-                cfg, scenario.spending, seed=scenario.seed, accuracy=scenario.accuracy
-            )
-    if "combination" in tags:
-        res.weights = scenario.weights or CombinationWeights.from_information(cfg)
-        res.tail_table = TailProbabilityTable(cfg, seed=scenario.seed)
-    return res
-
-
-def _apply_procedure(tag, scenario, res, z_cum, z_stage):
-    """Rejection matrix (replicates, m) and stopping stages (staged only)."""
-    cfg = scenario.config
-    final = z_cum[:, -1, :]
-    stat = np.abs(final) if cfg.sided == TWO_SIDED else final
-    if tag == "dunnett":
-        return batch_closed_test(stat, res.table), None
-    if tag == "global":
-        return stat > res.c_full, None
-    if tag == "bonferroni":
-        return stat > res.cut_bonferroni, None
-    if tag == "unadjusted":
-        return stat > res.cut_unadjusted, None
-    if tag == "gatekeeping":
-        # fixed natural order: a comparison is rejected when it and all its
-        # predecessors clear the unadjusted cut
-        return np.logical_and.accumulate(stat > res.cut_unadjusted, axis=1), None
-    if tag == "dunnett-gs":
-        return batch_gs_test(z_cum, res.bounds)
-    if tag == "dunnett-gs-generalised":
-        return batch_gs_test(z_cum, res.gen_bounds)
-    if tag == "combination":
-        rejected = batch_flexible_test(
-            z_stage, cfg, res.weights, scenario.alpha, table=res.tail_table
+        # shares the class cache: the full-set vector is solved once
+        gen_bounds = (
+            replace(bounds, generalised=True) if bounds is not None
+            else generalised_boundaries(cfg, scenario.spending, **solve)
         )
-        return rejected, None
-    raise ValueError(f"unknown procedure {tag!r}")
+        rules["dunnett-gs-generalised"] = (
+            lambda z_cum, z_stage: batch_gs_test(z_cum, gen_bounds)
+        )
+    if "combination" in tags:
+        weights = scenario.weights or CombinationWeights.from_information(cfg)
+        tail_table = TailProbabilityTable(cfg, seed=scenario.seed)
+        rules["combination"] = lambda z_cum, z_stage: (
+            batch_flexible_test(z_stage, cfg, weights, alpha, table=tail_table), None
+        )
+    return {tag: rules[tag] for tag in tags}
 
 
 def _total_sample_size(config, rejected, stopped):
@@ -283,7 +251,7 @@ def run_scenario(
     """
     cfg = scenario.config
     m = cfg.n_comparisons
-    resources = _build_resources(scenario)
+    rules = _build_resources(scenario)
     rng = np.random.Generator(np.random.Philox(key=scenario.seed))
     hist = {tag: np.zeros(m + 1, dtype=np.int64) for tag in scenario.procedures}
     n_sum = {tag: 0.0 for tag in _STAGED if tag in scenario.procedures}
@@ -294,9 +262,7 @@ def run_scenario(
         z_cum, z_stage = _draw_statistics(cfg, scenario.means.mu, take, rng)
         for tag in scenario.procedures:
             try:
-                rejected, stopped = _apply_procedure(
-                    tag, scenario, resources, z_cum, z_stage
-                )
+                rejected, stopped = rules[tag](z_cum, z_stage)
             except NumericsError as err:
                 raise NumericsError(
                     f"{tag} failed on replicates {done + 1}..{done + take}: {err}"

@@ -434,6 +434,14 @@ class TestComparators:
         with pytest.raises(ValueError):
             tukey_global_test([1.0, 1.0, 1.0], uneven_var, 0.05)
 
+    def test_tukey_rejects_a_table_for_another_design(self, cfg_k4, table_k4):
+        z = [0.0] * 6
+        with pytest.raises(ValueError, match="different config or alpha"):
+            tukey_global_test(z, cfg_k4, 0.01, table=table_k4)
+        wide = TrialConfig.single_stage(4, 1.0, 200)
+        with pytest.raises(ValueError, match="different config or alpha"):
+            tukey_global_test(z, wide, 0.05, table=table_k4)
+
     def test_unadjusted(self):
         decision = unadjusted_test([2.0, -2.0, 1.9], 0.05)
         assert decision.rejected_indices() == [1, 2]

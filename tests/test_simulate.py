@@ -4,16 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from pairwise_closure.model import TrialConfig, standardized_means
+from pairwise_closure.closure import (
+    _normal_cut,
+    bonferroni_test,
+    closed_test,
+    critical_values,
+    gatekeeping_test,
+    tukey_global_test,
+    unadjusted_test,
+)
+from pairwise_closure.model import ONE_SIDED, TWO_SIDED, TrialConfig, standardized_means
 from pairwise_closure.power import MeanConfig, disjunctive_power
 from pairwise_closure.sequential import (
     BoundarySchedule,
     SpendingSchedule,
+    batch_gs_test,
     generalised_boundaries,
     stage_weights,
 )
 from pairwise_closure.simulate import (
+    PROCEDURES,
     OperatingCharacteristics,
     ProcedureSummary,
     SimScenario,
@@ -309,21 +321,118 @@ def test_generalised_boundary_shares_the_full_set_solve(cfg_k3_q2, monkeypatch):
     monkeypatch.setattr(BoundarySchedule, "_solve", counting_solve)
     scenario = SimScenario(
         config=cfg_k3_q2,
-        means=MeanConfig((0.0, 0.0, 0.0)),
+        means=MeanConfig((0.6, 0.0, 0.3)),
         procedures=("dunnett-gs", "dunnett-gs-generalised"),
-        replicates=10,
+        replicates=400,
         seed=11,
         accuracy=1e-3,
         spending=SpendingSchedule.power_family(0.05, (0.5, 1.0)),
     )
-    res = _build_resources(scenario)
-    full = res.bounds.full_set()
-    n_classes = len(solved)
-    assert res.gen_bounds.generalised and not res.bounds.generalised
-    assert res.gen_bounds.value({1}) == res.bounds.value(full)
+    rules = _build_resources(scenario)
+    z_cum, z_stage = simulate_statistics(cfg_k3_q2, scenario.means, 400, seed=11)
+    decisions = {tag: rules[tag](z_cum, z_stage) for tag in scenario.procedures}
     # the generalised schedule reuses the full-set class instead of solving it
-    assert len(solved) == n_classes == len(set(solved))
+    assert len(solved) == len(set(solved))
     alone = generalised_boundaries(
         cfg_k3_q2, scenario.spending, seed=scenario.seed, accuracy=scenario.accuracy
     )
-    assert alone.value(full) == res.gen_bounds.value(full)
+    expect = batch_gs_test(z_cum, alone)
+    got = decisions["dunnett-gs-generalised"]
+    assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
+    assert not np.array_equal(got[0], decisions["dunnett-gs"][0])
+
+
+def test_comparators_equal_the_single_trial_tests(cfg_k4):
+    # the simulator's rules are the single-trial tests applied row by row
+    scenario = SimScenario(
+        config=cfg_k4,
+        means=MeanConfig((0.45, 0.3, 0.0, 0.15)),
+        procedures=COMPARATORS,
+        replicates=400,
+        seed=12,
+        accuracy=1e-3,
+    )
+    decisions = run_scenario(scenario, keep_decisions=True).decisions
+    z_cum, _ = simulate_statistics(cfg_k4, scenario.means, 400, seed=12)
+    table = critical_values(cfg_k4, 0.05, seed=12, accuracy=1e-3)
+    single = {
+        "dunnett": lambda z: closed_test(z, table),
+        "global": lambda z: tukey_global_test(z, cfg_k4, 0.05, table=table),
+        "bonferroni": lambda z: bonferroni_test(z, 0.05),
+        "unadjusted": lambda z: unadjusted_test(z, 0.05),
+        "gatekeeping": lambda z: gatekeeping_test(z, 0.05),
+    }
+    for tag, test in single.items():
+        expect = np.array([test(z).rejected for z in z_cum[:, -1, :]])
+        assert np.array_equal(decisions[tag], expect), tag
+        assert 0 < expect.sum() < expect.size, tag
+
+
+def test_one_sided_comparator_cuts():
+    for alpha in (0.01, 0.05, 0.1, 0.2):
+        for m in (1, 3, 6, 10, 12):
+            assert _normal_cut(alpha, m, ONE_SIDED) == float(ndtri(1.0 - alpha / m))
+            assert _normal_cut(alpha, m, TWO_SIDED) == float(
+                ndtri(1.0 - alpha / (2.0 * m))
+            )
+        assert _normal_cut(alpha, 1, ONE_SIDED) == float(ndtri(1.0 - alpha))
+    cfg = TrialConfig.single_stage(3, 1.0, 60, sided=ONE_SIDED)
+    scenario = SimScenario(
+        config=cfg,
+        means=MeanConfig((0.4, 0.0, 0.2)),
+        procedures=("bonferroni", "unadjusted", "gatekeeping"),
+        replicates=2_000,
+        seed=9,
+        alpha=0.1,
+    )
+    decisions = run_scenario(scenario, keep_decisions=True).decisions
+    z = simulate_statistics(cfg, scenario.means, 2_000, seed=9)[0][:, -1, :]
+    passed = z > ndtri(1.0 - 0.1)
+    assert np.array_equal(decisions["bonferroni"], z > ndtri(1.0 - 0.1 / 6))
+    assert np.array_equal(decisions["unadjusted"], passed)
+    assert np.array_equal(decisions["gatekeeping"],
+                          np.logical_and.accumulate(passed, axis=1))
+
+
+# Frozen reference values: (per_count, mean_total_n) of every procedure on
+# one K=3 Q=2 scenario, seed 6, accuracy 1e-3.  Any change to a decision
+# rule, a cut, a table or the draws shows up here exactly.
+PINNED_K3_Q2 = {
+    "dunnett": ((0.115, 0.3016666666666667, 0.48333333333333334, 0.1), None),
+    "global": ((0.115, 0.37333333333333335, 0.485, 0.02666666666666667), None),
+    "bonferroni": ((0.12, 0.4, 0.46166666666666667, 0.018333333333333333), None),
+    "unadjusted": (
+        (0.05333333333333334, 0.21333333333333335, 0.6233333333333333, 0.11), None
+    ),
+    "gatekeeping": (
+        (0.06333333333333334, 0.5383333333333333, 0.28833333333333333, 0.11), None
+    ),
+    "dunnett-gs": (
+        (0.11833333333333333, 0.295, 0.49166666666666664, 0.095), 296.5
+    ),
+    "dunnett-gs-generalised": (
+        (0.11833333333333333, 0.37666666666666665, 0.48333333333333334,
+         0.021666666666666667),
+        297.25,
+    ),
+    "combination": (
+        (0.19666666666666666, 0.3383333333333333, 0.4116666666666667,
+         0.05333333333333334),
+        None,
+    ),
+}
+
+
+def test_every_procedure_is_pinned(cfg_k3_q2):
+    scenario = SimScenario(
+        config=cfg_k3_q2,
+        means=MeanConfig((0.5, 0.0, 0.25)),
+        procedures=PROCEDURES,
+        replicates=600,
+        seed=6,
+        accuracy=1e-3,
+        spending=SpendingSchedule.obrien_fleming(0.05, (0.5, 1.0)),
+    )
+    result = run_scenario(scenario)
+    got = {tag: (s.per_count, s.mean_total_n) for tag, s in result.procedures.items()}
+    assert got == PINNED_K3_Q2
