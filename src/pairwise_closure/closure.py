@@ -568,6 +568,8 @@ def batch_closed_test(abs_z: np.ndarray, table: CriticalValueTable) -> np.ndarra
 def _normal_cut(alpha: float, m: int, sided: str) -> float:
     """Per-comparison normal cut at level alpha/m, split over two tails when
     the family is two-sided."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
     tails = 2.0 if sided == TWO_SIDED else 1.0
     return float(ndtri(1.0 - alpha / (tails * m)))
 
@@ -600,8 +602,6 @@ def bonferroni_cut(alpha: float, m: int) -> float:
     """Two-sided Bonferroni critical value: the upper alpha/(2m) normal point."""
     if m < 1:
         raise ValueError("need at least one comparison")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
     return _normal_cut(alpha, m, TWO_SIDED)
 
 

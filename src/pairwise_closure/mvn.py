@@ -11,14 +11,19 @@ package, so it has a stricter contract than general-purpose integrators:
   jittered away; they are folded exactly into interval constraints on the
   coordinates that span the distribution (a correlation of +/-1 folds a
   coordinate into its partner as the simplest case).
-* Accuracy is an absolute error target.  The error estimate is roughly three
-  times the standard error over randomized lattice shifts, and the call fails
-  loudly when the target is unreachable within the point budget.
+* Accuracy is an absolute error target.  The error estimate is three
+  standard errors of the mean over twelve randomized lattice shifts, and the
+  call fails loudly when the target is unreachable within the point budget.
 
 The integration scheme follows the separation-of-variables approach: a
 variance-minimizing ordered Cholesky factorization turns the rectangle
 probability into an integral over the unit cube of dimension rank - 1,
 evaluated with a randomly shifted Kronecker lattice and a tent transform.
+The twelve random shifts are drawn once per call.  The lattice is extensible
+(points 1..2n contain points 1..n; Genz & Bretz 2009), so the rounds double
+the number of points but each evaluates only its new ones and adds them to
+every shift's running sum: a rectangle that converges at n points has spent
+12 n evaluations in all.
 
 Points are evaluated in chunks of 2^13, small enough that the prefix
 matrix-vector products and the interval buffers of a chunk stay in cache.
@@ -26,7 +31,8 @@ The unshifted lattice points of a chunk are built once and shared by all
 twelve random shifts.  The first integration variable has no predecessors,
 so its factor is one number, computed once for each chunk and shift rather
 than at every point.  These shortcuts are exact in IEEE arithmetic; only the
-chunk size itself fixes the order in which partial sums are added.
+chunk size and the round boundaries fix the order in which partial sums are
+added.
 
 Equicoordinate quantiles, and the stage boundaries of the group-sequential
 module, are roots in one scalar of such probabilities.  ``_two_phase_root``
@@ -309,18 +315,18 @@ def _evaluate(steps, rank: int, x: np.ndarray) -> np.ndarray:
     return pv
 
 
-def _round_means(steps, rank, gen, n_points, shifts) -> np.ndarray:
-    """Integrand mean over the first ``n_points`` lattice points, per shift.
+def _round_sums(steps, rank, gen, start, stop, shifts) -> np.ndarray:
+    """Integrand sums over lattice points ``start + 1 .. stop``, per shift.
 
     The unshifted points ``j * gen`` are built once per chunk and shared by
-    every shift; each shift's total adds its chunk sums in chunk order.
+    every shift; each shift's sum adds its chunk sums in chunk order.
     """
-    totals = np.zeros(len(shifts))
-    x = np.empty((gen.shape[0], min(_CHUNK, n_points)))
-    for start in range(0, n_points, _CHUNK):
-        stop = min(start + _CHUNK, n_points)
-        base = gen[:, None] * np.arange(start + 1, stop + 1, dtype=float)
-        xs = x[:, : stop - start]
+    sums = np.zeros(len(shifts))
+    x = np.empty((gen.shape[0], min(_CHUNK, stop - start)))
+    for lo in range(start, stop, _CHUNK):
+        hi = min(lo + _CHUNK, stop)
+        base = gen[:, None] * np.arange(lo + 1, hi + 1, dtype=float)
+        xs = x[:, : hi - lo]
         for s, shift in enumerate(shifts):
             np.add(base, shift[:, None], out=xs)
             # fractional part, exact (and equal to np.mod) for xs >= 0
@@ -328,37 +334,41 @@ def _round_means(steps, rank, gen, n_points, shifts) -> np.ndarray:
             xs *= 2.0
             xs -= 1.0
             np.abs(xs, out=xs)
-            totals[s] += float(_evaluate(steps, rank, xs).sum())
-    return totals / n_points
+            sums[s] += float(_evaluate(steps, rank, xs).sum())
+    return sums
 
 
 def _qmc_estimate(steps, rank, accuracy, rng, max_points):
+    """Randomized-lattice estimate: ``(value, err_est, points spent)``.
+
+    One block of ``_N_SHIFTS`` random shifts serves the whole call.  The
+    lattice is extensible, so the points of a round contain those of the
+    round before: each doubling evaluates only its new points and adds them
+    to every shift's running sum.  The estimate is the mean of the per-shift
+    means over all points so far, and the error estimate three standard
+    errors of that mean.
+    """
     dim = rank - 1
     if dim == 0:
         # every factor is a constant interval: the value is exact
         return _first_factor(steps[0])[1], 0.0, 1
     gen = _lattice_generators(dim)
-    n = 1 << 10
-    spent = 0
-    weight_sum = 0.0
-    weighted_est = 0.0
+    shifts = rng.random((_N_SHIFTS, dim))
+    totals = np.zeros(_N_SHIFTS)
+    done, n = 0, 1 << 10
     while True:
-        means = _round_means(steps, rank, gen, n, rng.random((_N_SHIFTS, dim)))
-        spent += n * _N_SHIFTS
-        round_est = float(means.mean())
-        round_err = 3.0 * max(float(means.std(ddof=1)) / math.sqrt(_N_SHIFTS), 1e-16)
-        w = 1.0 / round_err**2
-        weight_sum += w
-        weighted_est += w * round_est
-        err = 1.0 / math.sqrt(weight_sum)
+        totals += _round_sums(steps, rank, gen, done, n, shifts)
+        means = totals / n
+        spent = n * _N_SHIFTS
+        err = 3.0 * max(float(means.std(ddof=1)) / math.sqrt(_N_SHIFTS), 1e-16)
         if err <= accuracy:
-            return weighted_est / weight_sum, err, spent
+            return float(means.mean()), err, spent
         if spent >= max_points:
             raise AccuracyError(
                 f"accuracy {accuracy:g} not reached after {spent} points "
                 f"(error estimate {err:.2e})"
             )
-        n *= 2
+        done, n = n, 2 * n
 
 
 def _check_accuracy(accuracy: float) -> None:
@@ -394,13 +404,17 @@ def mvn_rect(
         Seed for the randomized lattice shifts.  Fixed seed gives
         bit-identical results.
     max_points : int
-        Budget of integrand evaluations before :class:`AccuracyError`.
+        Budget of integrand evaluations: :class:`AccuracyError` follows the
+        first round that brings them to ``max_points`` or beyond without
+        meeting ``accuracy``.
 
     Returns
     -------
     ProbResult
-        ``value`` in [0, 1], ``err_est`` roughly three standard errors of the
-        randomized-shift estimate, ``n_points`` evaluations spent.
+        ``value`` in [0, 1]; ``err_est`` three standard errors of the mean
+        over the twelve randomized shifts, each shift's mean taken over
+        every lattice point evaluated; ``n_points`` the evaluations spent,
+        twelve times the lattice points of the last round.
     """
     _check_accuracy(accuracy)
     if isinstance(corr, CorrelationModel):

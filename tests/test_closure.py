@@ -364,6 +364,24 @@ class TestComparators:
             bonf = set(bonferroni_test(row, 0.05).rejected_indices())
             assert bonf <= closed
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 3.0, -0.1, np.nan])
+    @pytest.mark.parametrize(
+        "comparator",
+        [
+            lambda alpha: unadjusted_test([0.1, -0.2], alpha),
+            lambda alpha: unadjusted_test([5.0], alpha),
+            lambda alpha: gatekeeping_test([0.1, 0.1], alpha),
+            lambda alpha: bonferroni_test([0.1, 0.1], alpha),
+            lambda alpha: bonferroni_cut(alpha, 3),
+        ],
+        ids=["unadjusted", "unadjusted-one", "gatekeeping", "bonferroni", "bonferroni-cut"],
+    )
+    def test_comparators_reject_alpha_outside_the_unit_interval(self, comparator, alpha):
+        # unchecked, alpha 1.5 gives a negative cut that rejects everything
+        # and alpha 3 a NaN cut that rejects nothing
+        with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+            comparator(alpha)
+
     def test_gatekeeping_natural_order(self):
         decision = gatekeeping_test([3.0, 0.1, 4.0], 0.05)
         assert decision.rejected_indices() == [1]

@@ -37,10 +37,10 @@ COMBINED_05_05 = 0.010004627
 # tail_table.pvalue over np.linspace(0.5, 3.5, 7), for {1, 2, 3} and {1, 3}
 TAIL_PVALUE_BITS = {
     (1, 2, 3): [0.8713124040271841, 0.5768576557494991, 0.29091545989708756,
-                0.11218775754122234, 0.033240433720846285, 0.00760349700654539,
-                0.0013472309946138683],
+                0.11218775754122234, 0.033240433720846396, 0.00760349700654539,
+                0.0013472309946137573],
     (1, 3): [0.8349154773813797, 0.5020344466131237, 0.23024949238202896,
-             0.08289700637813047, 0.023503249729172615, 0.0052365095697485264,
+             0.08289700637813058, 0.023503249729172615, 0.0052365095697485264,
              0.0009157052071770977],
 }
 # flexible_closed_test combined p-values on PINNED_STAGE_Z (both stages)
@@ -49,10 +49,10 @@ COMBINED_P_BITS = {
     (1,): 0.0034200266707986966,
     (2,): 0.645397625074693,
     (3,): 0.09692448465094089,
-    (1, 2): 0.010683855451706676,
-    (1, 3): 0.010683855451706676,
-    (2, 3): 0.2335714905092176,
-    (1, 2, 3): 0.019188846692642474,
+    (1, 2): 0.010683485576188105,
+    (1, 3): 0.010683485576188105,
+    (2, 3): 0.23356589235087982,
+    (1, 2, 3): 0.019183061979938527,
 }
 # batch_flexible_test rejections per row of the batch below, with tail_table
 BATCH_FLEXIBLE_REJECTED = [

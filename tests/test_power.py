@@ -4,11 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 from scipy.optimize import brentq
+from scipy.special import ndtr
+from scipy.stats import norm
 
-from pairwise_closure.model import TrialConfig, correlation
-from pairwise_closure.mvn import Rectangle, SolverError, mvn_rect
+from pairwise_closure.closure import critical_values
+from pairwise_closure.model import TrialConfig, correlation, standardized_means
+from pairwise_closure.mvn import (
+    DEFAULT_ACCURACY,
+    DEFAULT_QUANTILE_TOL,
+    Rectangle,
+    SolverError,
+    mvn_rect,
+)
 from pairwise_closure.power import (
     MeanConfig,
     disjunctive_power,
@@ -88,13 +96,28 @@ class TestDisjunctivePower:
         ]
         assert powers_d == sorted(powers_d)
 
-    def test_one_sided_power_exceeds_two_sided(self):
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_sided_full_set_power_equals_two_sided(self, seed):
+        # The 6 directed one-sided comparisons of the full set are the 3
+        # two-sided ones: max_k Z_k over +-W equals max |W|.  The critical
+        # values and the disjunctive powers therefore agree up to the
+        # solver tolerance and the quadrature error, whichever side wins.
         two = TrialConfig.single_stage(3, 1.0, 60)
         one = TrialConfig.single_stage(3, 1.0, 60, sided="one-sided")
         means = lfc(3, 0.5)
-        p_two = disjunctive_power(two, means, seed=1).disjunctive
-        p_one = disjunctive_power(one, means, seed=1).disjunctive
-        assert p_one > p_two
+        tol, accuracy = DEFAULT_QUANTILE_TOL, DEFAULT_ACCURACY
+        tables = [critical_values(cfg, 0.05, seed=seed) for cfg in (two, one)]
+        c_two, c_one = (t.value(t.full_set()) for t in tables)
+        assert abs(c_one - c_two) <= 2 * tol
+        p_two, p_one = (
+            disjunctive_power(cfg, means, seed=seed, table=t).disjunctive
+            for cfg, t in zip((two, one), tables)
+        )
+        # the density of max |W| at c is at most the sum of the densities
+        # of the |W_k|, and each power is within accuracy of the truth
+        zeta = standardized_means(two, means.mu, stage=1)
+        density = float(np.sum(norm.pdf(c_two - zeta) + norm.pdf(c_two + zeta)))
+        assert abs(p_one - p_two) <= 2 * tol * density + 2 * accuracy
 
     def test_validation(self, cfg_k4, table_k4, cfg_k3):
         with pytest.raises(ValueError):

@@ -43,11 +43,11 @@ TWO_LOOKS = (0.5, 1.0)
 # default accuracy), one vector per class, and of one generalised vector.  A
 # refactor of the cache or the root finder that moves a single bit fails.
 K3_STAGE_BOUNDS_BITS = {
-    1: (2.2414027276049446, 2.125062425504342),
-    2: (2.47751307376471, 2.3759636108431317),
-    3: (2.6037967283146126, 2.5063881980131457),
+    1: (2.2414027276049446, 2.12516457972626),
+    2: (2.4774715103514127, 2.3760985304508044),
+    3: (2.603775352597539, 2.5064507511180754),
 }
-GENERALISED_OBF_BITS = (3.095634491226506, 2.363905361980798)
+GENERALISED_OBF_BITS = (3.09563449122651, 2.363905361980798)
 # batch_gs_test on _pinned_batch() against gs_k3_q2: per row, the analysis at
 # which each comparison's rejection completed (0 = not rejected)
 BATCH_GS_STOPPED = [
