@@ -298,7 +298,7 @@ def _cmd_gs_boundaries(data: dict, args) -> tuple[dict, list, list]:
     schedule = _spending_from(data, config, alpha, args)
     build = generalised_boundaries if data.get("generalised") else gs_boundaries
     bounds = build(config, schedule, seed=args.seed, accuracy=_accuracy(args))
-    entries = bounds.entries()
+    entries = bounds.entries(threads=_threads(args))
     ordered = sorted(entries.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
     payload = {
         "alpha": alpha,
@@ -479,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--threads", type=int, default=None,
-            help="worker bound for table enumeration "
-            "(default $PAIRWISE_CLOSURE_THREADS or 1)",
+            help="worker processes for the class solves of critical-values "
+            "and gs-boundaries (default $PAIRWISE_CLOSURE_THREADS or 1)",
         )
         p.add_argument(
             "--deterministic", action="store_true",

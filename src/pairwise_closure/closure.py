@@ -27,6 +27,7 @@ import itertools
 import zlib
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar, Iterable, Sequence
 
@@ -39,6 +40,8 @@ from .model import (
     ComparisonStats,
     CorrelationModel,
     TrialConfig,
+    _check_alpha,
+    _max_statistic,
     _pair_arms,
     _pair_correlation,
     correlation,  # noqa: F401  perfbench/spans.py wraps closure.correlation
@@ -132,15 +135,6 @@ def _derived_seed(seed: int, key) -> int:
     return (seed * 1_000_003 + digest) % (1 << 63)
 
 
-def _solve_class(args: tuple) -> float:
-    """Worker for parallel class solves; must stay picklable."""
-    key, alpha, seed, accuracy, tol, tail = args
-    corr = _key_correlation(key)
-    return equicoord_quantile(
-        corr, 1.0 - alpha, seed=seed, tol=tol, accuracy=accuracy, tail=tail
-    )
-
-
 def _all_subsets(m: int) -> list[frozenset]:
     """Every nonempty subset of 1..m, by size and then lexicographically.
 
@@ -164,9 +158,11 @@ class _ClassCache:
     """Per-subset values, solved once per correlation-equivalence class.
 
     A subclass supplies ``_solve(key)``, the value of one class from its
-    canonical key.  ``value`` validates a subset, memoizes its class key and
-    solves each class once; ``entries`` materializes every subset of the
-    lattice.  The two dicts are ordinary fields, so a copy made with
+    canonical key, and may override ``_served(subset)``, the subset whose
+    value a lookup returns.  ``value`` validates a subset, memoizes its
+    class key and solves each class once; ``entries`` materializes every
+    subset of the lattice, solving distinct classes in worker processes
+    when asked.  The two dicts are ordinary fields, so a copy made with
     ``dataclasses.replace`` shares the cache with its original, unless the
     copy changes a solve input (any public field not listed in
     ``_SERVING_FIELDS``); such a copy starts with an empty cache.
@@ -203,19 +199,34 @@ class _ClassCache:
     def _solve(self, key):
         raise NotImplementedError
 
-    def _lookup(self, subset: frozenset):
-        key = self._key(subset)
+    def _served(self, subset: frozenset) -> frozenset:
+        return subset
+
+    def value(self, members: Iterable[int]):
+        """Value for one subset of comparison indices."""
+        key = self._key(self._served(_check_subset(self.n_comparisons, members)))
         if key not in self._class_values:
             self._class_values[key] = self._solve(key)
         return self._class_values[key]
 
-    def value(self, members: Iterable[int]):
-        """Value for one subset of comparison indices."""
-        return self._lookup(_check_subset(self.n_comparisons, members))
+    def entries(self, threads: int = 1) -> dict:
+        """Every subset's value; guarded by the lattice limit.
 
-    def entries(self) -> dict:
-        """Every subset's value; guarded by the lattice limit."""
-        return {s: self.value(s) for s in _all_subsets(self.n_comparisons)}
+        Distinct classes not yet cached may be solved concurrently in
+        ``threads`` worker processes.  Per-class seeds make the result
+        independent of solve order and worker count.
+        """
+        subsets = _all_subsets(self.n_comparisons)
+        if threads > 1:
+            pending = list(dict.fromkeys(
+                key for key in (self._key(self._served(s)) for s in subsets)
+                if key not in self._class_values
+            ))
+            if len(pending) > 1:
+                with ProcessPoolExecutor(min(threads, len(pending)),
+                                         mp_context=get_context("spawn")) as pool:
+                    self._class_values.update(zip(pending, pool.map(self._solve, pending)))
+        return {s: self.value(s) for s in subsets}
 
 
 @dataclass
@@ -236,8 +247,7 @@ class CriticalValueTable(_ClassCache):
     tol: float = DEFAULT_QUANTILE_TOL
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
+        _check_alpha(self.alpha)
         _check_tol(self.tol)
         super().__post_init__()
 
@@ -245,36 +255,11 @@ class CriticalValueTable(_ClassCache):
     def tail(self) -> str:
         return "upper" if self.config.sided == ONE_SIDED else "central"
 
-    def _solve_args(self, key) -> tuple:
-        return (
-            key,
-            self.alpha,
-            _derived_seed(self.seed, key),
-            self.accuracy,
-            self.tol,
-            self.tail,
-        )
-
     def _solve(self, key) -> float:
-        return _solve_class(self._solve_args(key))
-
-    def entries(self, threads: int = 1) -> dict:
-        """Materialize every subset's critical value.
-
-        Guarded by the lattice limit; distinct equivalence classes may be
-        solved concurrently with ``threads`` worker processes.  Per-class
-        seeds make the result independent of solve order and worker count.
-        """
-        if threads > 1:
-            pending = list(dict.fromkeys(
-                key for key in map(self._key, _all_subsets(self.n_comparisons))
-                if key not in self._class_values
-            ))
-            if len(pending) > 1:
-                jobs = [self._solve_args(key) for key in pending]
-                with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-                    self._class_values.update(zip(pending, pool.map(_solve_class, jobs)))
-        return super().entries()
+        return equicoord_quantile(
+            _key_correlation(key), 1.0 - self.alpha, seed=_derived_seed(self.seed, key),
+            tol=self.tol, accuracy=self.accuracy, tail=self.tail,
+        )
 
     def classes(self, threads: int = 1) -> list[dict]:
         """Summaries of the distinct correlation-equivalence classes."""
@@ -443,19 +428,14 @@ def _closed_test(z, table, method, sided, name) -> ClosureDecision:
     """The closed test of :func:`closed_test` and :func:`one_sided_closed_test`."""
     if table.config.sided != sided:
         raise ValueError(f"{name} requires a {sided} configuration")
-    stat = _extract_z(z)
-    if sided == TWO_SIDED:
-        stat = np.abs(stat)
+    stat = _max_statistic(_extract_z(z), sided)
     if stat.size != table.n_comparisons:
         raise ValueError(
             f"expected {table.n_comparisons} statistics, got {stat.size}"
         )
     if method == "shortcut":
         rejected = batch_closed_test(stat[None, :], table)[0].tolist()
-        local = None
-        if sided == TWO_SIDED:
-            local = _lazy_local(stat.size,
-                                lambda s: _subset_max(stat, s) > table.value(s))
+        local = _lazy_local(stat.size, lambda s: _subset_max(stat, s) > table.value(s))
     elif method == "lattice":
         rejected, local = _lattice(stat, table)
     else:
@@ -502,8 +482,8 @@ def one_sided_closed_test(
 
     Statistics are signed; the intersection tests are one-sided max-z tests.
     At most one direction per pair can be rejected because the two directed
-    statistics are perfectly negatively correlated.  The shortcut leaves
-    ``local`` as None.
+    statistics are perfectly negatively correlated.  As in
+    :func:`closed_test`, the shortcut's ``local`` is filled only when read.
     """
     return _closed_test(z, table, method, ONE_SIDED, "one_sided_closed_test")
 
@@ -568,8 +548,7 @@ def batch_closed_test(abs_z: np.ndarray, table: CriticalValueTable) -> np.ndarra
 def _normal_cut(alpha: float, m: int, sided: str) -> float:
     """Per-comparison normal cut at level alpha/m, split over two tails when
     the family is two-sided."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _check_alpha(alpha)
     tails = 2.0 if sided == TWO_SIDED else 1.0
     return float(ndtri(1.0 - alpha / (tails * m)))
 

@@ -34,8 +34,8 @@ from .closure import (
     _derived_seed,
     _key_correlation,
 )
-from .model import TWO_SIDED, TrialConfig, correlation
-from .mvn import DEFAULT_ACCURACY, Rectangle, mvn_rect
+from .model import TWO_SIDED, TrialConfig, _check_alpha, _max_statistic, correlation
+from .mvn import DEFAULT_ACCURACY, _max_range, _max_rect, mvn_rect
 from .sequential import StageData
 
 if TYPE_CHECKING:
@@ -103,8 +103,7 @@ def _observed_max(config: TrialConfig, z_row: Sequence[float], cols: Sequence[in
         )
     if not np.all(np.isfinite(z)):
         raise ValueError("statistics must be finite")
-    picked = z[list(cols)]
-    return np.abs(picked).max() if config.sided == TWO_SIDED else picked.max()
+    return _max_statistic(z[list(cols)], config.sided).max()
 
 
 def _singleton_p(z_obs: float, sided: str):
@@ -138,10 +137,7 @@ def stage_pvalue(
         p = _singleton_p(z_obs, config.sided)
     else:
         corr = correlation(config, subset)
-        if config.sided == TWO_SIDED:
-            rect = Rectangle.centered(max(z_obs, 0.0), len(subset))
-        else:
-            rect = Rectangle.below(z_obs, len(subset))
+        rect = _max_rect(z_obs, len(subset), config.sided == TWO_SIDED)
         run_seed = _derived_seed(seed, ("stage-p", _class_key(config, subset)))
         p = 1.0 - mvn_rect(0.0, corr, rect, accuracy=accuracy, seed=run_seed).value
     return StagePValue(frozenset(subset), int(stage), float(min(max(p, 0.0), 1.0)))
@@ -202,8 +198,7 @@ def flexible_closed_test(
     free to deviate from the original plan between stages; only the weights
     are fixed.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _check_alpha(alpha)
     config = data.config
     weights = _coerce_weights(weights, data.n_analyses)
     combined: dict = {}
@@ -246,10 +241,17 @@ class TailProbabilityTable(_ClassCache):
     accuracy: float = 1e-4
     grid_step: float = 0.05
 
+    def __post_init__(self) -> None:
+        lo, hi = _max_range(self.config.sided == TWO_SIDED)
+        # below twice the span, the grid on [lo, hi] has at least two nodes
+        if not 0.0 < self.grid_step < 2.0 * (hi - lo):
+            raise ValueError(f"grid_step must be positive and below "
+                             f"{2.0 * (hi - lo):g}, got {self.grid_step!r}")
+        super().__post_init__()
+
     def _grid(self) -> np.ndarray:
-        lo = 0.0 if self.config.sided == TWO_SIDED else -8.0
-        n = int(round((8.0 - lo) / self.grid_step)) + 1
-        return np.linspace(lo, 8.0, n)
+        lo, hi = _max_range(self.config.sided == TWO_SIDED)
+        return np.linspace(lo, hi, int(round((hi - lo) / self.grid_step)) + 1)
 
     def _solve(self, key) -> PchipInterpolator:
         """Interpolant of G(c) over the grid for one class."""
@@ -260,12 +262,10 @@ class TailProbabilityTable(_ClassCache):
         corr = _key_correlation(key)
         run_seed = _derived_seed(self.seed, ("grid", key))
         grid = self._grid()
-        dim = corr.dim
-        two_sided = self.config.sided == TWO_SIDED
+        central = self.config.sided == TWO_SIDED
         vals = np.empty_like(grid)
         for idx, c in enumerate(grid):
-            rect = (Rectangle.centered(c, dim) if two_sided
-                    else Rectangle.below(c, dim))
+            rect = _max_rect(c, corr.dim, central)
             vals[idx] = mvn_rect(
                 0.0, corr, rect, accuracy=self.accuracy, seed=run_seed
             ).value
@@ -280,7 +280,7 @@ class TailProbabilityTable(_ClassCache):
             p = _singleton_p(z, self.config.sided)
         else:
             grid = self._grid()
-            g = self._lookup(subset)(np.clip(z, grid[0], grid[-1]))
+            g = self.value(subset)(np.clip(z, grid[0], grid[-1]))
             p = np.clip(1.0 - g, 0.0, 1.0)
         return float(p) if np.ndim(z_obs) == 0 else p
 
@@ -300,8 +300,7 @@ def batch_flexible_test(
     demand), trading the exact rectangle quadrature for interpolation error
     of a few times the table accuracy.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _check_alpha(alpha)
     z = np.asarray(z_stage, dtype=float)
     if z.ndim != 3 or z.shape[2] != config.n_comparisons:
         raise ValueError(
@@ -312,7 +311,7 @@ def batch_flexible_test(
     weights = _coerce_weights(weights, n_stages)
     if table is None:
         table = TailProbabilityTable(config)
-    stat = np.abs(z) if config.sided == TWO_SIDED else z
+    stat = _max_statistic(z, config.sided)
 
     def crossing(subset: frozenset, top: np.ndarray) -> np.ndarray:
         stage_ps = [table.pvalue(subset, top[:, q]) for q in range(n_stages)]

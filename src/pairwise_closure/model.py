@@ -12,6 +12,10 @@ Every pair-indexed quantity derives from one arm-index table,
 :func:`_pair_arms`: comparison k contrasts arm ``ii[k-1]`` with arm
 ``jj[k-1]``.  In matrix form that is the signed comparison-arm incidence
 matrix B, and the covariance of the statistics is B diag(sigma^2/n) B^T.
+
+The statistic every max test reads, |z| or z by sidedness, is
+:func:`_max_statistic`, and the one check of a significance level is
+:func:`_check_alpha`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,6 +48,18 @@ def n_comparisons(n_arms: int, sided: str = TWO_SIDED) -> int:
 def _check_sided(sided: str) -> None:
     if sided not in (TWO_SIDED, ONE_SIDED):
         raise ValueError(f"sided must be {TWO_SIDED!r} or {ONE_SIDED!r}, got {sided!r}")
+
+
+def _check_alpha(alpha: float) -> None:
+    """The one check of a significance level; NaN fails it too."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+
+
+def _max_statistic(z, sided: str):
+    """The statistics a max test reads: |z| for two-sided families, z itself
+    for one-sided ones, whose reversed directions are separate comparisons."""
+    return np.abs(z) if sided == TWO_SIDED else z
 
 
 @dataclass(frozen=True)

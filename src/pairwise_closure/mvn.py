@@ -34,6 +34,16 @@ than at every point.  These shortcuts are exact in IEEE arithmetic; only the
 chunk size and the round boundaries fix the order in which partial sums are
 added.
 
+A coordinate whose limits are both infinite is dropped, with its row and
+column, before the factorization, since its marginal probability is 1; a
+group-sequential rectangle marks an analysis with nothing to spend that way.
+
+Two-sided and one-sided families differ in three facts, each written once.
+The statistic a max test reads is |z| or z (``model._max_statistic``).  The
+maximum stays below c on the cube (-c, c)^d or on the orthant (-inf, c)^d
+(``_max_rect``).  A maximum is searched or tabulated on [0, 8] or [-8, 8]
+(``_max_range``).
+
 Equicoordinate quantiles, and the stage boundaries of the group-sequential
 module, are roots in one scalar of such probabilities.  ``_two_phase_root``
 finds them with cheap low-accuracy evaluations first and only two
@@ -108,6 +118,23 @@ class Rectangle:
     def below(cls, c: float, dim: int) -> "Rectangle":
         """The one-sided region (-inf, c)^dim."""
         return cls(np.full(dim, -np.inf), np.full(dim, c))
+
+
+def _max_rect(c, dim: int, central: bool) -> Rectangle:
+    """The event that a maximum statistic stays below ``c``.
+
+    The cube (-c, c)^dim for a max |Z| (``central``), the orthant
+    (-inf, c)^dim for a max Z.  ``c`` is a number or one limit per
+    coordinate; an infinite limit leaves that coordinate unbounded.
+    """
+    upper = np.full(dim, c, dtype=float)
+    return Rectangle(-upper if central else np.full(dim, -np.inf), upper)
+
+
+def _max_range(central: bool) -> tuple[float, float]:
+    """The interval on which a maximum statistic is searched or tabulated:
+    [0, 8] for a max |Z|, [-8, 8] for a max Z."""
+    return (0.0 if central else -8.0), 8.0
 
 
 @dataclass(frozen=True)
@@ -397,7 +424,11 @@ def mvn_rect(
         matrices are handled exactly by folding dependent coordinates into
         interval constraints.
     rect : Rectangle
-        Integration region; infinite limits allowed.
+        Integration region; infinite limits allowed.  A coordinate
+        unbounded on both sides contributes its marginal, which is 1, so it
+        is dropped, with its row and column, before the factorization: the
+        result is that of the rectangle without it, and a rectangle
+        unbounded everywhere has probability exactly 1.
     accuracy : float
         Absolute error target for the estimate; finite and positive.
     seed : int
@@ -417,10 +448,7 @@ def mvn_rect(
         twelve times the lattice points of the last round.
     """
     _check_accuracy(accuracy)
-    if isinstance(corr, CorrelationModel):
-        model = corr
-    else:
-        model = CorrelationModel(np.asarray(corr, dtype=float))
+    model = corr if isinstance(corr, CorrelationModel) else CorrelationModel(corr)
     dim = model.dim
     if rect.dim != dim:
         raise ValueError(f"rectangle dimension {rect.dim} does not match matrix {dim}")
@@ -429,10 +457,16 @@ def mvn_rect(
         raise ValueError("mean must be finite")
     lo = rect.lower - mu
     hi = rect.upper - mu
-    if dim == 1:
+    # a coordinate unbounded on both sides contributes its marginal, 1
+    keep = np.flatnonzero((lo > -np.inf) | (hi < np.inf))
+    lo, hi = lo[keep], hi[keep]
+    if keep.size == 0:
+        return ProbResult(1.0, 0.0, 0)
+    if keep.size == 1:
         value = float(np.clip(ndtr(hi[0]) - ndtr(lo[0]), 0.0, 1.0))
         return ProbResult(value, 1e-15, 0)
-    cho, tlo, thi, rank = _ordered_cholesky(model.matrix, lo, hi)
+    matrix = model.matrix if keep.size == dim else model.matrix[np.ix_(keep, keep)]
+    cho, tlo, thi, rank = _ordered_cholesky(matrix, lo, hi)
     try:
         steps = _integration_plan(cho, tlo, thi, rank)
     except _ZeroProbability:
@@ -490,21 +524,19 @@ def equicoord_quantile(
         raise ValueError(f"tail must be 'central' or 'upper', got {tail!r}")
     _check_accuracy(accuracy)
     _check_tol(tol)
-    if isinstance(corr, CorrelationModel):
-        model = corr
-    else:
-        model = CorrelationModel(np.asarray(corr, dtype=float))
+    model = corr if isinstance(corr, CorrelationModel) else CorrelationModel(corr)
     dim = model.dim
     if dim == 1:
         return float(ndtri(0.5 * (1.0 + prob)) if tail == "central" else ndtri(prob))
 
+    central = tail == "central"
+
     def objective(c: float, acc: float) -> float:
-        rect = Rectangle.centered(c, dim) if tail == "central" else Rectangle.below(c, dim)
+        rect = _max_rect(c, dim, central)
         return mvn_rect(0.0, model, rect, accuracy=acc, seed=seed).value - prob
 
     coarse_acc = max(accuracy, min(5e-4, 0.05 * (1.0 - prob)))
-    lo = 0.0 if tail == "central" else -8.0
-    return _two_phase_root(objective, lo, 8.0, tol, accuracy, coarse_acc)
+    return _two_phase_root(objective, *_max_range(central), tol, accuracy, coarse_acc)
 
 
 def _check_tol(tol: float) -> None:

@@ -23,14 +23,16 @@ from .model import (
     TWO_SIDED,
     MeanConfig,
     TrialConfig,
+    _check_alpha,
+    _max_statistic,
     correlation,
     standardized_means,
 )
 from .mvn import (
     DEFAULT_ACCURACY,
     DEFAULT_QUANTILE_TOL,
-    Rectangle,
     SolverError,
+    _max_rect,
     equicoord_quantile,
     mvn_rect,
 )
@@ -75,8 +77,13 @@ def _mu(means, n_arms: int) -> np.ndarray:
     return vec
 
 
-def _reject_rect(c: float, m: int, sided: str) -> Rectangle:
-    return Rectangle.centered(c, m) if sided == TWO_SIDED else Rectangle.below(c, m)
+def _quadrature_power(config, mu, corr, c_full, accuracy, seed) -> float:
+    """Disjunctive power by quadrature: the chance that the maximum of the
+    statistics, with correlation ``corr`` over the full family and means
+    from ``mu``, crosses the full-family critical value ``c_full``."""
+    zeta = standardized_means(config, mu, stage=1)
+    rect = _max_rect(c_full, corr.dim, config.sided == TWO_SIDED)
+    return 1.0 - mvn_rect(zeta, corr, rect, accuracy=accuracy, seed=seed).value
 
 
 def disjunctive_power(
@@ -120,23 +127,15 @@ def disjunctive_power(
         table = critical_values(config, alpha, seed=seed, accuracy=accuracy)
     elif table.config != config or table.alpha != alpha:
         raise ValueError("table was built for a different config or alpha")
-    zeta = standardized_means(config, mu, stage=1)
     m = config.n_comparisons
     c_full = table.value(table.full_set())
     if method == "quadrature":
-        prob = mvn_rect(
-            zeta,
-            correlation(config, range(1, m + 1)),
-            _reject_rect(c_full, m, config.sided),
-            accuracy=accuracy,
-            seed=seed,
-        )
-        return PowerResult(disjunctive=1.0 - prob.value)
+        corr = correlation(config, range(1, m + 1))
+        return PowerResult(_quadrature_power(config, mu, corr, c_full, accuracy, seed))
     if method != "simulation":
         raise ValueError(f"unknown method {method!r}")
     z = simulate_statistics(config, mu, n_reps, seed)[0][:, 0, :]
-    stat = np.abs(z) if config.sided == TWO_SIDED else z
-    rejected = batch_closed_test(stat, table)
+    rejected = batch_closed_test(_max_statistic(z, config.sided), table)
     count = rejected.sum(axis=1)
     per_count = tuple(float(np.mean(count == r)) for r in range(m + 1))
     disjunctive = 1.0 - per_count[0]
@@ -182,6 +181,7 @@ def sample_size(
         If the target is unreachable, in particular when all means are
         equal so power cannot exceed alpha.
     """
+    _check_alpha(alpha)
     if not 0.0 < power_target < 1.0:
         raise ValueError("power_target must lie strictly between 0 and 1")
     mu = _mu(means, config.n_arms)
@@ -195,8 +195,7 @@ def sample_size(
     def power_at(n_nominal: int) -> float:
         arms = _arm_sizes(config.alloc, n_nominal)
         cfg = config.with_stage_n((arms,))
-        m = cfg.n_comparisons
-        corr = correlation(cfg, range(1, m + 1))
+        corr = correlation(cfg, range(1, cfg.n_comparisons + 1))
         key = np.round(corr.matrix, 12).tobytes()
         c_full = crit_cache.get(key)
         if c_full is None:
@@ -209,11 +208,7 @@ def sample_size(
                 tail="upper" if cfg.sided == ONE_SIDED else "central",
             )
             crit_cache[key] = c_full
-        zeta = standardized_means(cfg, mu, stage=1)
-        prob = mvn_rect(
-            zeta, corr, _reject_rect(c_full, m, cfg.sided), accuracy=accuracy, seed=seed
-        )
-        return 1.0 - prob.value
+        return _quadrature_power(cfg, mu, corr, c_full, accuracy, seed)
 
     lo = hi = config.n_arms
     while power_at(hi) < power_target:

@@ -26,17 +26,17 @@ from scipy.special import ndtr, ndtri
 
 from .closure import (
     ClosureDecision,
-    _check_subset,
     _ClassCache,
     _closure_rule,
     _derived_seed,
     _key_correlation,
 )
 from .model import (
-    ONE_SIDED,
     TWO_SIDED,
     CorrelationModel,
     TrialConfig,
+    _check_alpha,
+    _max_statistic,
     _pair_arms,
     _resolved_arms,
     correlation,
@@ -45,8 +45,9 @@ from .model import (
 from .mvn import (
     DEFAULT_ACCURACY,
     DEFAULT_QUANTILE_TOL,
-    Rectangle,
     _check_tol,
+    _max_range,
+    _max_rect,
     _two_phase_root,
     equicoord_quantile,
     mvn_rect,
@@ -178,22 +179,20 @@ class SpendingSchedule:
         if q == 1:
             return cls(times, (alpha,), name="pocock")
         corr = _reference_corr(times)
-
-        def escape_by(stage: int, c: float) -> float:
-            sub = CorrelationModel(corr[: stage, : stage])
-            rect = Rectangle.centered(c, stage)
-            return 1.0 - mvn_rect(0.0, sub, rect, accuracy=accuracy, seed=seed).value
-
         c_const = equicoord_quantile(
             corr, 1.0 - alpha, seed=seed, tol=tol, accuracy=accuracy
         )
-        spends = [escape_by(stage, c_const) for stage in range(1, q)] + [alpha]
-        return cls(times, tuple(spends), name="pocock")
+        spends = [_crossing_prob(corr[:s, :s], np.full(s, c_const), True, accuracy, seed)
+                  for s in range(1, q)]
+        return cls(times, tuple(spends) + (alpha,), name="pocock")
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+def _crossing_prob(joint, upper, central: bool, accuracy: float, seed: int) -> float:
+    """Probability that a null process with correlation ``joint`` crosses
+    ``upper`` (in absolute value when ``central``) at some coordinate; an
+    infinite entry marks an analysis that cannot stop."""
+    rect = _max_rect(upper, len(upper), central)
+    return 1.0 - mvn_rect(0.0, joint, rect, accuracy=accuracy, seed=seed).value
 
 
 def _reference_corr(times: Sequence[float]) -> np.ndarray:
@@ -216,23 +215,6 @@ def joint_covariance(config: TrialConfig, members: Iterable[int] | None = None) 
     base = correlation(config, members).matrix
     t = config.info_fractions()
     return np.kron(_reference_corr(t), base)
-
-
-def _stage_rect(
-    c_by_stage: Sequence[float], widths: int, sided: str
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Bounds for the joint rectangle, dropping stages with infinite bounds."""
-    lower, upper, keep = [], [], []
-    for q, c in enumerate(c_by_stage):
-        if math.isinf(c):
-            continue
-        keep.extend(range(q * widths, (q + 1) * widths))
-        if sided == TWO_SIDED:
-            lower.extend([-c] * widths)
-        else:
-            lower.extend([-np.inf] * widths)
-        upper.extend([c] * widths)
-    return np.asarray(lower), np.asarray(upper), keep
 
 
 @dataclass
@@ -278,44 +260,38 @@ class BoundarySchedule(_ClassCache):
         return (super()._key(members), self.schedule.info_times,
                 tuple(round(a, 12) for a in self.schedule.per_stage))
 
+    def _served(self, subset: frozenset) -> frozenset:
+        return self.full_set() if self.generalised else subset
+
     def _solve(self, key) -> tuple[float, ...]:
         base = _key_correlation(key[0]).matrix
         width = base.shape[0]
-        times = self.config.info_fractions()
+        joint = np.kron(_reference_corr(self.config.info_fractions()), base)
         seed = _derived_seed(self.seed, key)
-        spends = self.schedule.per_stage
-        sided = self.config.sided
-        tail_lo = 0.0 if sided == TWO_SIDED else -8.0
+        central = self.config.sided == TWO_SIDED
         values: list[float] = []
         prev = 0.0
-        for q, alpha_q in enumerate(spends, start=1):
+        for q, alpha_q in enumerate(self.schedule.per_stage, start=1):
             if alpha_q - prev < _SPEND_FLOOR:
                 values.append(math.inf)
                 continue
             prev = alpha_q
-            joint = CorrelationModel(np.kron(_reference_corr(times[:q]), base))
+            # the stages so far: earlier boundaries, then the one solved for
+            block = CorrelationModel(joint[: q * width, : q * width])
+            upper = np.repeat(values + [math.nan], width)
 
             def objective(c: float, acc: float) -> float:
-                lower, upper, keep = _stage_rect(values + [c], width, sided)
-                sub = CorrelationModel(joint.matrix[np.ix_(keep, keep)])
-                rect = Rectangle(lower, upper)
-                prob = mvn_rect(0.0, sub, rect, accuracy=acc, seed=seed).value
-                return (1.0 - prob) - alpha_q
+                upper[-width:] = c
+                return _crossing_prob(block, upper, central, acc, seed) - alpha_q
 
             coarse = max(self.accuracy, min(5e-4, 0.05 * max(alpha_q, 1e-3)))
             values.append(
                 _two_phase_root(
-                    objective, tail_lo, 8.0,
+                    objective, *_max_range(central),
                     tol=self.tol, accuracy=self.accuracy, coarse=coarse,
                 )
             )
         return tuple(values)
-
-    def value(self, members: Iterable[int]) -> tuple[float, ...]:
-        """Q-vector of boundaries for one subset (the full set's when
-        generalised)."""
-        subset = _check_subset(self.n_comparisons, members)
-        return self._lookup(self.full_set() if self.generalised else subset)
 
 
 def gs_boundaries(
@@ -439,7 +415,7 @@ def gs_closed_test(data: StageData, boundaries: BoundarySchedule) -> ClosureDeci
     """
     if data.config != boundaries.config:
         raise ValueError("data and boundaries disagree on the trial configuration")
-    stat = np.abs(data.z_cum) if data.config.sided == TWO_SIDED else data.z_cum
+    stat = _max_statistic(data.z_cum, data.config.sided)
     q_obs = data.n_analyses
     crossing = _first_crossings(boundaries, q_obs)
     crossed_at: dict = {}
@@ -481,8 +457,7 @@ def batch_gs_test(
         )
     if not 1 <= z.shape[1] <= config.n_stages:
         raise ValueError("number of analyses exceeds the planned schedule")
-    stat = np.abs(z) if config.sided == TWO_SIDED else z
-    return _closure_rule(stat, _first_crossings(boundaries, z.shape[1]))
+    return _closure_rule(_max_statistic(z, config.sided), _first_crossings(boundaries, z.shape[1]))
 
 
 def drop_treatments(decision: ClosureDecision, config: TrialConfig) -> set[int]:

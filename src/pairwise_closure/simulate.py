@@ -28,7 +28,14 @@ from .closure import (
     critical_values,
 )
 from .combination import CombinationWeights, TailProbabilityTable, batch_flexible_test
-from .model import TWO_SIDED, MeanConfig, TrialConfig, _pair_arms, _resolved_arms
+from .model import (
+    MeanConfig,
+    TrialConfig,
+    _check_alpha,
+    _max_statistic,
+    _pair_arms,
+    _resolved_arms,
+)
 from .mvn import DEFAULT_ACCURACY, NumericsError
 from .sequential import (
     SpendingSchedule,
@@ -81,8 +88,7 @@ class SimScenario:
             raise ValueError("procedures must be distinct")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
+        _check_alpha(self.alpha)
         if any(t in _STAGED for t in procedures) and self.spending is None:
             raise ValueError("staged procedures need a spending schedule")
         if "global" in procedures:
@@ -182,11 +188,9 @@ def _build_resources(scenario: SimScenario) -> dict[str, Callable]:
     solve = {"seed": scenario.seed, "accuracy": scenario.accuracy}
 
     def single(decide):
-        # single-analysis rules read the final statistics, as absolute values
-        # for two-sided families
+        # single-analysis rules read the final statistics
         def rule(z_cum, z_stage):
-            final = z_cum[:, -1, :]
-            return decide(np.abs(final) if sided == TWO_SIDED else final), None
+            return decide(_max_statistic(z_cum[:, -1, :], sided)), None
         return rule
 
     cut_one = _normal_cut(alpha, 1, sided)

@@ -226,6 +226,21 @@ class TestGsBoundaries:
         assert bounds[0] is None
         assert abs(bounds[1] - 1.9600) < 1e-3
 
+    def test_threads_do_not_change_values(self, capsys):
+        base = ["gs-boundaries", "--input", json.dumps(self.REQUEST), "--deterministic"]
+        serial = run_cli(base + ["--threads", "1"], capsys)
+        parallel = run_cli(base + ["--threads", "2"], capsys)
+        assert serial[0] == 0
+        assert serial == parallel
+
+    def test_threads_are_validated(self, capsys):
+        status, _, err = run_cli(
+            ["gs-boundaries", "--input", json.dumps(self.REQUEST), "--threads", "0"],
+            capsys,
+        )
+        assert status == 2
+        assert "--threads" in json.loads(err)["error"]["message"]
+
     def test_unknown_spending_type(self, capsys):
         request = dict(self.REQUEST, spending={"type": "linear"})
         status, _, err = run_cli(

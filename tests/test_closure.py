@@ -330,6 +330,16 @@ class TestOneSided:
             b = one_sided_closed_test(z6, one_sided_k3, method="lattice")
             assert a.rejected == b.rejected
 
+    def test_shortcut_local_matches_lattice(self, one_sided_k3):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            z3 = rng.normal(loc=rng.choice([-2.0, 0.0, 2.0], size=3))
+            z6 = np.concatenate([z3, -z3])
+            a = one_sided_closed_test(z6, one_sided_k3, method="shortcut")
+            b = one_sided_closed_test(z6, one_sided_k3, method="lattice")
+            assert dict(a.local) == b.local
+            assert len(a.local) == 63
+
     def test_batch_matches_lattice(self, one_sided_k3):
         rng = np.random.default_rng(23)
         z3 = rng.normal(loc=rng.choice([-2.0, 0.0, 2.0], size=(200, 3)))

@@ -302,6 +302,21 @@ class TestTailProbabilityTable:
         assert got[0] > 0.999
         assert got[1] < 1e-8
 
+    @pytest.mark.parametrize("sided", ["two-sided", "one-sided"])
+    @pytest.mark.parametrize("step", [0.0, -0.05, math.nan, math.inf, 100.0])
+    def test_grid_step_is_validated_at_construction(self, sided, step):
+        cfg = TrialConfig.single_stage(3, 1.0, 100, sided=sided)
+        with pytest.raises(ValueError, match="grid_step"):
+            TailProbabilityTable(cfg, grid_step=step)
+
+    @pytest.mark.parametrize("sided, span", [("two-sided", 8.0), ("one-sided", 16.0)])
+    def test_coarsest_grid_has_two_nodes(self, sided, span):
+        cfg = TrialConfig.single_stage(3, 1.0, 100, sided=sided)
+        coarsest = TailProbabilityTable(cfg, grid_step=np.nextafter(2.0 * span, 0.0))
+        assert coarsest._grid().tolist() == [8.0 - span, 8.0]
+        with pytest.raises(ValueError, match="grid_step"):
+            TailProbabilityTable(cfg, grid_step=2.0 * span)
+
     def test_validation(self, tail_table):
         with pytest.raises(ValueError):
             tail_table.pvalue([], 1.0)

@@ -97,6 +97,28 @@ def test_config_validation():
         TrialConfig.single_stage(2, 1.0, 10, sided="both")
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, np.nan])
+def test_every_layer_shares_the_alpha_check(alpha):
+    from pairwise_closure import closure, combination, power, sequential, simulate
+
+    cfg = TrialConfig.single_stage(3, 1.0, 20)
+    staged = cfg.with_stage_n(((10,) * 3, (20,) * 3))
+    z = np.zeros((1, 2, 3))
+    checks = [
+        lambda: closure.critical_values(cfg, alpha),
+        lambda: closure.unadjusted_test([1.0], alpha),
+        lambda: combination.flexible_closed_test(
+            sequential.StageData(staged, z[0], z[0]), alpha=alpha),
+        lambda: combination.batch_flexible_test(z, staged, alpha=alpha),
+        lambda: simulate.SimScenario(cfg, (0.0,) * 3, ("dunnett",), alpha=alpha),
+        lambda: sequential.SpendingSchedule.obrien_fleming(alpha, (0.5, 1.0)),
+        lambda: power.sample_size(cfg, power.lfc(3, 0.5), alpha=alpha),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match="^alpha must lie strictly between 0 and 1$"):
+            check()
+
+
 def test_config_round_trip_json():
     config = TrialConfig(3, (1.0, 2.0, 0.5), (0.25, 0.5, 0.25), ((10, 20, 10), (20, 40, 20)))
     again = TrialConfig.from_json(config.to_json())

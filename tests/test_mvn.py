@@ -407,6 +407,36 @@ def test_matches_scipy_oracle_with_infinite_limits():
     assert misses <= 1
 
 
+def test_coordinate_unbounded_on_both_sides_is_dropped():
+    corr = np.array([[1.0, 0.5, -0.3, 0.1], [0.5, 1.0, 0.2, 0.4],
+                     [-0.3, 0.2, 1.0, 0.3], [0.1, 0.4, 0.3, 1.0]])
+    mean = np.array([0.3, -0.2, 0.1, 0.4])
+    lo = np.array([-1.0, -np.inf, -np.inf, -0.5])
+    hi = np.array([1.5, np.inf, 0.7, np.inf])
+    full = mvn_rect(mean, corr, Rectangle(lo, hi), accuracy=1e-5, seed=4)
+    keep = [0, 2, 3]
+    reduced = mvn_rect(mean[keep], corr[np.ix_(keep, keep)],
+                       Rectangle(lo[keep], hi[keep]), accuracy=1e-5, seed=4)
+    assert full == reduced
+    assert full.n_points > 0
+    # one bounded coordinate left: the univariate closed form
+    only = Rectangle(np.full(4, -np.inf), [np.inf, np.inf, 0.7, np.inf])
+    assert mvn_rect(mean, corr, only) == ProbResult(float(ndtr(0.7 - 0.1)), 1e-15, 0)
+
+
+def test_rectangle_unbounded_everywhere_is_exactly_one():
+    for dim in (1, 3):
+        everywhere = Rectangle(np.full(dim, -np.inf), np.full(dim, np.inf))
+        res = mvn_rect(0.5, pairwise_corr(3)[:dim, :dim], everywhere)
+        assert res.value == 1.0
+
+
+def test_empty_interval_at_infinity_is_not_dropped():
+    # (inf, inf) has both limits infinite but holds no mass
+    rect = Rectangle([np.inf, -1.0], [np.inf, 1.0])
+    assert mvn_rect(0.0, np.eye(2), rect).value == 0.0
+
+
 def _honesty_cases():
     orthant = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.4], [-0.2, 0.4, 1.0]])
     # P(max_{i<j} |X_i - X_j| / sqrt 2 < c) is the studentized range cdf at

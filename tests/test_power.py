@@ -193,6 +193,11 @@ class TestSampleSize:
         assert n2 == n3
         assert n1 in (2 * n2 - 1, 2 * n2, 2 * n2 + 1)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_alpha_validation(self, cfg_k3, alpha):
+        with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+            sample_size(cfg_k3, lfc(3, 0.5), alpha=alpha)
+
     def test_equal_means_cannot_reach_target(self, cfg_k3):
         with pytest.raises(SolverError):
             sample_size(cfg_k3, [1.0, 1.0, 1.0], power_target=0.5)
