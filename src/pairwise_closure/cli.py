@@ -196,13 +196,13 @@ def _cmd_design(data: dict, args) -> tuple[dict, list, list]:
     sided = _SIDED.get(data.get("sided", "two-sided"))
     if sided is None:
         raise _InputError("sided must be 'two-sided' or 'one-sided'")
+    config = TrialConfig.single_stage(n_arms, sigma2, 2, sided=sided)
     if "means" in data:
         means = MeanConfig(tuple(data["means"]), delta=data.get("delta"))
         if len(set(means.mu)) == 1:
             raise _InputError("all arm means are equal; no difference to power for")
     else:
-        means = lfc(int(n_arms), float(_require(data, "delta", "the request")))
-    config = TrialConfig.single_stage(int(n_arms), sigma2, 2, sided=sided)
+        means = lfc(config.n_arms, float(_require(data, "delta", "the request")))
     result = sample_size(
         config,
         means,

@@ -28,8 +28,8 @@ import zlib
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
-from dataclasses import dataclass, field, fields
-from typing import Callable, ClassVar, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -42,11 +42,18 @@ from .model import (
     TrialConfig,
     _check_alpha,
     _max_statistic,
+    _normal_tails,
     _pair_arms,
     _pair_correlation,
     correlation,  # noqa: F401  perfbench/spans.py wraps closure.correlation
 )
-from .mvn import DEFAULT_ACCURACY, DEFAULT_QUANTILE_TOL, _check_tol, equicoord_quantile
+from .mvn import (
+    DEFAULT_ACCURACY,
+    DEFAULT_QUANTILE_TOL,
+    _check_tol,
+    _quantile_tail,
+    equicoord_quantile,
+)
 
 __all__ = [
     "CriticalValueTable",
@@ -162,25 +169,14 @@ class _ClassCache:
     value a lookup returns.  ``value`` validates a subset, memoizes its
     class key and solves each class once; ``entries`` materializes every
     subset of the lattice, solving distinct classes in worker processes
-    when asked.  The two dicts are ordinary fields, so a copy made with
-    ``dataclasses.replace`` shares the cache with its original, unless the
-    copy changes a solve input (any public field not listed in
-    ``_SERVING_FIELDS``); such a copy starts with an empty cache.
+    when asked.  The cache belongs to one object and is not an argument of
+    ``__init__``, so a copy made with ``dataclasses.replace`` always starts
+    with an empty cache.
     """
 
     config: TrialConfig
-    _class_values: dict = field(default_factory=dict, repr=False, kw_only=True)
-    _subset_keys: dict = field(default_factory=dict, repr=False, kw_only=True)
-    _inputs: list | None = field(default=None, repr=False, kw_only=True)
-
-    # public fields that change how values are served, not how they are solved
-    _SERVING_FIELDS: ClassVar[tuple[str, ...]] = ()
-
-    def __post_init__(self) -> None:
-        inputs = [getattr(self, f.name) for f in fields(self)
-                  if f.name[0] != "_" and f.name not in self._SERVING_FIELDS]
-        if inputs != self._inputs:
-            self._class_values, self._subset_keys, self._inputs = {}, {}, inputs
+    _class_values: dict = field(default_factory=dict, init=False, repr=False)
+    _subset_keys: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_comparisons(self) -> int:
@@ -249,11 +245,10 @@ class CriticalValueTable(_ClassCache):
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
         _check_tol(self.tol)
-        super().__post_init__()
 
     @property
     def tail(self) -> str:
-        return "upper" if self.config.sided == ONE_SIDED else "central"
+        return _quantile_tail(self.config.central)
 
     def _solve(self, key) -> float:
         return equicoord_quantile(
@@ -262,7 +257,12 @@ class CriticalValueTable(_ClassCache):
         )
 
     def classes(self, threads: int = 1) -> list[dict]:
-        """Summaries of the distinct correlation-equivalence classes."""
+        """Summaries of the distinct correlation-equivalence classes.
+
+        Entries come by size and then lexicographically, so the first
+        subset seen of each class is its smallest, and classes come in the
+        order of those representatives.
+        """
         entries = self.entries(threads=threads)
         by_key: dict = {}
         for subset, value in entries.items():
@@ -277,9 +277,7 @@ class CriticalValueTable(_ClassCache):
                 },
             )
             info["n_subsets"] += 1
-            if tuple(sorted(subset)) < info["representative"]:
-                info["representative"] = tuple(sorted(subset))
-        out = sorted(by_key.values(), key=lambda d: (d["size"], d["representative"]))
+        out = list(by_key.values())
         for idx, info in enumerate(out, start=1):
             info["class_id"] = idx
         return out
@@ -549,8 +547,7 @@ def _normal_cut(alpha: float, m: int, sided: str) -> float:
     """Per-comparison normal cut at level alpha/m, split over two tails when
     the family is two-sided."""
     _check_alpha(alpha)
-    tails = 2.0 if sided == TWO_SIDED else 1.0
-    return float(ndtri(1.0 - alpha / (tails * m)))
+    return float(ndtri(1.0 - alpha / (_normal_tails(sided) * m)))
 
 
 def _fixed_sequence(stat: np.ndarray, cut: float, order: Iterable[int]) -> np.ndarray:

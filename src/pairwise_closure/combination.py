@@ -34,7 +34,7 @@ from .closure import (
     _derived_seed,
     _key_correlation,
 )
-from .model import TWO_SIDED, TrialConfig, _check_alpha, _max_statistic, correlation
+from .model import TrialConfig, _check_alpha, _max_statistic, _normal_tails, correlation
 from .mvn import DEFAULT_ACCURACY, _max_range, _max_rect, mvn_rect
 from .sequential import StageData
 
@@ -108,9 +108,7 @@ def _observed_max(config: TrialConfig, z_row: Sequence[float], cols: Sequence[in
 
 def _singleton_p(z_obs: float, sided: str):
     # exact univariate tails; z_obs is max |Z| (two-sided) or max Z
-    if sided == TWO_SIDED:
-        return 2.0 * ndtr(-z_obs)
-    return ndtr(-z_obs)
+    return _normal_tails(sided) * ndtr(-z_obs)
 
 
 def stage_pvalue(
@@ -137,7 +135,7 @@ def stage_pvalue(
         p = _singleton_p(z_obs, config.sided)
     else:
         corr = correlation(config, subset)
-        rect = _max_rect(z_obs, len(subset), config.sided == TWO_SIDED)
+        rect = _max_rect(z_obs, len(subset), config.central)
         run_seed = _derived_seed(seed, ("stage-p", _class_key(config, subset)))
         p = 1.0 - mvn_rect(0.0, corr, rect, accuracy=accuracy, seed=run_seed).value
     return StagePValue(frozenset(subset), int(stage), float(min(max(p, 0.0), 1.0)))
@@ -242,15 +240,14 @@ class TailProbabilityTable(_ClassCache):
     grid_step: float = 0.05
 
     def __post_init__(self) -> None:
-        lo, hi = _max_range(self.config.sided == TWO_SIDED)
+        lo, hi = _max_range(self.config.central)
         # below twice the span, the grid on [lo, hi] has at least two nodes
         if not 0.0 < self.grid_step < 2.0 * (hi - lo):
             raise ValueError(f"grid_step must be positive and below "
                              f"{2.0 * (hi - lo):g}, got {self.grid_step!r}")
-        super().__post_init__()
 
     def _grid(self) -> np.ndarray:
-        lo, hi = _max_range(self.config.sided == TWO_SIDED)
+        lo, hi = _max_range(self.config.central)
         return np.linspace(lo, hi, int(round((hi - lo) / self.grid_step)) + 1)
 
     def _solve(self, key) -> PchipInterpolator:
@@ -262,10 +259,9 @@ class TailProbabilityTable(_ClassCache):
         corr = _key_correlation(key)
         run_seed = _derived_seed(self.seed, ("grid", key))
         grid = self._grid()
-        central = self.config.sided == TWO_SIDED
         vals = np.empty_like(grid)
         for idx, c in enumerate(grid):
-            rect = _max_rect(c, corr.dim, central)
+            rect = _max_rect(c, corr.dim, self.config.central)
             vals[idx] = mvn_rect(
                 0.0, corr, rect, accuracy=self.accuracy, seed=run_seed
             ).value

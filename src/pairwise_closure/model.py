@@ -62,6 +62,20 @@ def _max_statistic(z, sided: str):
     return np.abs(z) if sided == TWO_SIDED else z
 
 
+def _normal_tails(sided: str) -> float:
+    """How many normal tails one comparison's level is spread over: two for
+    |z|, one for z."""
+    return 2.0 if sided == TWO_SIDED else 1.0
+
+
+def _whole(value, what: str) -> int:
+    """``value`` as an int; whole floats and numpy integers pass, while a
+    fractional or non-finite number raises ``ValueError``."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PairIndex:
     """One comparison: flat index ``k`` (1-based) and its arm pair ``(i, j)``.
@@ -213,13 +227,14 @@ class TrialConfig:
 
     def __post_init__(self) -> None:
         _check_sided(self.sided)
+        object.__setattr__(self, "n_arms", _whole(self.n_arms, "n_arms"))
         if self.n_arms < 2:
             raise ValueError("need at least two arms")
         object.__setattr__(self, "sigma2", tuple(float(v) for v in self.sigma2))
         object.__setattr__(self, "alloc", tuple(float(r) for r in self.alloc))
-        object.__setattr__(
-            self, "stage_n", tuple(tuple(int(n) for n in row) for row in self.stage_n)
-        )
+        object.__setattr__(self, "stage_n", tuple(
+            tuple(_whole(n, "a per-arm sample size") for n in row) for row in self.stage_n
+        ))
         if len(self.sigma2) != self.n_arms:
             raise ValueError("sigma2 must have one entry per arm")
         if any(v <= 0 or not math.isfinite(v) for v in self.sigma2):
@@ -261,11 +276,12 @@ class TrialConfig:
         sided: str = TWO_SIDED,
     ) -> "TrialConfig":
         """One-analysis trial; scalar ``sigma2``/``n_per_arm`` broadcast to all arms."""
+        n_arms = _whole(n_arms, "n_arms")
         if np.isscalar(sigma2):
             sigma2 = (float(sigma2),) * n_arms
         if np.isscalar(n_per_arm):
-            n_per_arm = (int(n_per_arm),) * n_arms
-        n_row = tuple(int(n) for n in n_per_arm)
+            n_per_arm = (n_per_arm,) * n_arms
+        n_row = tuple(_whole(n, "a per-arm sample size") for n in n_per_arm)
         total = sum(n_row)
         alloc = tuple(n / total for n in n_row)
         return cls(n_arms, tuple(sigma2), alloc, (n_row,), sided)
@@ -277,6 +293,12 @@ class TrialConfig:
     @property
     def n_comparisons(self) -> int:
         return n_comparisons(self.n_arms, self.sided)
+
+    @property
+    def central(self) -> bool:
+        """Whether the max test reads |z|, so that its acceptance region is
+        centred on zero (two-sided) rather than bounded above only."""
+        return self.sided == TWO_SIDED
 
     def pairs(self) -> list[PairIndex]:
         return all_pairs(self.n_arms, self.sided)
@@ -328,7 +350,7 @@ class TrialConfig:
     def from_dict(cls, payload: dict) -> "TrialConfig":
         try:
             return cls(
-                n_arms=int(payload["n_arms"]),
+                n_arms=payload["n_arms"],
                 sigma2=tuple(payload["sigma2"]),
                 alloc=tuple(payload["alloc"]),
                 stage_n=tuple(tuple(row) for row in payload["stage_n"]),

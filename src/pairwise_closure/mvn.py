@@ -38,11 +38,15 @@ A coordinate whose limits are both infinite is dropped, with its row and
 column, before the factorization, since its marginal probability is 1; a
 group-sequential rectangle marks an analysis with nothing to spend that way.
 
-Two-sided and one-sided families differ in three facts, each written once.
-The statistic a max test reads is |z| or z (``model._max_statistic``).  The
-maximum stays below c on the cube (-c, c)^d or on the orthant (-inf, c)^d
-(``_max_rect``).  A maximum is searched or tabulated on [0, 8] or [-8, 8]
-(``_max_range``).
+Two-sided and one-sided families differ in a few facts, each written once.
+The family is two-sided exactly when ``TrialConfig.central`` holds.  The
+statistic a max test reads is |z| or z (``model._max_statistic``), and one
+comparison's level is spread over two normal tails or one
+(``model._normal_tails``).  The maximum stays below c on the cube
+(-c, c)^d or on the orthant (-inf, c)^d (``_max_rect``).  A maximum is
+searched or tabulated on [0, 8] or [-8, 8] (``_max_range``), and its
+quantile takes the ``"central"`` or the ``"upper"`` tail
+(``_quantile_tail``).
 
 Equicoordinate quantiles, and the stage boundaries of the group-sequential
 module, are roots in one scalar of such probabilities.  ``_two_phase_root``
@@ -135,6 +139,11 @@ def _max_range(central: bool) -> tuple[float, float]:
     """The interval on which a maximum statistic is searched or tabulated:
     [0, 8] for a max |Z|, [-8, 8] for a max Z."""
     return (0.0 if central else -8.0), 8.0
+
+
+def _quantile_tail(central: bool) -> str:
+    """The ``tail`` of :func:`equicoord_quantile` for a max |Z| or a max Z."""
+    return "central" if central else "upper"
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,6 @@ import numpy as np
 
 from .closure import CriticalValueTable, batch_closed_test, critical_values
 from .model import (
-    ONE_SIDED,
-    TWO_SIDED,
     MeanConfig,
     TrialConfig,
     _check_alpha,
@@ -33,6 +31,7 @@ from .mvn import (
     DEFAULT_QUANTILE_TOL,
     SolverError,
     _max_rect,
+    _quantile_tail,
     equicoord_quantile,
     mvn_rect,
 )
@@ -82,7 +81,7 @@ def _quadrature_power(config, mu, corr, c_full, accuracy, seed) -> float:
     statistics, with correlation ``corr`` over the full family and means
     from ``mu``, crosses the full-family critical value ``c_full``."""
     zeta = standardized_means(config, mu, stage=1)
-    rect = _max_rect(c_full, corr.dim, config.sided == TWO_SIDED)
+    rect = _max_rect(c_full, corr.dim, config.central)
     return 1.0 - mvn_rect(zeta, corr, rect, accuracy=accuracy, seed=seed).value
 
 
@@ -205,7 +204,7 @@ def sample_size(
                 seed=seed,
                 tol=DEFAULT_QUANTILE_TOL,
                 accuracy=accuracy,
-                tail="upper" if cfg.sided == ONE_SIDED else "central",
+                tail=_quantile_tail(cfg.central),
             )
             crit_cache[key] = c_full
         return _quadrature_power(cfg, mu, corr, c_full, accuracy, seed)

@@ -32,7 +32,6 @@ from .closure import (
     _key_correlation,
 )
 from .model import (
-    TWO_SIDED,
     CorrelationModel,
     TrialConfig,
     _check_alpha,
@@ -224,11 +223,12 @@ class BoundarySchedule(_ClassCache):
     ``value(members)`` returns the Q-vector of critical values for that
     subset, solved lazily and cached per correlation-equivalence class from
     the class's canonical form, so it does not depend on lookup order.  A
-    generalised schedule carries only the full-set vector and serves it for
-    every subset, which is conservative for proper subsets, and shares the
-    class cache with a subset-wise copy made by ``dataclasses.replace``.
+    generalised schedule solves only the full-set vector and serves it for
+    every subset, which is conservative for proper subsets; that vector
+    equals the full set's in a subset-wise schedule with the same inputs.
     The spending schedule is part of every class key and so of every
-    derived seed.
+    derived seed.  Each schedule keeps its own cache, so a copy made with
+    ``dataclasses.replace`` starts with an empty one.
     """
 
     schedule: SpendingSchedule
@@ -237,8 +237,6 @@ class BoundarySchedule(_ClassCache):
     tol: float = DEFAULT_QUANTILE_TOL
     generalised: bool = False
 
-    _SERVING_FIELDS = ("generalised",)
-
     def __post_init__(self) -> None:
         if self.schedule.n_stages != self.config.n_stages:
             raise ValueError("schedule and config disagree on the number of analyses")
@@ -246,7 +244,6 @@ class BoundarySchedule(_ClassCache):
         if np.max(np.abs(times - np.asarray(self.schedule.info_times))) > 1e-6:
             raise ValueError("schedule information times do not match the config")
         _check_tol(self.tol)
-        super().__post_init__()
 
     @property
     def alpha(self) -> float:
@@ -268,7 +265,7 @@ class BoundarySchedule(_ClassCache):
         width = base.shape[0]
         joint = np.kron(_reference_corr(self.config.info_fractions()), base)
         seed = _derived_seed(self.seed, key)
-        central = self.config.sided == TWO_SIDED
+        central = self.config.central
         values: list[float] = []
         prev = 0.0
         for q, alpha_q in enumerate(self.schedule.per_stage, start=1):
@@ -391,16 +388,17 @@ def stage_weights(config: TrialConfig, upto: int | None = None) -> np.ndarray:
     return w
 
 
+def _first_crossing(top: np.ndarray, bounds) -> np.ndarray:
+    """The staged local test: the first analysis (counted from 1) at which
+    ``top``, whose last axis runs over analyses, crosses ``bounds``, or 0."""
+    hits = top > np.asarray(bounds)
+    return np.where(hits.any(axis=-1), hits.argmax(axis=-1) + 1, 0)
+
+
 def _first_crossings(boundaries: BoundarySchedule, q_obs: int):
-    """The staged local test, as a per-subset callback for the closure rule:
-    the first of the ``q_obs`` analyses whose boundary the subset's maximum
-    crosses, or 0."""
-
-    def first_crossing(subset: frozenset, top: np.ndarray) -> np.ndarray:
-        hits = top > np.asarray(boundaries.value(subset)[:q_obs])
-        return np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0)
-
-    return first_crossing
+    """:func:`_first_crossing` as a per-subset callback for the closure rule,
+    against the subset's boundaries at the first ``q_obs`` analyses."""
+    return lambda subset, top: _first_crossing(top, boundaries.value(subset)[:q_obs])
 
 
 def gs_closed_test(data: StageData, boundaries: BoundarySchedule) -> ClosureDecision:

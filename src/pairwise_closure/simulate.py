@@ -15,7 +15,7 @@ or how the work is chunked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,12 +37,7 @@ from .model import (
     _resolved_arms,
 )
 from .mvn import DEFAULT_ACCURACY, NumericsError
-from .sequential import (
-    SpendingSchedule,
-    batch_gs_test,
-    generalised_boundaries,
-    gs_boundaries,
-)
+from .sequential import SpendingSchedule, _first_crossing, batch_gs_test, gs_boundaries
 
 PROCEDURES = (
     "dunnett",
@@ -175,11 +170,18 @@ def _build_resources(scenario: SimScenario) -> dict[str, Callable]:
 
     Each procedure's table, boundaries or cut is built here once and shared
     by every replicate; the two Dunnett-type single-stage procedures share
-    one table, and the generalised boundaries share the class cache of the
-    Dunnett boundaries when both run.  ``rule(z_cum, z_stage)`` returns the
-    (replicates, m) rejection matrix and, for staged procedures, the
-    stopping stages (None otherwise).  The comparator cuts and the
-    fixed-sequence rule are those of the single-trial tests in ``closure``.
+    one table, and the two staged procedures one boundary schedule.
+    ``rule(z_cum, z_stage)`` returns the (replicates, m) rejection matrix
+    and, for staged procedures, the stopping stages (None otherwise).  The
+    comparator cuts and the fixed-sequence rule are those of the
+    single-trial tests in ``closure``.
+
+    ``global`` and ``dunnett-gs-generalised`` read one full-set cut for
+    every subset.  A superset's maximum is never below a member's
+    statistic, so comparison k is rejected exactly when its own statistic
+    crosses, and the staged rule stops at k's own first crossing, as
+    :func:`~pairwise_closure.sequential.batch_gs_test` does on a
+    generalised schedule.
     """
     cfg = scenario.config
     alpha, sided = scenario.alpha, cfg.sided
@@ -207,20 +209,21 @@ def _build_resources(scenario: SimScenario) -> dict[str, Callable]:
     if "global" in tags:
         c_full = table.value(table.full_set())
         rules["global"] = single(lambda stat: stat > c_full)
-    bounds = None
-    if "dunnett-gs" in tags:
+    if any(tag in _STAGED for tag in tags):
         bounds = gs_boundaries(cfg, scenario.spending, **solve)
+    if "dunnett-gs" in tags:
         bounds.entries()
         rules["dunnett-gs"] = lambda z_cum, z_stage: batch_gs_test(z_cum, bounds)
     if "dunnett-gs-generalised" in tags:
-        # shares the class cache: the full-set vector is solved once
-        gen_bounds = (
-            replace(bounds, generalised=True) if bounds is not None
-            else generalised_boundaries(cfg, scenario.spending, **solve)
-        )
-        rules["dunnett-gs-generalised"] = (
-            lambda z_cum, z_stage: batch_gs_test(z_cum, gen_bounds)
-        )
+        full_bounds = bounds.value(bounds.full_set())
+
+        def generalised(z_cum, z_stage):
+            # (replicates, m, analyses): each comparison's own statistic
+            own = np.swapaxes(_max_statistic(z_cum, sided), 1, 2)
+            first = _first_crossing(own, full_bounds)
+            return first > 0, first
+
+        rules["dunnett-gs-generalised"] = generalised
     if "combination" in tags:
         weights = scenario.weights or CombinationWeights.from_information(cfg)
         tail_table = TailProbabilityTable(cfg, seed=scenario.seed)

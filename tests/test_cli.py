@@ -312,6 +312,15 @@ class TestDesign:
         status, _, err = run_cli(["design", "--input", request], capsys)
         assert status == 2
 
+    @pytest.mark.parametrize("command, request_", [
+        ("design", {"n_arms": 2.9, "sigma2": 1.0, "delta": 0.5}),
+        ("critical-values", {"config": {"n_arms": 2, "sigma2": 1.0, "n": 100.7}}),
+    ])
+    def test_fractional_arm_count_or_size_is_rejected(self, capsys, command, request_):
+        status, _, err = run_cli([command, "--input", json.dumps(request_)], capsys)
+        assert status == 2
+        assert "whole number" in json.loads(err)["error"]["message"]
+
     def test_missing_delta(self, capsys):
         status, _, err = run_cli(
             ["design", "--input", '{"n_arms": 2, "sigma2": 1.0}'], capsys

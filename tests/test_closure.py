@@ -127,8 +127,9 @@ class TestCriticalValueTable:
                        {"config": TrialConfig.single_stage(3, 1.0, 50)}):
             copy = replace(table, **change)
             assert not copy._class_values and not copy._subset_keys
-        # a copy that keeps every solve input keeps the cache
-        assert replace(table)._class_values is table._class_values
+        # so does a copy that keeps every solve input: no copy shares a cache
+        same = replace(table)
+        assert not same._class_values and not same._subset_keys
 
     def test_class_key_refuses_more_than_eight_arms(self):
         table = critical_values(TrialConfig.single_stage(9, 1.0, 10), 0.05)

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by that module."""
+"""Every module-level import in the package is used by that module, and every
+module-level private name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,53 @@ def test_no_unused_module_level_imports(path):
 def test_tracing_exceptions_are_still_imported():
     for module, name in KEPT_FOR_TRACING:
         assert name in _unused_imports(SRC / f"{module}.py")
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level private names (``_x``, not dunder) and their statements."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        found.update((name, node) for name in names
+                     if name.startswith("_") and not name.endswith("__"))
+    return found
+
+
+def _referenced(stmts) -> set[str]:
+    names = set()
+    for stmt in stmts:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _orphans(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """Private names nothing references outside their own definition."""
+    orphans = set()
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree).items():
+            elsewhere = [stmt for other in trees.values() for stmt in other.body
+                         if stmt is not definition]
+            if name not in _referenced(elsewhere):
+                orphans.add((module, name))
+    return orphans
+
+
+def test_no_orphaned_private_helpers():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    assert _orphans(trees) == set()
+
+
+def test_orphan_scan_sees_an_unused_helper():
+    trees = {"a": ast.parse("def _used(): return _LIMIT\n_LIMIT = 1\n"
+                            "def _left(): return _left()\n__all__ = []\n"),
+             "b": ast.parse("from .a import _used\nx = _used()\n")}
+    assert _orphans(trees) == {("a", "_left")}

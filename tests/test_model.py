@@ -97,6 +97,24 @@ def test_config_validation():
         TrialConfig.single_stage(2, 1.0, 10, sided="both")
 
 
+def test_arm_counts_and_sample_sizes_must_be_whole_numbers():
+    for build in (
+        lambda: TrialConfig.single_stage(3, 1.0, 100.7),
+        lambda: TrialConfig.single_stage(3, 1.0, (100, 100.5, 100)),
+        lambda: TrialConfig.single_stage(2.9, 1.0, 100),
+        lambda: TrialConfig(2, (1.0, 1.0), (0.5, 0.5), ((10, 10), (20.5, 20))),
+        lambda: TrialConfig(2.5, (1.0, 1.0), (0.5, 0.5), ((10, 10),)),
+        lambda: TrialConfig.single_stage(3, 1.0, np.inf),
+    ):
+        with pytest.raises(ValueError, match="whole number"):
+            build()
+    # whole floats and numpy integers are accepted as before
+    expect = TrialConfig.single_stage(3, 1.0, 100)
+    assert TrialConfig.single_stage(3.0, 1.0, 100.0) == expect
+    assert TrialConfig.single_stage(np.int64(3), 1.0, np.int64(100)) == expect
+    assert TrialConfig.from_dict(dict(expect.to_dict(), n_arms=3.0)) == expect
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, np.nan])
 def test_every_layer_shares_the_alpha_check(alpha):
     from pairwise_closure import closure, combination, power, sequential, simulate

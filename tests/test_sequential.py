@@ -534,9 +534,9 @@ class TestGeneralisedBoundaries:
 
 
     def test_shared_cache_serves_subsets_after_a_generalised_lookup(self, cfg_k3_q2):
-        # the reverse of the order run_scenario uses: the generalised copy is
-        # asked first, and the subset-wise schedule sharing its cache must
-        # still answer per subset
+        # a generalised copy is asked first; it serves the full-set vector for
+        # every subset, while its subset-wise original still answers per
+        # subset and gives the full set that same vector
         sched = SpendingSchedule.power_family(0.05, TWO_LOOKS)
         bounds = gs_boundaries(cfg_k3_q2, sched, seed=6, accuracy=1e-3)
         gen = replace(bounds, generalised=True)
@@ -554,8 +554,12 @@ class TestGeneralisedBoundaries:
                        {"tol": 1e-5}):
             copy = replace(gs_k3_q2, **change)
             assert not copy._class_values and not copy._subset_keys
-        gen = replace(gs_k3_q2, generalised=True)
-        assert gen._class_values is gs_k3_q2._class_values
+        # no copy shares the cache, whether it keeps every input or only
+        # changes how values are served
+        gs_k3_q2.value({1})
+        for change in ({}, {"generalised": True}):
+            copy = replace(gs_k3_q2, **change)
+            assert not copy._class_values and not copy._subset_keys
 
 
 @pytest.mark.parametrize("sided", ["two-sided", "one-sided"])

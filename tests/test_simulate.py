@@ -342,6 +342,35 @@ def test_generalised_boundary_shares_the_full_set_solve(cfg_k3_q2, monkeypatch):
     assert not np.array_equal(got[0], decisions["dunnett-gs"][0])
 
 
+@pytest.mark.parametrize("n_arms, sided, means", [
+    (3, ONE_SIDED, (0.5, 0.0, 0.25)),
+    (4, TWO_SIDED, (0.5, 0.0, 0.25, 0.1)),
+])
+def test_generalised_rule_equals_the_lattice_kernel(n_arms, sided, means):
+    # three looks with nothing to spend at the second
+    cfg = TrialConfig.single_stage(n_arms, 1.0, 30, sided=sided).with_stage_n(
+        [(30 * q,) * n_arms for q in (1, 2, 3)]
+    )
+    spending = SpendingSchedule((1 / 3, 2 / 3, 1.0), (0.01, 0.01, 0.05))
+    scenario = SimScenario(
+        config=cfg,
+        means=MeanConfig(means),
+        procedures=("dunnett-gs-generalised",),
+        replicates=600,
+        seed=8,
+        accuracy=1e-3,
+        spending=spending,
+    )
+    z_cum, z_stage = simulate_statistics(cfg, scenario.means, 600, seed=8)
+    rejected, stopped = _build_resources(scenario)["dunnett-gs-generalised"](z_cum, z_stage)
+    expect = batch_gs_test(
+        z_cum, generalised_boundaries(cfg, spending, seed=8, accuracy=1e-3)
+    )
+    assert np.array_equal(rejected, expect[0]) and np.array_equal(stopped, expect[1])
+    # stops at the first and the last look, never at the unspendable second
+    assert set(np.unique(stopped)) == {0, 1, 3}
+
+
 def test_comparators_equal_the_single_trial_tests(cfg_k4):
     # the simulator's rules are the single-trial tests applied row by row
     scenario = SimScenario(
