@@ -16,6 +16,11 @@ field is added unless ``--deterministic`` is set, so deterministic runs are
 byte-identical.  Validation problems exit with status 2 and a JSON error
 object on standard error; numeric non-convergence exits with status 3.
 
+This module checks only the shape of a request: that it is a JSON object with
+the keys a command needs.  Every value (a level, an arm count, a replicate
+count, the quadrature accuracy) is checked once, by the library call that
+uses it, and its ``ValueError`` becomes the exit-2 error.
+
 The shared ``config`` object looks like::
 
     {"n_arms": 3, "sigma2": 1.0, "n": 100, "sided": "two-sided"}
@@ -39,8 +44,8 @@ from datetime import datetime, timezone
 
 from .closure import closed_test, critical_values, one_sided_closed_test
 from .combination import CombinationWeights, combine
-from .model import ONE_SIDED, TWO_SIDED, TrialConfig, z_statistics
-from .mvn import DEFAULT_ACCURACY, NumericsError
+from .model import ONE_SIDED, TWO_SIDED, TrialConfig, _check_alpha, _whole, z_statistics
+from .mvn import DEFAULT_ACCURACY, NumericsError, _check_accuracy
 from .power import MeanConfig, lfc, sample_size
 from .sequential import (
     SpendingSchedule,
@@ -61,49 +66,50 @@ _CONFIG_KEYS = {"n_arms", "sigma2", "n", "stage_n", "sided"}
 _SIDED = {"two-sided": TWO_SIDED, "one-sided": ONE_SIDED}
 
 
-class _InputError(ValueError):
-    """A problem with the request itself rather than the numerics."""
-
-
 def _load_input(raw: str | None, command: str) -> dict:
     if raw is None:
-        raise _InputError(f"{command} needs --input (a JSON object or a file path)")
+        raise ValueError(f"{command} needs --input (a JSON object or a file path)")
     text = raw.strip()
     if not text.startswith("{"):
         try:
             with open(raw, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as err:
-            raise _InputError(f"cannot read input file: {err}") from err
+            raise ValueError(f"cannot read input file: {err}") from err
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
-        raise _InputError(f"input is not valid JSON: {err}") from err
+        raise ValueError(f"input is not valid JSON: {err}") from err
     if not isinstance(data, dict):
-        raise _InputError("input must be a JSON object")
+        raise ValueError("input must be a JSON object")
     return data
 
 
 def _require(data: dict, key: str, context: str):
     if key not in data:
-        raise _InputError(f"{context} is missing the required key {key!r}")
+        raise ValueError(f"{context} is missing the required key {key!r}")
     return data[key]
+
+
+def _sided_from(obj: dict, where: str) -> str:
+    sided = _SIDED.get(obj.get("sided", "two-sided"))
+    if sided is None:
+        raise ValueError(f"{where} must be 'two-sided' or 'one-sided'")
+    return sided
 
 
 def _config_from(data: dict) -> TrialConfig:
     obj = _require(data, "config", "the request")
     if not isinstance(obj, dict):
-        raise _InputError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     unknown = set(obj) - _CONFIG_KEYS
     if unknown:
-        raise _InputError(f"unknown config keys {sorted(unknown)}")
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
     n_arms = _require(obj, "n_arms", "config")
     sigma2 = _require(obj, "sigma2", "config")
-    sided = _SIDED.get(obj.get("sided", "two-sided"))
-    if sided is None:
-        raise _InputError("config.sided must be 'two-sided' or 'one-sided'")
+    sided = _sided_from(obj, "config.sided")
     if ("n" in obj) == ("stage_n" in obj):
-        raise _InputError("config needs exactly one of 'n' or 'stage_n'")
+        raise ValueError("config needs exactly one of 'n' or 'stage_n'")
     try:
         if "n" in obj:
             return TrialConfig.single_stage(n_arms, sigma2, obj["n"], sided=sided)
@@ -111,19 +117,19 @@ def _config_from(data: dict) -> TrialConfig:
         base = TrialConfig.single_stage(n_arms, sigma2, stage_n[0], sided=sided)
         return base.with_stage_n(stage_n)
     except (TypeError, ValueError) as err:
-        raise _InputError(f"invalid config: {err}") from err
+        raise ValueError(f"invalid config: {err}") from err
 
 
 def _spending_from(data: dict, config: TrialConfig, alpha: float, args) -> SpendingSchedule:
     obj = _require(data, "spending", "the request")
     if not isinstance(obj, dict):
-        raise _InputError("spending must be a JSON object")
+        raise ValueError("spending must be a JSON object")
     kind = _require(obj, "type", "spending")
     times = tuple(obj.get("info_times", config.info_fractions()))
     try:
         if kind == "pocock":
             return SpendingSchedule.pocock(
-                alpha, times, seed=args.seed, accuracy=_accuracy(args)
+                alpha, times, seed=args.seed, accuracy=args.accuracy
             )
         if kind == "obrien-fleming":
             return SpendingSchedule.obrien_fleming(alpha, times)
@@ -132,8 +138,8 @@ def _spending_from(data: dict, config: TrialConfig, alpha: float, args) -> Spend
                 alpha, times, rho=float(obj.get("rho", 1.0))
             )
     except (TypeError, ValueError) as err:
-        raise _InputError(f"invalid spending schedule: {err}") from err
-    raise _InputError(
+        raise ValueError(f"invalid spending schedule: {err}") from err
+    raise ValueError(
         "spending.type must be 'pocock', 'obrien-fleming', or 'power'"
     )
 
@@ -144,21 +150,13 @@ def _weights_from(data: dict) -> CombinationWeights | None:
     try:
         return CombinationWeights(tuple(data["weights"]))
     except (TypeError, ValueError) as err:
-        raise _InputError(f"invalid weights: {err}") from err
+        raise ValueError(f"invalid weights: {err}") from err
 
 
 def _alpha_from(data: dict) -> float:
     alpha = data.get("alpha", 0.05)
-    if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
-        raise _InputError("alpha must lie strictly between 0 and 1")
+    _check_alpha(alpha)
     return float(alpha)
-
-
-def _accuracy(args) -> float:
-    value = args.accuracy if args.accuracy is not None else DEFAULT_ACCURACY
-    if not (math.isfinite(value) and value > 0.0):
-        raise _InputError("--accuracy must be finite and positive")
-    return value
 
 
 def _threads(args) -> int:
@@ -167,7 +165,7 @@ def _threads(args) -> int:
         env = os.environ.get("PAIRWISE_CLOSURE_THREADS")
         value = int(env) if env else 1
     if value < 1:
-        raise _InputError("--threads must be at least 1")
+        raise ValueError("--threads must be at least 1")
     return value
 
 
@@ -192,15 +190,13 @@ def _cmd_design(data: dict, args) -> tuple[dict, list, list]:
     alpha = _alpha_from(data)
     target = data.get("power", 0.9)
     if not 0.0 < target < 1.0:
-        raise _InputError("power must lie strictly between 0 and 1")
-    sided = _SIDED.get(data.get("sided", "two-sided"))
-    if sided is None:
-        raise _InputError("sided must be 'two-sided' or 'one-sided'")
+        raise ValueError("power must lie strictly between 0 and 1")
+    sided = _sided_from(data, "sided")
     config = TrialConfig.single_stage(n_arms, sigma2, 2, sided=sided)
     if "means" in data:
         means = MeanConfig(tuple(data["means"]), delta=data.get("delta"))
         if len(set(means.mu)) == 1:
-            raise _InputError("all arm means are equal; no difference to power for")
+            raise ValueError("all arm means are equal; no difference to power for")
     else:
         means = lfc(config.n_arms, float(_require(data, "delta", "the request")))
     result = sample_size(
@@ -209,7 +205,7 @@ def _cmd_design(data: dict, args) -> tuple[dict, list, list]:
         alpha=alpha,
         power_target=float(target),
         seed=args.seed,
-        accuracy=_accuracy(args),
+        accuracy=args.accuracy,
     )
     payload = {
         "means": list(means.mu),
@@ -229,18 +225,17 @@ def _cmd_critical_values(data: dict, args) -> tuple[dict, list, list]:
     config = _config_from(data)
     alpha = _alpha_from(data)
     table = critical_values(
-        config, alpha, seed=args.seed, accuracy=_accuracy(args)
+        config, alpha, seed=args.seed, accuracy=args.accuracy
     )
     entries = table.entries(threads=_threads(args))
-    ordered = sorted(entries.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
     payload = {
         "alpha": alpha,
         "n_comparisons": config.n_comparisons,
         "values": [
-            {"subset": sorted(s), "critical_value": c} for s, c in ordered
+            {"subset": sorted(s), "critical_value": c} for s, c in entries.items()
         ],
     }
-    rows = [[_subset_label(s), len(s), c] for s, c in ordered]
+    rows = [[_subset_label(s), len(s), c] for s, c in entries.items()]
     return payload, ["subset", "size", "critical_value"], rows
 
 
@@ -252,7 +247,7 @@ def _cmd_analyze(data: dict, args) -> tuple[dict, list, list]:
         schedule = _spending_from(data, config, alpha, args)
         cum_means = _require(data, "cum_means", "a staged analysis")
         bounds = gs_boundaries(
-            config, schedule, seed=args.seed, accuracy=_accuracy(args)
+            config, schedule, seed=args.seed, accuracy=args.accuracy
         )
         stage_data = StageData.from_cumulative_means(config, cum_means)
         decision = gs_closed_test(stage_data, bounds)
@@ -260,7 +255,7 @@ def _cmd_analyze(data: dict, args) -> tuple[dict, list, list]:
     else:
         means = _require(data, "means", "the request")
         table = critical_values(
-            config, alpha, seed=args.seed, accuracy=_accuracy(args)
+            config, alpha, seed=args.seed, accuracy=args.accuracy
         )
         stats = z_statistics(config, means, stage=config.n_stages)
         test = closed_test if config.sided == TWO_SIDED else one_sided_closed_test
@@ -297,9 +292,8 @@ def _cmd_gs_boundaries(data: dict, args) -> tuple[dict, list, list]:
     alpha = _alpha_from(data)
     schedule = _spending_from(data, config, alpha, args)
     build = generalised_boundaries if data.get("generalised") else gs_boundaries
-    bounds = build(config, schedule, seed=args.seed, accuracy=_accuracy(args))
+    bounds = build(config, schedule, seed=args.seed, accuracy=args.accuracy)
     entries = bounds.entries(threads=_threads(args))
-    ordered = sorted(entries.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
     payload = {
         "alpha": alpha,
         "generalised": bool(data.get("generalised")),
@@ -311,12 +305,12 @@ def _cmd_gs_boundaries(data: dict, args) -> tuple[dict, list, list]:
                 "subset": sorted(s),
                 "boundaries": [c if math.isfinite(c) else None for c in c_vec],
             }
-            for s, c_vec in ordered
+            for s, c_vec in entries.items()
         ],
     }
     rows = [
         [_subset_label(s), stage + 1, c]
-        for s, c_vec in ordered
+        for s, c_vec in entries.items()
         for stage, c in enumerate(c_vec)
     ]
     return payload, ["subset", "stage", "boundary"], rows
@@ -325,7 +319,7 @@ def _cmd_gs_boundaries(data: dict, args) -> tuple[dict, list, list]:
 def _cmd_combine(data: dict, args) -> tuple[dict, list, list]:
     pvalues = _require(data, "p_values", "the request")
     if not isinstance(pvalues, list) or not pvalues:
-        raise _InputError("p_values must be a nonempty list")
+        raise ValueError("p_values must be a nonempty list")
     weights = _weights_from(data)
     combined = float(combine(pvalues, weights))
     used = weights or CombinationWeights.equal(len(pvalues))
@@ -341,9 +335,7 @@ def _cmd_combine(data: dict, args) -> tuple[dict, list, list]:
 
 
 def _table1(data: dict, args) -> tuple[dict, list, list]:
-    replicates = int(data.get("replicates", 100_000))
-    if replicates < 1:
-        raise _InputError("replicates must be at least 1")
+    replicates = _whole(data.get("replicates", 100_000), "replicates")
     rows = table1_rows(seed=args.seed, replicates=replicates)
     payload = {"replicates": replicates, "rows": rows}
     header = ["means", "procedure", "any_reject"]
@@ -375,12 +367,12 @@ def _cmd_simulate(data: dict, args) -> tuple[dict, list, list]:
         config=config,
         means=MeanConfig(tuple(_require(data, "means", "the request"))),
         procedures=tuple(_require(data, "procedures", "the request")),
-        replicates=int(data.get("replicates", 100_000)),
+        replicates=data.get("replicates", 100_000),
         seed=args.seed,
         spending=spending,
         weights=weights,
         alpha=alpha,
-        accuracy=_accuracy(args),
+        accuracy=args.accuracy,
     )
     result = run_scenario(scenario)
     m = config.n_comparisons
@@ -408,26 +400,15 @@ def _cmd_simulate(data: dict, args) -> tuple[dict, list, list]:
     return payload, header, rows
 
 
+# each command's handler and its help line
 _COMMANDS = {
-    "design": _cmd_design,
-    "critical-values": _cmd_critical_values,
-    "analyze": _cmd_analyze,
-    "gs-boundaries": _cmd_gs_boundaries,
-    "combine": _cmd_combine,
-    "simulate": _cmd_simulate,
+    "design": (_cmd_design, "smallest sample size reaching a target disjunctive power"),
+    "critical-values": (_cmd_critical_values, "closed-testing critical value for every subset"),
+    "analyze": (_cmd_analyze, "closed test of observed arm means"),
+    "gs-boundaries": (_cmd_gs_boundaries, "group-sequential boundaries per subset and stage"),
+    "combine": (_cmd_combine, "inverse-normal combination of stage p-values"),
+    "simulate": (_cmd_simulate, "operating characteristics of a scenario"),
 }
-
-_HELP = {
-    "design": "smallest sample size reaching a target disjunctive power",
-    "critical-values": "closed-testing critical value for every subset",
-    "analyze": "closed test of observed arm means",
-    "gs-boundaries": "group-sequential boundaries per subset and stage",
-    "combine": "inverse-normal combination of stage p-values",
-    "simulate": "operating characteristics of a scenario",
-}
-
-# commands that run without --input
-_OPTIONAL_INPUT = {"simulate"}
 
 
 def _render_csv(header: list, rows: list) -> str:
@@ -464,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Design and analysis of all-pairwise multi-arm experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--input", help="JSON object, inline or a file path")
         p.add_argument("--output", help="write the result here instead of stdout")
         p.add_argument(
@@ -474,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
-            "--accuracy", type=float, default=None,
+            "--accuracy", type=float, default=DEFAULT_ACCURACY,
             help=f"quadrature accuracy (default {DEFAULT_ACCURACY:g})",
         )
         p.add_argument(
@@ -496,16 +477,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handler = _COMMANDS[args.command]
+    handler, _ = _COMMANDS[args.command]
     try:
-        accuracy = _accuracy(args)
-        if args.input is None and args.command in _OPTIONAL_INPUT:
+        _check_accuracy(args.accuracy)
+        # only the canned reference table runs without a request
+        if args.input is None and getattr(args, "table1", False):
             data = {}
         else:
             data = _load_input(args.input, args.command)
         fields, header, rows = handler(data, args)
-    except _InputError as err:
-        return _error(_EXIT_VALIDATION, "validation", str(err))
     except NumericsError as err:
         return _error(_EXIT_NUMERICS, "numerics", str(err))
     except (TypeError, ValueError, KeyError) as err:
@@ -514,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "seed": args.seed,
-        "accuracy": accuracy,
+        "accuracy": args.accuracy,
     }
     if not args.deterministic:
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()

@@ -14,8 +14,9 @@ Every pair-indexed quantity derives from one arm-index table,
 matrix B, and the covariance of the statistics is B diag(sigma^2/n) B^T.
 
 The statistic every max test reads, |z| or z by sidedness, is
-:func:`_max_statistic`, and the one check of a significance level is
-:func:`_check_alpha`.
+:func:`_max_statistic`.  The one check of a significance level is
+:func:`_check_alpha`, of a whole count :func:`_whole`, and of a vector of arm
+means :func:`_arm_means`.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ def _check_sided(sided: str) -> None:
 
 
 def _check_alpha(alpha: float) -> None:
-    """The one check of a significance level; NaN fails it too."""
-    if not 0.0 < alpha < 1.0:
+    """The one check of a significance level; NaN and a non-number, such as
+    the string "0.05", fail it too."""
+    if not (isinstance(alpha, (int, float, np.integer, np.floating)) and 0.0 < alpha < 1.0):
         raise ValueError("alpha must lie strictly between 0 and 1")
 
 
@@ -390,6 +392,17 @@ class MeanConfig:
         return len(self.mu)
 
 
+def _arm_means(means: MeanConfig | Sequence[float], n_arms: int) -> np.ndarray:
+    """The one check of a vector of arm means: one finite entry per arm.
+    Returns the means as a float array."""
+    mu = np.asarray(means.mu if isinstance(means, MeanConfig) else means, dtype=float)
+    if mu.shape != (n_arms,):
+        raise ValueError("means must have one entry per arm")
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("arm means must be finite")
+    return mu
+
+
 @dataclass(frozen=True)
 class ComparisonStats:
     """Standardized statistic for one comparison at one analysis."""
@@ -420,11 +433,7 @@ def z_statistics(
         One entry per comparison index; z_k = (mean_i - mean_j) / sigma_p,k.
     """
     config._check_stage(stage)
-    mu = np.asarray(means, dtype=float)
-    if mu.shape != (config.n_arms,):
-        raise ValueError(f"means must have length {config.n_arms}")
-    if not np.all(np.isfinite(mu)):
-        raise ValueError("arm means must be finite")
+    mu = _arm_means(means, config.n_arms)
     ii, jj = _pair_arms(config.n_arms, config.sided)
     theta = mu[ii] - mu[jj]
     sp = config.sigma_p(stage)

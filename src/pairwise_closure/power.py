@@ -21,6 +21,7 @@ from .closure import CriticalValueTable, batch_closed_test, critical_values
 from .model import (
     MeanConfig,
     TrialConfig,
+    _arm_means,
     _check_alpha,
     _max_statistic,
     correlation,
@@ -69,13 +70,6 @@ def lfc(n_arms: int, delta: float) -> MeanConfig:
     return MeanConfig((delta, 0.0) + (delta / 2.0,) * (n_arms - 2), delta=delta)
 
 
-def _mu(means, n_arms: int) -> np.ndarray:
-    vec = np.asarray(means.mu if isinstance(means, MeanConfig) else means, dtype=float)
-    if vec.shape != (n_arms,):
-        raise ValueError(f"means must have length {n_arms}")
-    return vec
-
-
 def _quadrature_power(config, mu, corr, c_full, accuracy, seed) -> float:
     """Disjunctive power by quadrature: the chance that the maximum of the
     statistics, with correlation ``corr`` over the full family and means
@@ -121,7 +115,7 @@ def disjunctive_power(
     -------
     PowerResult
     """
-    mu = _mu(means, config.n_arms)
+    mu = _arm_means(means, config.n_arms)
     if table is None:
         table = critical_values(config, alpha, seed=seed, accuracy=accuracy)
     elif table.config != config or table.alpha != alpha:
@@ -183,7 +177,7 @@ def sample_size(
     _check_alpha(alpha)
     if not 0.0 < power_target < 1.0:
         raise ValueError("power_target must lie strictly between 0 and 1")
-    mu = _mu(means, config.n_arms)
+    mu = _arm_means(means, config.n_arms)
     if np.ptp(mu) == 0.0:
         raise SolverError(
             "all arm means are equal; disjunctive power cannot exceed alpha"
@@ -252,8 +246,6 @@ def lfc_check(
     minimum.
     """
     k = config.n_arms
-    if delta == 0 or not math.isfinite(delta):
-        raise ValueError("delta must be nonzero and finite")
     base_means = lfc(k, delta)
     if k == 2:
         # with two arms the configuration is unique up to translation

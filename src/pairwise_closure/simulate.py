@@ -31,10 +31,12 @@ from .combination import CombinationWeights, TailProbabilityTable, batch_flexibl
 from .model import (
     MeanConfig,
     TrialConfig,
+    _arm_means,
     _check_alpha,
     _max_statistic,
     _pair_arms,
     _resolved_arms,
+    _whole,
 )
 from .mvn import DEFAULT_ACCURACY, NumericsError
 from .sequential import SpendingSchedule, _first_crossing, batch_gs_test, gs_boundaries
@@ -70,8 +72,7 @@ class SimScenario:
     def __post_init__(self) -> None:
         if not isinstance(self.means, MeanConfig):
             object.__setattr__(self, "means", MeanConfig(tuple(self.means)))
-        if self.means.n_arms != self.config.n_arms:
-            raise ValueError("means must have one entry per arm")
+        _arm_means(self.means, self.config.n_arms)
         procedures = tuple(self.procedures)
         object.__setattr__(self, "procedures", procedures)
         if not procedures:
@@ -81,6 +82,7 @@ class SimScenario:
             raise ValueError(f"unknown procedures {unknown}; choose from {PROCEDURES}")
         if len(set(procedures)) != len(procedures):
             raise ValueError("procedures must be distinct")
+        object.__setattr__(self, "replicates", _whole(self.replicates, "replicates"))
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         _check_alpha(self.alpha)
@@ -138,9 +140,8 @@ def simulate_statistics(
     comparisons).  The first r replicates are identical for any larger
     replicate count with the same seed.
     """
-    mu = means.mu if isinstance(means, MeanConfig) else tuple(means)
-    if len(mu) != config.n_arms:
-        raise ValueError("means must have one entry per arm")
+    mu = _arm_means(means, config.n_arms)
+    replicates = _whole(replicates, "replicates")
     if replicates < 1:
         raise ValueError("need at least one replicate")
     rng = np.random.Generator(np.random.Philox(key=seed))

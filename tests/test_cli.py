@@ -96,6 +96,16 @@ class TestCriticalValues:
         assert json.loads(err)["error"]["type"] == "validation"
 
 
+    def test_non_numeric_alpha(self, capsys):
+        request = '{"config": {"n_arms": 2, "sigma2": 1.0, "n": 50}, "alpha": "0.05"}'
+        status, out, err = run_cli(["critical-values", "--input", request], capsys)
+        assert status == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {
+            "type": "validation", "message": "alpha must lie strictly between 0 and 1"
+        }
+
+
 class TestAnalyze:
     def test_zero_means_reject_nothing(self, capsys):
         request = json.loads(K3_CONFIG)
@@ -399,6 +409,23 @@ class TestSimulate:
     def test_input_required_without_table1(self, capsys):
         status, _, err = run_cli(["simulate"], capsys)
         assert status == 2
+        assert "--input" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--input", json.dumps(dict(REQUEST, replicates=100.9))],
+        ["simulate", "--table1", "--input", '{"replicates": 10.5}'],
+    ], ids=["scenario", "table1"])
+    def test_fractional_replicates_exit_2(self, capsys, argv):
+        status, out, err = run_cli(argv, capsys)
+        assert status == 2 and out == ""
+        assert "whole number" in json.loads(err)["error"]["message"]
+
+    def test_whole_float_replicates_run_as_an_int(self, capsys):
+        argv = ["simulate", "--deterministic", "--input"]
+        as_float = run_cli(argv + [json.dumps(dict(self.REQUEST, replicates=2000.0))], capsys)
+        as_int = run_cli(argv + [json.dumps(self.REQUEST)], capsys)
+        assert as_float == as_int
+        assert '"replicates": 2000,' in as_float[1]
 
 
 class TestDispatch:

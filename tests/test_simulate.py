@@ -100,6 +100,11 @@ class TestSimScenario:
             self._base(cfg_k3_q2, procedures=("dunnett-gs",))
         with pytest.raises(ValueError, match="alpha"):
             self._base(cfg_k3, alpha=1.0)
+        with pytest.raises(ValueError, match="replicates must be a whole number"):
+            self._base(cfg_k3, replicates=100.9)
+        assert self._base(cfg_k3, replicates=10.0).replicates == 10
+        with pytest.raises(ValueError, match="arm means must be finite"):
+            self._base(cfg_k3, means=(math.nan, 0.0, 0.0))
 
     def test_global_needs_a_balanced_design(self):
         lopsided = TrialConfig.single_stage(3, 1.0, (50, 50, 80))
@@ -141,6 +146,12 @@ class TestSimulateStatistics:
             simulate_statistics(cfg_k3, (0.0, 0.0), 5)
         with pytest.raises(ValueError):
             simulate_statistics(cfg_k3, (0.0, 0.0, 0.0), 0)
+        with pytest.raises(ValueError, match="replicates must be a whole number"):
+            simulate_statistics(cfg_k3, (0.0, 0.0, 0.0), 10.5)
+        with pytest.raises(ValueError, match="arm means must be finite"):
+            simulate_statistics(cfg_k3, (math.nan, 0.0, 0.0), 5)
+        with pytest.raises(ValueError, match="means must have one entry per arm"):
+            simulate_statistics(cfg_k3, MeanConfig((0.0, 0.0)), 5)
 
 
 class TestRunScenario:
