@@ -198,6 +198,15 @@ class _ClassCache:
     def _served(self, subset: frozenset) -> frozenset:
         return subset
 
+    def _serving(self, config: TrialConfig, **inputs):
+        """This table, after checking that it was built for ``config`` and
+        that each field named in ``inputs`` holds the value given there; the
+        one check of a table handed to a test or a power calculation."""
+        if self.config != config or any(getattr(self, k) != v for k, v in inputs.items()):
+            raise ValueError("table was built for a different "
+                             + " or ".join(["config", *inputs]))
+        return self
+
     def value(self, members: Iterable[int]):
         """Value for one subset of comparison indices."""
         key = self._key(self._served(_check_subset(self.n_comparisons, members)))
@@ -636,10 +645,8 @@ def tukey_global_test(
     stat = np.abs(_extract_z(z))
     if stat.size != config.n_comparisons:
         raise ValueError(f"expected {config.n_comparisons} statistics")
-    if table is None:
-        table = CriticalValueTable(config, alpha, seed)
-    elif table.config != config or table.alpha != alpha:
-        raise ValueError("table was built for a different config or alpha")
+    table = (CriticalValueTable(config, alpha, seed) if table is None
+             else table._serving(config, alpha=alpha))
     c_full = table.value(table.full_set())
     rejected = tuple(bool(s > c_full) for s in stat)
     local = _lazy_local(stat.size, lambda s: _subset_max(stat, s) > c_full)

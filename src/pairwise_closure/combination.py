@@ -305,8 +305,7 @@ def batch_flexible_test(
         )
     n_stages = z.shape[1]
     weights = _coerce_weights(weights, n_stages)
-    if table is None:
-        table = TailProbabilityTable(config)
+    table = TailProbabilityTable(config) if table is None else table._serving(config)
     stat = _max_statistic(z, config.sided)
 
     def crossing(subset: frozenset, top: np.ndarray) -> np.ndarray:

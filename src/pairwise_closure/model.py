@@ -72,8 +72,9 @@ def _normal_tails(sided: str) -> float:
 
 def _whole(value, what: str) -> int:
     """``value`` as an int; whole floats and numpy integers pass, while a
-    fractional or non-finite number raises ``ValueError``."""
-    if not float(value).is_integer():
+    fractional or non-finite number, a string or a boolean raises
+    ``ValueError``."""
+    if isinstance(value, (str, bytes, bool, np.bool_)) or not float(value).is_integer():
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return int(value)
 
@@ -114,9 +115,7 @@ def pair_to_index(i: int, j: int, n_arms: int, sided: str = TWO_SIDED) -> PairIn
     -------
     PairIndex
     """
-    _check_sided(sided)
-    if n_arms < 2:
-        raise ValueError("need at least two arms")
+    n_comparisons(n_arms, sided)
     if not (1 <= i <= n_arms and 1 <= j <= n_arms):
         raise ValueError(f"arm labels must lie in 1..{n_arms}, got ({i}, {j})")
     if i == j:
@@ -175,6 +174,14 @@ def _pair_correlation(v: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarr
     mat = cov / np.outer(sd, sd)
     np.fill_diagonal(mat, 1.0)
     return mat
+
+
+def _pair_z(means: np.ndarray, v: np.ndarray, sided: str) -> np.ndarray:
+    """Standardized pairwise differences of arm means whose variances are
+    ``v``; the last axis of both runs over arms, and of the result over
+    comparisons in the order of :func:`_pair_arms`."""
+    ii, jj = _pair_arms(means.shape[-1], sided)
+    return (means[..., ii] - means[..., jj]) / np.sqrt(v[..., ii] + v[..., jj])
 
 
 def _resolved_arms(

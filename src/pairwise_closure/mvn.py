@@ -50,8 +50,9 @@ quantile takes the ``"central"`` or the ``"upper"`` tail
 
 Equicoordinate quantiles, and the stage boundaries of the group-sequential
 module, are roots in one scalar of such probabilities.  ``_two_phase_root``
-finds them with cheap low-accuracy evaluations first and only two
-full-accuracy ones in the usual case.
+finds them with cheap low-accuracy evaluations first, at the one accuracy
+``_coarse_accuracy`` sets for both, and only two full-accuracy ones in the
+usual case.
 """
 
 from __future__ import annotations
@@ -502,6 +503,8 @@ def equicoord_quantile(
     (``"upper"``) and found by :func:`_two_phase_root`: Illinois regula
     falsi on cheap low-accuracy probabilities locates it, then two
     full-accuracy evaluations, a Newton step and a secant step, polish it.
+    The coarse evaluations run at :func:`_coarse_accuracy` of the tail level
+    1 - prob, the same policy as the group-sequential boundary solves.
     Every probability evaluation reuses the same seed, so the objective is a
     fixed function of c and the result is deterministic.
 
@@ -544,8 +547,15 @@ def equicoord_quantile(
         rect = _max_rect(c, dim, central)
         return mvn_rect(0.0, model, rect, accuracy=acc, seed=seed).value - prob
 
-    coarse_acc = max(accuracy, min(5e-4, 0.05 * (1.0 - prob)))
-    return _two_phase_root(objective, *_max_range(central), tol, accuracy, coarse_acc)
+    coarse = _coarse_accuracy(accuracy, 1.0 - prob)
+    return _two_phase_root(objective, *_max_range(central), tol, accuracy, coarse)
+
+
+def _coarse_accuracy(accuracy: float, level: float) -> float:
+    """Accuracy of the coarse phase of a root solve whose target tail
+    probability is ``level``: a twentieth of the level, where a level below
+    1e-3 counts as 1e-3, capped at 5e-4 and never finer than ``accuracy``."""
+    return max(accuracy, min(5e-4, 0.05 * max(level, 1e-3)))
 
 
 def _check_tol(tol: float) -> None:

@@ -116,10 +116,8 @@ def disjunctive_power(
     PowerResult
     """
     mu = _arm_means(means, config.n_arms)
-    if table is None:
-        table = critical_values(config, alpha, seed=seed, accuracy=accuracy)
-    elif table.config != config or table.alpha != alpha:
-        raise ValueError("table was built for a different config or alpha")
+    table = (critical_values(config, alpha, seed=seed, accuracy=accuracy) if table is None
+             else table._serving(config, alpha=alpha))
     m = config.n_comparisons
     c_full = table.value(table.full_set())
     if method == "quadrature":
@@ -247,21 +245,19 @@ def lfc_check(
     """
     k = config.n_arms
     base_means = lfc(k, delta)
+    table = critical_values(config, alpha, seed=seed, accuracy=accuracy)
+
+    def power(mu) -> float:
+        return disjunctive_power(
+            config, mu, alpha, seed=seed, accuracy=accuracy, table=table
+        ).disjunctive
+
+    base = power(base_means)
+    report = {"mode": mode, "lfc_power": base, "alternatives": [],
+              "is_minimum": True, "trivial": k == 2}
     if k == 2:
         # with two arms the configuration is unique up to translation
-        return {
-            "mode": mode,
-            "lfc_power": disjunctive_power(
-                config, base_means, alpha, seed=seed, accuracy=accuracy
-            ).disjunctive,
-            "alternatives": [],
-            "is_minimum": True,
-            "trivial": True,
-        }
-    table = critical_values(config, alpha, seed=seed, accuracy=accuracy)
-    base = disjunctive_power(
-        config, base_means, alpha, seed=seed, accuracy=accuracy, table=table
-    ).disjunctive
+        return report
     slack = 5.0 * accuracy
 
     if mode == "theorem":
@@ -275,51 +271,31 @@ def lfc_check(
         grid = [float(e) for e in grid]
         if not grid:
             raise ValueError("perturbation grid is empty")
-        alternatives = []
         for eps in grid:
             mu = list(base_means.mu)
             mu[2] = delta / 2.0 + eps
-            power = disjunctive_power(
-                config, mu, alpha, seed=seed, accuracy=accuracy, table=table
-            ).disjunctive
-            alternatives.append(
-                {"epsilon": eps, "power": power, "ge_lfc": power >= base - slack}
+            alt = power(mu)
+            report["alternatives"].append(
+                {"epsilon": eps, "power": alt, "ge_lfc": alt >= base - slack}
             )
-        return {
-            "mode": "theorem",
-            "lfc_power": base,
-            "alternatives": alternatives,
-            "is_minimum": all(a["ge_lfc"] for a in alternatives),
-            "trivial": False,
-        }
+        report["is_minimum"] = all(a["ge_lfc"] for a in report["alternatives"])
+        return report
 
     if mode != "search":
         raise ValueError(f"unknown mode {mode!r}")
     # imported here so that importing the package does not load scipy.optimize
     from scipy.optimize import minimize
 
-    def objective(mid: np.ndarray) -> float:
-        mu = np.concatenate([[delta, 0.0], mid])
-        return disjunctive_power(
-            config, mu, alpha, seed=seed, accuracy=accuracy, table=table
-        ).disjunctive
-
-    start = np.full(k - 2, delta / 2.0)
     res = minimize(
-        objective,
-        start,
+        lambda mid: power(np.concatenate([[delta, 0.0], mid])),
+        np.full(k - 2, delta / 2.0),
         method="Nelder-Mead",
         options={"xatol": 1e-3 * abs(delta), "fatol": 1e-6, "maxiter": 400},
     )
-    minimizing = np.concatenate([[delta, 0.0], res.x])
-    scaling = tuple([1.0, 1.0] + [float(x / (delta / 2.0)) for x in res.x])
-    return {
-        "mode": "search",
-        "lfc_power": base,
-        "min_power": float(res.fun),
-        "minimizing_means": tuple(float(x) for x in minimizing),
-        "scaling": scaling,
-        "alternatives": [],
-        "is_minimum": base <= res.fun + slack,
-        "trivial": False,
-    }
+    report.update(
+        min_power=float(res.fun),
+        minimizing_means=tuple(float(x) for x in np.concatenate([[delta, 0.0], res.x])),
+        scaling=tuple([1.0, 1.0] + [float(x / (delta / 2.0)) for x in res.x]),
+        is_minimum=base <= res.fun + slack,
+    )
+    return report

@@ -36,7 +36,7 @@ from .model import (
     TrialConfig,
     _check_alpha,
     _max_statistic,
-    _pair_arms,
+    _pair_z,
     _resolved_arms,
     correlation,
     z_statistics,
@@ -45,6 +45,7 @@ from .mvn import (
     DEFAULT_ACCURACY,
     DEFAULT_QUANTILE_TOL,
     _check_tol,
+    _coarse_accuracy,
     _max_range,
     _max_rect,
     _two_phase_root,
@@ -226,9 +227,10 @@ class BoundarySchedule(_ClassCache):
     generalised schedule solves only the full-set vector and serves it for
     every subset, which is conservative for proper subsets; that vector
     equals the full set's in a subset-wise schedule with the same inputs.
-    The spending schedule is part of every class key and so of every
-    derived seed.  Each schedule keeps its own cache, so a copy made with
-    ``dataclasses.replace`` starts with an empty one.
+    Each schedule keeps its own cache, so a copy made with
+    ``dataclasses.replace`` starts with an empty one, and class keys need
+    not name the spending schedule; the schedule's information times and
+    rounded cumulative spends are part of every derived seed instead.
     """
 
     schedule: SpendingSchedule
@@ -253,18 +255,15 @@ class BoundarySchedule(_ClassCache):
     def n_stages(self) -> int:
         return self.config.n_stages
 
-    def _key(self, members: frozenset) -> tuple:
-        return (super()._key(members), self.schedule.info_times,
-                tuple(round(a, 12) for a in self.schedule.per_stage))
-
     def _served(self, subset: frozenset) -> frozenset:
         return self.full_set() if self.generalised else subset
 
     def _solve(self, key) -> tuple[float, ...]:
-        base = _key_correlation(key[0]).matrix
+        base = _key_correlation(key).matrix
         width = base.shape[0]
         joint = np.kron(_reference_corr(self.config.info_fractions()), base)
-        seed = _derived_seed(self.seed, key)
+        spends = tuple(round(a, 12) for a in self.schedule.per_stage)
+        seed = _derived_seed(self.seed, (key, self.schedule.info_times, spends))
         central = self.config.central
         values: list[float] = []
         prev = 0.0
@@ -281,11 +280,10 @@ class BoundarySchedule(_ClassCache):
                 upper[-width:] = c
                 return _crossing_prob(block, upper, central, acc, seed) - alpha_q
 
-            coarse = max(self.accuracy, min(5e-4, 0.05 * max(alpha_q, 1e-3)))
             values.append(
                 _two_phase_root(
-                    objective, *_max_range(central),
-                    tol=self.tol, accuracy=self.accuracy, coarse=coarse,
+                    objective, *_max_range(central), tol=self.tol, accuracy=self.accuracy,
+                    coarse=_coarse_accuracy(self.accuracy, alpha_q),
                 )
             )
         return tuple(values)
@@ -366,9 +364,7 @@ class StageData:
         cum_n = np.asarray(config.stage_n[:q_obs], dtype=float)
         stage_means = cum.copy()
         stage_means[1:] = (cum[1:] * cum_n[1:] - cum[:-1] * cum_n[:-1]) / inc[1:]
-        ii, jj = _pair_arms(config.n_arms, config.sided)
-        v = np.asarray(config.sigma2) / inc
-        z_stage = (stage_means[:, ii] - stage_means[:, jj]) / np.sqrt(v[:, ii] + v[:, jj])
+        z_stage = _pair_z(stage_means, np.asarray(config.sigma2) / inc, config.sided)
         return cls(config, z_cum, z_stage)
 
 

@@ -34,7 +34,7 @@ from .model import (
     _arm_means,
     _check_alpha,
     _max_statistic,
-    _pair_arms,
+    _pair_z,
     _resolved_arms,
     _whole,
 )
@@ -154,16 +154,9 @@ def _draw_statistics(config, mu, n_reps, rng):
     sums = rng.standard_normal((n_reps, config.n_stages, config.n_arms))
     sums *= np.sqrt(sig2 * inc)
     sums += np.asarray(mu) * inc
-    cum_means = np.cumsum(sums, axis=1) / np.asarray(config.stage_n, dtype=float)
-    stage_means = sums / inc
-    ii, jj = _pair_arms(config.n_arms, config.sided)
-    v_cum = sig2 / np.asarray(config.stage_n, dtype=float)
-    se_cum = np.sqrt(v_cum[:, ii] + v_cum[:, jj])
-    v_stage = sig2 / inc
-    se_stage = np.sqrt(v_stage[:, ii] + v_stage[:, jj])
-    z_cum = (cum_means[:, :, ii] - cum_means[:, :, jj]) / se_cum
-    z_stage = (stage_means[:, :, ii] - stage_means[:, :, jj]) / se_stage
-    return z_cum, z_stage
+    cum_n = np.asarray(config.stage_n, dtype=float)
+    z_cum = _pair_z(np.cumsum(sums, axis=1) / cum_n, sig2 / cum_n, config.sided)
+    return z_cum, _pair_z(sums / inc, sig2 / inc, config.sided)
 
 
 def _build_resources(scenario: SimScenario) -> dict[str, Callable]:

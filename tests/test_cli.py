@@ -420,6 +420,16 @@ class TestSimulate:
         assert status == 2 and out == ""
         assert "whole number" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("request_", [
+        dict(REQUEST, replicates="20"),
+        dict(REQUEST, replicates=True),
+        dict(REQUEST, config={"n_arms": 3, "sigma2": 1.0, "n": "100"}),
+    ], ids=["string-replicates", "boolean-replicates", "string-n"])
+    def test_strings_and_booleans_are_not_counts_exit_2(self, capsys, request_):
+        status, out, err = run_cli(["simulate", "--input", json.dumps(request_)], capsys)
+        assert status == 2 and out == ""
+        assert "must be a whole number" in json.loads(err)["error"]["message"]
+
     def test_whole_float_replicates_run_as_an_int(self, capsys):
         argv = ["simulate", "--deterministic", "--input"]
         as_float = run_cli(argv + [json.dumps(dict(self.REQUEST, replicates=2000.0))], capsys)

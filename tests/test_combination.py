@@ -409,6 +409,21 @@ class TestBatchFlexibleTest:
         with pytest.raises(ValueError, match="statistics must be finite"):
             batch_flexible_test(z, cfg_k3_q2, table=tail_table)
 
+    def test_table_for_another_design_is_rejected(self, cfg_k3_q2, tail_table):
+        # with this table 185 of the rows got other decisions than with the
+        # right one, and nothing was raised
+        other = TrialConfig.single_stage(3, (1.0, 4.0, 0.25), (50, 20, 80))
+        other = other.with_stage_n(((50, 20, 80), (100, 40, 160)))
+        z = np.random.default_rng(1).standard_normal((4000, 2, 3)) + [2.0, 0.5, -1.5]
+        wrong = TailProbabilityTable(other, accuracy=1e-3)
+        with pytest.raises(ValueError, match="^table was built for a different config$"):
+            batch_flexible_test(z, cfg_k3_q2, table=wrong)
+        # an equal design built separately passes the check
+        same = TrialConfig.single_stage(3, 1.0, 50).with_stage_n(
+            ((50, 50, 50), (100, 100, 100)))
+        assert np.array_equal(batch_flexible_test(z[:200], same, table=tail_table),
+                              batch_flexible_test(z[:200], cfg_k3_q2, table=tail_table))
+
     def test_input_validation(self, cfg_k3_q2, tail_table):
         with pytest.raises(ValueError):
             batch_flexible_test(np.zeros((5, 2)), cfg_k3_q2, table=tail_table)

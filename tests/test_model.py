@@ -12,6 +12,7 @@ from pairwise_closure.model import (
     CorrelationModel,
     TrialConfig,
     _pair_arms,
+    _whole,
     all_pairs,
     correlation,
     index_to_pair,
@@ -113,6 +114,24 @@ def test_arm_counts_and_sample_sizes_must_be_whole_numbers():
     assert TrialConfig.single_stage(3.0, 1.0, 100.0) == expect
     assert TrialConfig.single_stage(np.int64(3), 1.0, np.int64(100)) == expect
     assert TrialConfig.from_dict(dict(expect.to_dict(), n_arms=3.0)) == expect
+
+
+@pytest.mark.parametrize("value", ["20", b"20", True, False, np.bool_(True)],
+                         ids=["str", "bytes", "true", "false", "numpy-bool"])
+def test_whole_numbers_are_not_strings_or_booleans(value):
+    with pytest.raises(ValueError, match="must be a whole number, got "):
+        _whole(value, "replicates")
+
+
+def test_arm_counts_and_sample_sizes_are_not_strings():
+    with pytest.raises(ValueError, match="n_arms must be a whole number, got '3'"):
+        TrialConfig.single_stage("3", 1.0, "100")
+    with pytest.raises(ValueError, match="sample size must be a whole number, got '100'"):
+        TrialConfig.single_stage(3, 1.0, "100")
+    with pytest.raises(ValueError, match="whole number, got True"):
+        TrialConfig(2, (1.0, 1.0), (0.5, 0.5), ((10, True),))
+    assert _whole(2000.0, "replicates") == 2000
+    assert _whole(np.int64(20), "replicates") == 20
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, np.nan])

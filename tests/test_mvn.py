@@ -304,6 +304,26 @@ def test_quantile_bits_are_pinned():
     assert equicoord_quantile(pairwise_corr(3), 0.95, seed=3) == 2.3437034800156034
 
 
+def test_coarse_accuracy_is_one_policy():
+    # a twentieth of the level, capped at 5e-4, never finer than the target,
+    # and no finer below the level 1e-3 than at it
+    assert mvn._coarse_accuracy(1e-5, 0.05) == 5e-4
+    assert mvn._coarse_accuracy(1e-5, 2e-3) == 0.05 * 2e-3
+    assert mvn._coarse_accuracy(1e-5, 1e-4) == mvn._coarse_accuracy(1e-5, 1e-3)
+    assert mvn._coarse_accuracy(1e-3, 0.05) == 1e-3
+
+
+def test_quantile_at_level_1e3_keeps_its_bits():
+    assert equicoord_quantile(pairwise_corr(4), 0.999, seed=1) == 3.7554404117294293
+
+
+def test_quantile_below_level_1e3_is_pinned():
+    # the coarse phase runs at the accuracy of level 1e-3 below it; the value
+    # moved by -1.1e-6 from 4.3042246196112455 when that floor was added,
+    # well inside the quantile tolerance 1e-4
+    assert equicoord_quantile(pairwise_corr(4), 0.9999, seed=1) == 4.304223520795397
+
+
 @pytest.mark.parametrize("n_arms", [3, 4])
 def test_quantile_takes_two_full_accuracy_evaluations(n_arms, monkeypatch):
     accuracies = []

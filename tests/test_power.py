@@ -253,3 +253,38 @@ class TestLfcCheck:
         report = lfc_check(cfg, 0.8, seed=1, mode="search")
         assert report["min_power"] <= report["lfc_power"] + 1e-6
         assert len(report["scaling"]) == 3
+
+    # Whole reports at accuracy 1e-4 and seed 1, compared with ==: every
+    # power, alternative and search result is pinned to the bit.
+    @pytest.mark.parametrize("n_arms, sigma2, n, delta, mode, expected", [
+        (4, 1.0, 100, 0.5, "theorem", {
+            "mode": "theorem", "lfc_power": 0.8584069109539475,
+            "alternatives": [
+                {"epsilon": -0.25, "power": 0.9401464983495296, "ge_lfc": True},
+                {"epsilon": -0.125, "power": 0.8820446161752318, "ge_lfc": True},
+                {"epsilon": 0.125, "power": 0.8820451253727982, "ge_lfc": True},
+                {"epsilon": 0.25, "power": 0.9401424468568231, "ge_lfc": True},
+            ],
+            "is_minimum": True, "trivial": False,
+        }),
+        (2, 1.0, 50, 0.5, "theorem", {
+            "mode": "theorem", "lfc_power": 0.7054180011138003, "alternatives": [],
+            "is_minimum": True, "trivial": True,
+        }),
+        (3, 1.0, 100, 0.5, "search", {
+            "mode": "search", "lfc_power": 0.8962935736389075,
+            "min_power": 0.8962935736389075, "minimizing_means": (0.5, 0.0, 0.25),
+            "scaling": (1.0, 1.0, 1.0), "alternatives": [], "is_minimum": True,
+            "trivial": False,
+        }),
+        (3, (1.0, 1.7, 0.8), (40, 60, 50), 0.8, "search", {
+            "mode": "search", "lfc_power": 0.8860659218797682,
+            "min_power": 0.8857343972568361, "minimizing_means": (0.8, 0.0, 0.420625),
+            "scaling": (1.0, 1.0, 1.0515625), "alternatives": [], "is_minimum": True,
+            "trivial": False,
+        }),
+    ], ids=["theorem-k4", "trivial-k2", "search-k3", "search-k3-unequal"])
+    def test_reports_are_pinned(self, n_arms, sigma2, n, delta, mode, expected):
+        cfg = TrialConfig.single_stage(n_arms, sigma2, n)
+        report = lfc_check(cfg, delta, seed=1, accuracy=1e-4, mode=mode)
+        assert report == expected

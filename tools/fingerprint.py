@@ -1,0 +1,197 @@
+"""One SHA-256 over a fixed set of the package's outputs: a bit-identity check.
+
+Two checkouts whose outputs agree to the last bit print the same digest; a
+change that moves any covered value, even in its last bit, changes it.  It
+covers what the perfbench digests do not: ``lfc_check`` in its three modes,
+disjunctive power by quadrature and by simulation, ``tukey_global_test``,
+``sample_size``, the staged statistics, flexible and stage-wise p-values on a
+two-sided, a one-sided and a three-look unequal-variance design, the tail
+probability table and its batch test, simulated statistics, ``run_scenario``
+over every procedure, group-sequential and generalised boundary tables, and
+the messages that reject a table built for another design.
+
+Usage::
+
+    python3 tools/fingerprint.py [SRC]
+
+``SRC`` is the directory the package is imported from (default: ``src/`` of
+this checkout).  Prints the digest, then the number of outputs covered.
+
+The canonical form of an output is a string: dict keys are sorted by their
+canonical form, floats are written by ``repr``, arrays as nested lists,
+numpy scalars as the Python scalars they hold, and a dataclass as its type
+name and fields.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+import warnings
+from collections.abc import Mapping
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def canonical(obj) -> str:
+    """The canonical string form of one output."""
+    if obj is None or isinstance(obj, (bool, np.bool_)):
+        return repr(None if obj is None else bool(obj))
+    if isinstance(obj, (int, np.integer)):
+        return repr(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return repr(float(obj))
+    if isinstance(obj, str):
+        return repr(obj)
+    if isinstance(obj, np.ndarray):
+        return canonical(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(canonical(x) for x in obj) + "]"
+    if isinstance(obj, (set, frozenset)):
+        return "{" + ",".join(sorted(canonical(x) for x in obj)) + "}"
+    if isinstance(obj, Mapping):
+        items = sorted(f"{canonical(k)}:{canonical(v)}" for k, v in obj.items())
+        return "{" + ",".join(items) + "}"
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        return type(obj).__name__ + canonical(fields)
+    raise TypeError(f"no canonical form for {type(obj).__name__}")
+
+
+def digest(outputs: Mapping) -> str:
+    """SHA-256 of the canonical form of ``outputs``, a map from name to output."""
+    return hashlib.sha256(canonical(outputs).encode()).hexdigest()
+
+
+def _message(call) -> str:
+    try:
+        call()
+    except ValueError as err:
+        return str(err)
+    return "no error"
+
+
+def outputs() -> dict:
+    """Every covered output, by name; needs the package on ``sys.path``."""
+    from pairwise_closure.closure import critical_values, tukey_global_test
+    from pairwise_closure.combination import (
+        CombinationWeights,
+        TailProbabilityTable,
+        batch_flexible_test,
+        flexible_closed_test,
+        stage_pvalue,
+    )
+    from pairwise_closure.model import TrialConfig
+    from pairwise_closure.power import disjunctive_power, lfc, lfc_check, sample_size
+    from pairwise_closure.sequential import (
+        SpendingSchedule,
+        StageData,
+        generalised_boundaries,
+        gs_boundaries,
+    )
+    from pairwise_closure.simulate import (
+        PROCEDURES,
+        SimScenario,
+        run_scenario,
+        simulate_statistics,
+    )
+
+    acc = 1e-4
+    out: dict = {}
+    k2 = TrialConfig.single_stage(2, 1.0, 50)
+    k3 = TrialConfig.single_stage(3, 1.0, 100)
+    k4 = TrialConfig.single_stage(4, 1.0, 100)
+    k3_unequal = TrialConfig.single_stage(3, (1.0, 1.7, 0.8), (40, 60, 50))
+    out["lfc_check"] = [
+        lfc_check(k4, 0.5, seed=1, accuracy=acc),
+        lfc_check(k2, 0.5, seed=1, accuracy=acc),
+        lfc_check(k3, 0.5, seed=1, accuracy=acc, mode="search"),
+        lfc_check(k3_unequal, 0.8, seed=1, accuracy=acc, mode="search"),
+    ]
+
+    table_k4 = critical_values(k4, 0.05, seed=1, accuracy=acc)
+    mu_k4 = lfc(4, 0.4)
+    out["power"] = [
+        disjunctive_power(k4, mu_k4, seed=1, accuracy=acc, table=table_k4),
+        disjunctive_power(k4, mu_k4, method="simulation", seed=2, n_reps=4000,
+                          table=table_k4),
+        disjunctive_power(k3_unequal, (0.3, 0.0, -0.2), alpha=0.1, seed=3, accuracy=acc),
+    ]
+    z_k4 = [2.9, -0.4, 1.1, 2.6, 0.2, -2.7]
+    out["tukey"] = [
+        tukey_global_test(z_k4, k4, 0.05, table=table_k4),
+        tukey_global_test(z_k4, k4, 0.1, seed=4),
+    ]
+    out["sample_size"] = [
+        sample_size(k3, lfc(3, 0.5), seed=1, accuracy=acc),
+        sample_size(k3_unequal, (0.4, 0.0, 0.2), power_target=0.8, seed=2, accuracy=acc),
+    ]
+    out["mismatch"] = [
+        _message(lambda: tukey_global_test(z_k4, k4, 0.1, table=table_k4)),
+        _message(lambda: tukey_global_test(
+            z_k4, TrialConfig.single_stage(4, 1.0, 90), 0.05, table=table_k4)),
+        _message(lambda: disjunctive_power(k4, mu_k4, alpha=0.01, table=table_k4)),
+        _message(lambda: disjunctive_power(k3, (0.1, 0.0, 0.0), table=table_k4)),
+    ]
+
+    designs = {
+        "two-sided": (TrialConfig.single_stage(3, 1.0, 50).with_stage_n(
+            ((50, 50, 50), (100, 100, 100))), [[0.3, 0.1, -0.2], [0.25, 0.0, -0.15]]),
+        "one-sided": (TrialConfig.single_stage(3, 1.0, 40, sided="one-sided").with_stage_n(
+            ((40, 40, 40), (80, 80, 80))), [[0.4, 0.0, 0.1], [0.35, 0.05, 0.1]]),
+        "three-look": (k3_unequal.with_stage_n(
+            ((40, 60, 50), (80, 120, 100), (120, 180, 150))),
+            [[0.5, 0.0, 0.2], [0.4, -0.1, 0.25], [0.45, -0.05, 0.2]]),
+    }
+    for name, (cfg, cum_means) in designs.items():
+        data = StageData.from_cumulative_means(cfg, cum_means)
+        m = cfg.n_comparisons
+        full = range(1, m + 1)
+        out[f"{name}/stage_data"] = data
+        out[f"{name}/stage_p"] = [
+            stage_pvalue(cfg, members, data.z_stage[q], stage=q + 1, seed=5, accuracy=acc)
+            for members in ([1], [1, 2], full) for q in range(data.n_analyses)
+        ]
+        flexible = flexible_closed_test(data, alpha=0.1, seed=5, accuracy=acc)
+        out[f"{name}/flexible"] = (flexible.rejected, flexible.local, flexible.meta)
+        tail = TailProbabilityTable(cfg, seed=6)
+        z = simulate_statistics(cfg, (0.3, 0.0, 0.1), 300, seed=7)
+        out[f"{name}/simulate_statistics"] = z
+        out[f"{name}/tail_p"] = [tail.pvalue(members, z[1][:, 0, 0])
+                                 for members in ([1], [1, 2], full)]
+        weights = CombinationWeights.from_information(cfg)
+        out[f"{name}/batch_flexible"] = batch_flexible_test(
+            z[1], cfg, weights, 0.1, table=tail)
+        spend = SpendingSchedule.obrien_fleming(0.05, cfg.info_fractions())
+        out[f"{name}/gs"] = gs_boundaries(cfg, spend, seed=8, accuracy=acc).entries()
+        out[f"{name}/generalised"] = generalised_boundaries(
+            cfg, spend, seed=8, accuracy=acc).entries()
+
+    cfg, _ = designs["two-sided"]
+    scenario = SimScenario(
+        cfg, (0.35, 0.0, 0.1), PROCEDURES, replicates=3000, seed=9,
+        spending=SpendingSchedule.pocock(0.05, cfg.info_fractions(), seed=9, accuracy=acc),
+        accuracy=acc,
+    )
+    out["run_scenario"] = run_scenario(scenario, keep_decisions=True)
+    return out
+
+
+def main(argv: list[str]) -> int:
+    sys.path.insert(0, str(Path(argv[0]).resolve() if argv else SRC))
+    with warnings.catch_warnings():
+        # the one-sided design combines stage p-values of exactly 1, which
+        # are clamped with a warning; the clamped values are what is covered
+        warnings.simplefilter("ignore", RuntimeWarning)
+        found = outputs()
+    print(digest(found))
+    print(f"{len(found)} outputs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
