@@ -15,6 +15,7 @@ Output is JSON (default) or CSV with six significant digits, written to
 field is added unless ``--deterministic`` is set, so deterministic runs are
 byte-identical.  Validation problems exit with status 2 and a JSON error
 object on standard error; numeric non-convergence exits with status 3.
+Every command solves its tables in the calling process.
 
 This module checks only the shape of a request: that it is a JSON object with
 the keys a command needs.  Every value (a level, an arm count, a replicate
@@ -38,7 +39,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -111,11 +111,9 @@ def _config_from(data: dict) -> TrialConfig:
     if ("n" in obj) == ("stage_n" in obj):
         raise ValueError("config needs exactly one of 'n' or 'stage_n'")
     try:
-        if "n" in obj:
-            return TrialConfig.single_stage(n_arms, sigma2, obj["n"], sided=sided)
-        stage_n = [tuple(row) for row in obj["stage_n"]]
-        base = TrialConfig.single_stage(n_arms, sigma2, stage_n[0], sided=sided)
-        return base.with_stage_n(stage_n)
+        # a staged config replaces the placeholder row with its own rows
+        config = TrialConfig.single_stage(n_arms, sigma2, obj.get("n", 1), sided=sided)
+        return config.with_stage_n(obj["stage_n"]) if "stage_n" in obj else config
     except (TypeError, ValueError) as err:
         raise ValueError(f"invalid config: {err}") from err
 
@@ -157,16 +155,6 @@ def _alpha_from(data: dict) -> float:
     alpha = data.get("alpha", 0.05)
     _check_alpha(alpha)
     return float(alpha)
-
-
-def _threads(args) -> int:
-    value = args.threads
-    if value is None:
-        env = os.environ.get("PAIRWISE_CLOSURE_THREADS")
-        value = int(env) if env else 1
-    if value < 1:
-        raise ValueError("--threads must be at least 1")
-    return value
 
 
 def _subset_label(subset) -> str:
@@ -227,7 +215,7 @@ def _cmd_critical_values(data: dict, args) -> tuple[dict, list, list]:
     table = critical_values(
         config, alpha, seed=args.seed, accuracy=args.accuracy
     )
-    entries = table.entries(threads=_threads(args))
+    entries = table.entries()
     payload = {
         "alpha": alpha,
         "n_comparisons": config.n_comparisons,
@@ -293,7 +281,7 @@ def _cmd_gs_boundaries(data: dict, args) -> tuple[dict, list, list]:
     schedule = _spending_from(data, config, alpha, args)
     build = generalised_boundaries if data.get("generalised") else gs_boundaries
     bounds = build(config, schedule, seed=args.seed, accuracy=args.accuracy)
-    entries = bounds.entries(threads=_threads(args))
+    entries = bounds.entries()
     payload = {
         "alpha": alpha,
         "generalised": bool(data.get("generalised")),
@@ -457,11 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--accuracy", type=float, default=DEFAULT_ACCURACY,
             help=f"quadrature accuracy (default {DEFAULT_ACCURACY:g})",
-        )
-        p.add_argument(
-            "--threads", type=int, default=None,
-            help="worker processes for the class solves of critical-values "
-            "and gs-boundaries (default $PAIRWISE_CLOSURE_THREADS or 1)",
         )
         p.add_argument(
             "--deterministic", action="store_true",

@@ -26,8 +26,6 @@ from __future__ import annotations
 import itertools
 import zlib
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -167,11 +165,10 @@ class _ClassCache:
     A subclass supplies ``_solve(key)``, the value of one class from its
     canonical key, and may override ``_served(subset)``, the subset whose
     value a lookup returns.  ``value`` validates a subset, memoizes its
-    class key and solves each class once; ``entries`` materializes every
-    subset of the lattice, solving distinct classes in worker processes
-    when asked.  The cache belongs to one object and is not an argument of
-    ``__init__``, so a copy made with ``dataclasses.replace`` always starts
-    with an empty cache.
+    class key and solves each class once, in the calling process;
+    ``entries`` materializes every subset of the lattice.  The cache
+    belongs to one object and is not an argument of ``__init__``, so a copy
+    made with ``dataclasses.replace`` always starts with an empty cache.
     """
 
     config: TrialConfig
@@ -214,24 +211,10 @@ class _ClassCache:
             self._class_values[key] = self._solve(key)
         return self._class_values[key]
 
-    def entries(self, threads: int = 1) -> dict:
-        """Every subset's value; guarded by the lattice limit.
-
-        Distinct classes not yet cached may be solved concurrently in
-        ``threads`` worker processes.  Per-class seeds make the result
-        independent of solve order and worker count.
-        """
-        subsets = _all_subsets(self.n_comparisons)
-        if threads > 1:
-            pending = list(dict.fromkeys(
-                key for key in (self._key(self._served(s)) for s in subsets)
-                if key not in self._class_values
-            ))
-            if len(pending) > 1:
-                with ProcessPoolExecutor(min(threads, len(pending)),
-                                         mp_context=get_context("spawn")) as pool:
-                    self._class_values.update(zip(pending, pool.map(self._solve, pending)))
-        return {s: self.value(s) for s in subsets}
+    def entries(self) -> dict:
+        """Every subset's value, by size and then lexicographically; guarded
+        by the lattice limit."""
+        return {s: self.value(s) for s in _all_subsets(self.n_comparisons)}
 
 
 @dataclass
@@ -265,14 +248,14 @@ class CriticalValueTable(_ClassCache):
             tol=self.tol, accuracy=self.accuracy, tail=self.tail,
         )
 
-    def classes(self, threads: int = 1) -> list[dict]:
+    def classes(self) -> list[dict]:
         """Summaries of the distinct correlation-equivalence classes.
 
         Entries come by size and then lexicographically, so the first
         subset seen of each class is its smallest, and classes come in the
         order of those representatives.
         """
-        entries = self.entries(threads=threads)
+        entries = self.entries()
         by_key: dict = {}
         for subset, value in entries.items():
             key = self._key(subset)

@@ -15,8 +15,8 @@ matrix B, and the covariance of the statistics is B diag(sigma^2/n) B^T.
 
 The statistic every max test reads, |z| or z by sidedness, is
 :func:`_max_statistic`.  The one check of a significance level is
-:func:`_check_alpha`, of a whole count :func:`_whole`, and of a vector of arm
-means :func:`_arm_means`.
+:func:`_check_alpha`, of a whole count :func:`_whole`, of a real number
+:func:`_real`, and of a vector of arm means :func:`_arm_means`.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ import numpy as np
 TWO_SIDED = "two-sided"
 ONE_SIDED = "one-sided"
 
-# Relative slack when checking that allocation fractions are constant over
-# stages; integer stage sizes that are exact multiples satisfy this exactly.
+# Slack when checking that allocation fractions agree across stages and with
+# ``TrialConfig.alloc``; integer stage sizes that are exact multiples, and
+# fractions computed from the first row, satisfy this exactly.
 _PROPORTION_RTOL = 1e-6
 
 
@@ -70,13 +71,34 @@ def _normal_tails(sided: str) -> float:
     return 2.0 if sided == TWO_SIDED else 1.0
 
 
+# Values that float() or int() would read as numbers but that are not numbers.
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
+
 def _whole(value, what: str) -> int:
     """``value`` as an int; whole floats and numpy integers pass, while a
     fractional or non-finite number, a string or a boolean raises
     ``ValueError``."""
-    if isinstance(value, (str, bytes, bool, np.bool_)) or not float(value).is_integer():
+    if isinstance(value, _NOT_NUMBERS) or not float(value).is_integer():
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a float; a string or a boolean raises ``ValueError``."""
+    if isinstance(value, _NOT_NUMBERS):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _fractions(row: Sequence[int]) -> tuple[float, ...]:
+    """Allocation fractions n / total of one row of per-arm sample sizes,
+    which must be positive whole numbers."""
+    n_row = [_whole(n, "a per-arm sample size") for n in row]
+    if any(n <= 0 for n in n_row):
+        raise ValueError("per-arm sample sizes must be positive")
+    total = sum(n_row)
+    return tuple(n / total for n in n_row)
 
 
 @dataclass(frozen=True)
@@ -218,7 +240,8 @@ class TrialConfig:
     sigma2 : tuple of float
         Known per-arm response variances, all positive.
     alloc : tuple of float
-        Allocation fractions, positive and summing to one.
+        Allocation fractions: those of the first ``stage_n`` row, to within
+        1e-6.
     stage_n : tuple of tuple of int
         Cumulative per-arm sample sizes, one row per analysis.  Rows are
         strictly increasing componentwise and keep the allocation fractions
@@ -239,8 +262,8 @@ class TrialConfig:
         object.__setattr__(self, "n_arms", _whole(self.n_arms, "n_arms"))
         if self.n_arms < 2:
             raise ValueError("need at least two arms")
-        object.__setattr__(self, "sigma2", tuple(float(v) for v in self.sigma2))
-        object.__setattr__(self, "alloc", tuple(float(r) for r in self.alloc))
+        object.__setattr__(self, "sigma2", tuple(_real(v, "sigma2") for v in self.sigma2))
+        object.__setattr__(self, "alloc", tuple(_real(r, "alloc") for r in self.alloc))
         object.__setattr__(self, "stage_n", tuple(
             tuple(_whole(n, "a per-arm sample size") for n in row) for row in self.stage_n
         ))
@@ -248,33 +271,21 @@ class TrialConfig:
             raise ValueError("sigma2 must have one entry per arm")
         if any(v <= 0 or not math.isfinite(v) for v in self.sigma2):
             raise ValueError("arm variances must be positive and finite")
-        if len(self.alloc) != self.n_arms:
-            raise ValueError("alloc must have one entry per arm")
-        if any(r <= 0 for r in self.alloc):
-            raise ValueError("allocation fractions must be positive")
-        if abs(sum(self.alloc) - 1.0) > 1e-9:
-            raise ValueError("allocation fractions must sum to one")
         if not self.stage_n:
             raise ValueError("at least one analysis stage is required")
-        for row in self.stage_n:
-            if len(row) != self.n_arms:
-                raise ValueError("each stage_n row must have one entry per arm")
-            if any(n <= 0 for n in row):
-                raise ValueError("per-arm sample sizes must be positive")
+        if any(len(row) != self.n_arms for row in self.stage_n):
+            raise ValueError("each stage_n row must have one entry per arm")
         for prev, cur in zip(self.stage_n, self.stage_n[1:]):
             if any(c <= p for p, c in zip(prev, cur)):
                 raise ValueError("cumulative sample sizes must be strictly increasing")
         # Constant allocation over stages; a drifting fraction breaks the
         # sqrt(information ratio) covariance between analyses.
-        first = self.stage_n[0]
-        tot0 = sum(first)
-        for row in self.stage_n[1:]:
-            tot = sum(row)
-            for a, b in zip(first, row):
-                if abs(a / tot0 - b / tot) > _PROPORTION_RTOL:
-                    raise ValueError(
-                        "per-arm allocation fractions must be constant across stages"
-                    )
+        fractions = np.array([_fractions(row) for row in self.stage_n])
+        if not np.allclose(fractions, fractions[0], rtol=0.0, atol=_PROPORTION_RTOL):
+            raise ValueError("per-arm allocation fractions must be constant across stages")
+        if len(self.alloc) != self.n_arms or not np.allclose(
+                self.alloc, fractions[0], rtol=0.0, atol=_PROPORTION_RTOL):
+            raise ValueError("alloc must hold the allocation fractions of the first stage")
 
     @classmethod
     def single_stage(
@@ -287,13 +298,11 @@ class TrialConfig:
         """One-analysis trial; scalar ``sigma2``/``n_per_arm`` broadcast to all arms."""
         n_arms = _whole(n_arms, "n_arms")
         if np.isscalar(sigma2):
-            sigma2 = (float(sigma2),) * n_arms
+            sigma2 = (sigma2,) * n_arms
         if np.isscalar(n_per_arm):
             n_per_arm = (n_per_arm,) * n_arms
-        n_row = tuple(_whole(n, "a per-arm sample size") for n in n_per_arm)
-        total = sum(n_row)
-        alloc = tuple(n / total for n in n_row)
-        return cls(n_arms, tuple(sigma2), alloc, (n_row,), sided)
+        n_row = tuple(n_per_arm)
+        return cls(n_arms, tuple(sigma2), _fractions(n_row), (n_row,), sided)
 
     @property
     def n_stages(self) -> int:
@@ -336,8 +345,11 @@ class TrialConfig:
         return out
 
     def with_stage_n(self, stage_n: Sequence[Sequence[int]]) -> "TrialConfig":
-        return TrialConfig(self.n_arms, self.sigma2, self.alloc,
-                           tuple(tuple(row) for row in stage_n), self.sided)
+        """This trial with cumulative per-arm sizes ``stage_n``, one row per
+        analysis; its allocation fractions become those of the first row."""
+        rows = tuple(tuple(row) for row in stage_n)
+        return TrialConfig(self.n_arms, self.sigma2, _fractions(rows[0]) if rows else (),
+                           rows, self.sided)
 
     def _check_stage(self, stage: int) -> None:
         if not (1 <= stage <= self.n_stages):
@@ -385,7 +397,7 @@ class MeanConfig:
     delta: float | None = None
 
     def __post_init__(self) -> None:
-        mu = tuple(float(x) for x in self.mu)
+        mu = tuple(_real(x, "an arm mean") for x in self.mu)
         object.__setattr__(self, "mu", mu)
         if len(mu) < 2:
             raise ValueError("need means for at least two arms")
@@ -400,11 +412,12 @@ class MeanConfig:
 
 
 def _arm_means(means: MeanConfig | Sequence[float], n_arms: int) -> np.ndarray:
-    """The one check of a vector of arm means: one finite entry per arm.
-    Returns the means as a float array."""
-    mu = np.asarray(means.mu if isinstance(means, MeanConfig) else means, dtype=float)
-    if mu.shape != (n_arms,):
+    """The one check of a vector of arm means: one finite real number per
+    arm.  Returns the means as a float array."""
+    raw = means.mu if isinstance(means, MeanConfig) else means
+    if np.ndim(raw) != 1 or len(raw) != n_arms:
         raise ValueError("means must have one entry per arm")
+    mu = np.array([_real(x, "an arm mean") for x in raw])
     if not np.all(np.isfinite(mu)):
         raise ValueError("arm means must be finite")
     return mu

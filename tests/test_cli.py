@@ -81,21 +81,6 @@ class TestCriticalValues:
         assert status == 0
         assert "1.95996" in out
 
-    def test_threads_do_not_change_values(self, capsys):
-        base = ["critical-values", "--input", K3_CONFIG, "--deterministic"]
-        serial = run_cli(base + ["--threads", "1"], capsys)
-        parallel = run_cli(base + ["--threads", "2"], capsys)
-        assert serial == parallel
-
-    def test_threads_env_fallback_is_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("PAIRWISE_CLOSURE_THREADS", "0")
-        status, _, err = run_cli(
-            ["critical-values", "--input", K2_CONFIG], capsys
-        )
-        assert status == 2
-        assert json.loads(err)["error"]["type"] == "validation"
-
-
     def test_non_numeric_alpha(self, capsys):
         request = '{"config": {"n_arms": 2, "sigma2": 1.0, "n": 50}, "alpha": "0.05"}'
         status, out, err = run_cli(["critical-values", "--input", request], capsys)
@@ -144,6 +129,14 @@ class TestAnalyze:
         assert header[-1] == "stopped_stage"
         # z exceeds 2.77 at the first look already
         assert rows[0][4] == "True" and rows[0][5] == "1"
+
+    @pytest.mark.parametrize("means", [["2.1", 0.3, 0.0], [2.1, 0.3, True]],
+                             ids=["string", "boolean"])
+    def test_means_that_are_not_numbers_exit_2(self, capsys, means):
+        request = dict(json.loads(K3_CONFIG), means=means)
+        status, out, err = run_cli(["analyze", "--input", json.dumps(request)], capsys)
+        assert status == 2 and out == ""
+        assert "an arm mean must be a real number" in json.loads(err)["error"]["message"]
 
     def test_missing_means(self, capsys):
         status, _, err = run_cli(["analyze", "--input", K3_CONFIG], capsys)
@@ -236,20 +229,12 @@ class TestGsBoundaries:
         assert bounds[0] is None
         assert abs(bounds[1] - 1.9600) < 1e-3
 
-    def test_threads_do_not_change_values(self, capsys):
-        base = ["gs-boundaries", "--input", json.dumps(self.REQUEST), "--deterministic"]
-        serial = run_cli(base + ["--threads", "1"], capsys)
-        parallel = run_cli(base + ["--threads", "2"], capsys)
-        assert serial[0] == 0
-        assert serial == parallel
-
-    def test_threads_are_validated(self, capsys):
-        status, _, err = run_cli(
-            ["gs-boundaries", "--input", json.dumps(self.REQUEST), "--threads", "0"],
-            capsys,
-        )
-        assert status == 2
-        assert "--threads" in json.loads(err)["error"]["message"]
+    @pytest.mark.parametrize("stage_n", [[], [[0, 0], [10, 10]]], ids=["empty", "zero"])
+    def test_empty_or_zero_stage_rows_exit_2(self, capsys, stage_n):
+        request = dict(self.REQUEST, config={"n_arms": 2, "sigma2": 1.0, "stage_n": stage_n})
+        status, out, err = run_cli(["gs-boundaries", "--input", json.dumps(request)], capsys)
+        assert status == 2 and out == ""
+        assert json.loads(err)["error"]["message"].startswith("invalid config: ")
 
     def test_unknown_spending_type(self, capsys):
         request = dict(self.REQUEST, spending={"type": "linear"})
@@ -430,6 +415,17 @@ class TestSimulate:
         assert status == 2 and out == ""
         assert "must be a whole number" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("request_", [
+        dict(REQUEST, config={"n_arms": 3, "sigma2": "1.0", "n": 100}),
+        dict(REQUEST, config={"n_arms": 3, "sigma2": [1.0, True, 1.0], "n": 100}),
+        dict(REQUEST, means=[0.5, "0.0", 0.0]),
+        dict(REQUEST, means=[0.5, False, 0.0]),
+    ], ids=["string-sigma2", "boolean-sigma2", "string-mean", "boolean-mean"])
+    def test_strings_and_booleans_are_not_real_numbers_exit_2(self, capsys, request_):
+        status, out, err = run_cli(["simulate", "--input", json.dumps(request_)], capsys)
+        assert status == 2 and out == ""
+        assert "must be a real number" in json.loads(err)["error"]["message"]
+
     def test_whole_float_replicates_run_as_an_int(self, capsys):
         argv = ["simulate", "--deterministic", "--input"]
         as_float = run_cli(argv + [json.dumps(dict(self.REQUEST, replicates=2000.0))], capsys)
@@ -471,6 +467,12 @@ class TestDispatch:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_there_is_no_threads_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["critical-values", "--input", K2_CONFIG, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
     def test_inline_and_file_inputs_agree(self, tmp_path, capsys):
         path = tmp_path / "req.json"
         path.write_text(K2_CONFIG)
@@ -504,8 +506,8 @@ class TestDispatch:
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         probe = (
             "import sys, pairwise_closure.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate') "
-            "if m in sys.modules))"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate', "
+            "'multiprocessing') if m in sys.modules))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe],

@@ -10,7 +10,9 @@ from pairwise_closure.model import (
     TWO_SIDED,
     ComparisonStats,
     CorrelationModel,
+    MeanConfig,
     TrialConfig,
+    _arm_means,
     _pair_arms,
     _whole,
     all_pairs,
@@ -132,6 +134,59 @@ def test_arm_counts_and_sample_sizes_are_not_strings():
         TrialConfig(2, (1.0, 1.0), (0.5, 0.5), ((10, True),))
     assert _whole(2000.0, "replicates") == 2000
     assert _whole(np.int64(20), "replicates") == 20
+
+
+NOT_REAL = ["1.0", b"1.0", True, np.bool_(False)]
+NOT_REAL_IDS = ["str", "bytes", "bool", "numpy-bool"]
+
+
+@pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
+def test_variances_are_not_strings_or_booleans(value):
+    with pytest.raises(ValueError, match="sigma2 must be a real number, got "):
+        TrialConfig.single_stage(3, value, 100)
+    with pytest.raises(ValueError, match="sigma2 must be a real number, got "):
+        TrialConfig(2, (1.0, value), (0.5, 0.5), ((10, 10),))
+
+
+@pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
+def test_arm_means_are_not_strings_or_booleans(value):
+    config = TrialConfig.single_stage(3, 1.0, 100)
+    for check in (
+        lambda: MeanConfig((0.5, value, 0.0)),
+        lambda: _arm_means([0.5, value, 0.0], 3),
+        lambda: z_statistics(config, (value, 0.3, 0.0)),
+    ):
+        with pytest.raises(ValueError, match="an arm mean must be a real number, got "):
+            check()
+    # numbers of any numeric type still pass
+    assert _arm_means([np.int64(2), 0.5, np.float32(0.25)], 3).tolist() == [2.0, 0.5, 0.25]
+
+
+def test_with_stage_n_takes_the_allocation_of_its_first_row():
+    resized = TrialConfig.single_stage(3, 1.0, 100).with_stage_n(((50, 100, 150),))
+    assert resized == TrialConfig.single_stage(3, 1.0, (50, 100, 150))
+    assert resized.alloc == (50 / 300, 100 / 300, 150 / 300)
+    staged = resized.with_stage_n(((10, 20, 30), (20, 40, 60)))
+    assert staged.alloc == resized.alloc
+
+
+def test_alloc_must_match_the_first_stage():
+    with pytest.raises(ValueError, match="allocation fractions of the first stage"):
+        TrialConfig(3, (1.0, 1.0, 1.0), (0.5, 0.25, 0.25), ((10, 10, 10),))
+    with pytest.raises(ValueError, match="allocation fractions of the first stage"):
+        TrialConfig(2, (1.0, 1.0), (np.nan, 0.5), ((10, 10),))
+    # fractions within the relative 1e-6 of the first row pass
+    near = TrialConfig(3, (1.0, 1.0, 1.0), (0.25, 0.25 + 1e-9, 0.5 - 1e-9), ((10, 10, 20),))
+    assert near.alloc[1] == 0.25 + 1e-9
+
+
+def test_zero_sample_sizes_are_a_validation_error():
+    with pytest.raises(ValueError, match="per-arm sample sizes must be positive"):
+        TrialConfig.single_stage(2, 1.0, 0)
+    with pytest.raises(ValueError, match="per-arm sample sizes must be positive"):
+        TrialConfig.single_stage(2, 1.0, (5, -5))
+    with pytest.raises(ValueError, match="at least one analysis stage"):
+        TrialConfig.single_stage(2, 1.0, 10).with_stage_n(())
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, np.nan])

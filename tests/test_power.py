@@ -186,6 +186,14 @@ class TestSampleSize:
         p = disjunctive_power(cfg, lfc(3, 0.5), seed=1).disjunctive
         assert p < 0.85
 
+    def test_a_resized_config_is_served_by_the_table_of_the_same_trial(self):
+        resized = TrialConfig.single_stage(3, 1.0, 100).with_stage_n(((50, 100, 150),))
+        direct = TrialConfig.single_stage(3, 1.0, (50, 100, 150))
+        table = critical_values(direct, 0.05, seed=1, accuracy=1e-3)
+        mu = (0.4, 0.0, 0.2)
+        served = disjunctive_power(resized, mu, seed=1, accuracy=1e-3, table=table)
+        assert served == disjunctive_power(direct, mu, seed=1, accuracy=1e-3, table=table)
+
     def test_unequal_allocation_respects_ratios(self):
         cfg = TrialConfig(3, (1.0, 1.0, 1.0), (0.5, 0.25, 0.25), ((20, 10, 10),))
         result = sample_size(cfg, lfc(3, 0.5), power_target=0.8, seed=1)

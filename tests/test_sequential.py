@@ -300,13 +300,9 @@ class TestBoundarySchedule:
         again = gs_boundaries(cfg_k3_q2, gs_k3_q2.schedule, seed=3)
         assert again.entries() == gs_k3_q2.entries()
 
-    def test_parallel_entries_match_serial(self, cfg_k3_q2, gs_k3_q2):
-        fresh = gs_boundaries(cfg_k3_q2, gs_k3_q2.schedule, seed=3)
-        assert fresh.entries(threads=2) == gs_k3_q2.entries()
-
-    def test_parallel_generalised_entries_solve_one_class(self, gen_k3_q2):
+    def test_generalised_entries_solve_one_class(self, gen_k3_q2):
         fresh = replace(gen_k3_q2, schedule=gen_k3_q2.schedule.scaled(0.5))
-        entries = fresh.entries(threads=2)
+        entries = fresh.entries()
         assert len(fresh._class_values) == 1
         assert set(entries.values()) == {fresh.value(fresh.full_set())}
 

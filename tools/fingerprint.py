@@ -7,8 +7,10 @@ disjunctive power by quadrature and by simulation, ``tukey_global_test``,
 ``sample_size``, the staged statistics, flexible and stage-wise p-values on a
 two-sided, a one-sided and a three-look unequal-variance design, the tail
 probability table and its batch test, simulated statistics, ``run_scenario``
-over every procedure, group-sequential and generalised boundary tables, and
-the messages that reject a table built for another design.
+over every procedure, group-sequential and generalised boundary tables, the
+messages that reject a table built for another design, and the
+``--deterministic`` JSON and CSV standard output of the ``critical-values``
+and ``gs-boundaries`` commands.
 
 Usage::
 
@@ -25,8 +27,11 @@ name and fields.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
 import sys
 import warnings
 from collections.abc import Mapping
@@ -73,6 +78,16 @@ def _message(call) -> str:
     except ValueError as err:
         return str(err)
     return "no error"
+
+
+def _stdout(argv: list[str]) -> str:
+    """Exit status and standard output of one command-line run."""
+    from pairwise_closure import cli
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        status = cli.main(argv)
+    return f"{status}\n{buf.getvalue()}"
 
 
 def outputs() -> dict:
@@ -178,6 +193,21 @@ def outputs() -> dict:
         accuracy=acc,
     )
     out["run_scenario"] = run_scenario(scenario, keep_decisions=True)
+
+    staged = {"n_arms": 3, "sigma2": 1.0, "stage_n": [[50, 50, 50], [100, 100, 100]]}
+    requests = {
+        "critical-values": {"config": {"n_arms": 3, "sigma2": [1.0, 1.7, 0.8],
+                                       "n": [40, 60, 50], "sided": "one-sided"}},
+        "gs-boundaries": {"config": staged, "spending": {"type": "obrien-fleming"}},
+        "gs-boundaries/generalised": {"config": staged, "spending": {"type": "obrien-fleming"},
+                                      "generalised": True},
+    }
+    for name, request in requests.items():
+        for fmt in ("json", "csv"):
+            out[f"cli/{name}/{fmt}"] = _stdout([
+                name.split("/")[0], "--input", json.dumps(request), "--format", fmt,
+                "--seed", "10", "--accuracy", str(acc), "--deterministic",
+            ])
     return out
 
 
