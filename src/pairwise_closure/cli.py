@@ -133,7 +133,7 @@ def _spending_from(data: dict, config: TrialConfig, alpha: float, args) -> Spend
             return SpendingSchedule.obrien_fleming(alpha, times)
         if kind == "power":
             return SpendingSchedule.power_family(
-                alpha, times, rho=float(obj.get("rho", 1.0))
+                alpha, times, rho=obj.get("rho", 1.0)
             )
     except (TypeError, ValueError) as err:
         raise ValueError(f"invalid spending schedule: {err}") from err
@@ -186,7 +186,7 @@ def _cmd_design(data: dict, args) -> tuple[dict, list, list]:
         if len(set(means.mu)) == 1:
             raise ValueError("all arm means are equal; no difference to power for")
     else:
-        means = lfc(config.n_arms, float(_require(data, "delta", "the request")))
+        means = lfc(config.n_arms, _require(data, "delta", "the request"))
     result = sample_size(
         config,
         means,

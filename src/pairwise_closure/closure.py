@@ -12,7 +12,12 @@ This module also owns the intersection lattice that the group-sequential
 (``sequential``) and combination (``combination``) tests reuse: the one
 guarded subset enumeration, the one closure rule over it, and the one
 per-class cache behind every table of per-subset values.  Each of those
-procedures supplies only its local test.
+procedures supplies only its local test.  The closure rule walks the lattice
+from the full set down and runs a subset's local test only on the rows
+where one of its members can still be rejected; a row whose full set is
+accepted costs one local test.  The single-trial tests report every
+subset's local decision, so they compute those first, in lattice order, and
+hand the rule a lookup.
 
 Subsets whose correlation matrices coincide up to relabelling share one
 critical value.  Equivalence is decided by canonicalizing the subset's
@@ -23,6 +28,7 @@ subset count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import zlib
 from collections.abc import Mapping
@@ -362,8 +368,10 @@ def _extract_z(z: Sequence) -> np.ndarray:
     return arr
 
 
-def _subset_max(stat: np.ndarray, subset: frozenset) -> float:
-    return stat[[k - 1 for k in subset]].max()
+def _subset_max(stat: np.ndarray, subset: frozenset):
+    """The subset's largest statistic; ``stat``'s last axis runs over
+    comparisons."""
+    return stat[..., [k - 1 for k in subset]].max(axis=-1)
 
 
 def _closure_rule(
@@ -372,13 +380,20 @@ def _closure_rule(
     """The closure rule over the whole intersection lattice, for many rows.
 
     ``stat`` has shape (rows, ..., m): the statistics the local tests read
-    (absolute values for two-sided families), which must be finite.  For
-    every subset, ``first_crossing(subset, top)`` receives ``top``, the
-    subset's largest statistic of shape (rows, ...), and returns per row the
-    analysis (counted from 1) at which the subset's local test first
-    rejects, or 0 if it never does; a boolean counts as a single analysis.
+    (absolute values for two-sided families), which must be finite.
     Comparison k is rejected when every subset containing it is rejected,
     at the latest of their first crossings.
+
+    The lattice is walked from the full set down.  On a row where every
+    member of a subset is already accepted, the subset's local test cannot
+    change a decision, so ``first_crossing(subset, top)`` receives only the
+    live rows, those where some member may still be rejected, in their
+    original order: ``top`` is the subset's largest statistic, of shape
+    (live rows, ...).  It returns per row the analysis (counted from 1) at
+    which the subset's local test first rejects, or 0 if it never does; a
+    boolean counts as a single analysis.  The callback must therefore act
+    row by row, and it is not called for a subset with no live row.  Once
+    the full set is accepted on a row, no other subset is tested there.
 
     Returns
     -------
@@ -389,28 +404,39 @@ def _closure_rule(
     if not np.all(np.isfinite(stat)):
         raise ValueError("statistics must be finite")
     n_rows, m = stat.shape[0], stat.shape[-1]
-    rejected = np.ones((n_rows, m), dtype=bool)
-    stopped = np.zeros((n_rows, m), dtype=np.int64)
-    for subset in _all_subsets(m):
+    # per comparison: by_col[c] is comparison c's statistics, alive[c] marks
+    # the rows where it may still be rejected and latest[c] holds the latest
+    # first crossing seen there
+    by_col = np.moveaxis(stat, -1, 0)
+    alive = np.ones((m, n_rows), dtype=bool)
+    latest = np.zeros((m, n_rows), dtype=np.int64)
+    first = np.zeros(n_rows, dtype=np.int64)
+    for subset in reversed(_all_subsets(m)):
         cols = [k - 1 for k in subset]
-        first = np.asarray(first_crossing(subset, stat[..., cols].max(axis=-1)),
-                           dtype=np.int64)
+        live = np.flatnonzero(np.logical_or.reduce(alive[cols]))
+        if live.size == 0:
+            continue
+        if live.size == n_rows:
+            # read in place: gathering every row of a large block copies it
+            top = functools.reduce(np.maximum, (by_col[col] for col in cols))
+        else:
+            top = functools.reduce(np.maximum, (np.take(by_col[col], live, axis=0)
+                                                for col in cols))
+        # rows left out keep 0: each of their members is accepted already
+        first[:] = 0
+        first[live] = first_crossing(subset, top)
         crossed = first > 0
         for col in cols:
-            rejected[:, col] &= crossed
-            np.maximum(stopped[:, col], first, out=stopped[:, col])
-    stopped[~rejected] = 0
-    return rejected, stopped
+            alive[col] &= crossed
+            np.maximum(latest[col], first, out=latest[col])
+    rejected = np.ascontiguousarray(alive.T)
+    return rejected, np.where(rejected, latest.T, 0)
 
 
 def _lattice(stat: np.ndarray, table: CriticalValueTable):
-    local = {}
-
-    def crossing(subset, top):
-        local[subset] = bool(top[0] > table.value(subset))
-        return local[subset]
-
-    rejected, _ = _closure_rule(stat[None, :], crossing)
+    local = {s: bool(_subset_max(stat, s) > table.value(s))
+             for s in _all_subsets(stat.size)}
+    rejected, _ = _closure_rule(stat[None, :], lambda s, top: local[s])
     return rejected[0].tolist(), local
 
 

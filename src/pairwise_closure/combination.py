@@ -27,6 +27,7 @@ from scipy.special import ndtr, ndtri
 
 from .closure import (
     ClosureDecision,
+    _all_subsets,
     _check_subset,
     _ClassCache,
     _class_key,
@@ -34,7 +35,14 @@ from .closure import (
     _derived_seed,
     _key_correlation,
 )
-from .model import TrialConfig, _check_alpha, _max_statistic, _normal_tails, correlation
+from .model import (
+    TrialConfig,
+    _check_alpha,
+    _max_statistic,
+    _normal_tails,
+    _real,
+    correlation,
+)
 from .mvn import DEFAULT_ACCURACY, _max_range, _max_rect, mvn_rect
 from .sequential import StageData
 
@@ -67,7 +75,7 @@ class CombinationWeights:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        w = tuple(float(v) for v in self.weights)
+        w = tuple(_real(v, "a stage weight") for v in self.weights)
         if not w:
             raise ValueError("need at least one stage weight")
         if any(not math.isfinite(v) or v <= 0.0 for v in w):
@@ -156,9 +164,10 @@ def _coerce_weights(weights, n_stages: int) -> CombinationWeights:
 def combine(pvalues: Sequence, weights=None):
     """Weighted inverse-normal combination of independent stage p-values.
 
-    ``pvalues`` holds one entry per stage: a :class:`StagePValue`, a float,
-    or an array of floats (arrays combine elementwise).  Values at or
-    outside (0, 1) are clamped to the open interval with a warning.  Returns
+    ``pvalues`` holds one entry per stage: a :class:`StagePValue`, a real
+    number, or an array of floats (arrays combine elementwise); a string or
+    a boolean entry raises ``ValueError``.  Values at or outside (0, 1) are
+    clamped to the open interval with a warning.  Returns
     1 - Phi(sum_q w_q Phi^{-1}(1 - p_q)), which is again uniform under the
     null and decreasing in every input.
     """
@@ -166,7 +175,9 @@ def combine(pvalues: Sequence, weights=None):
         raise ValueError("need at least one stage p-value")
     raw = [p.p if isinstance(p, StagePValue) else p for p in pvalues]
     weights = _coerce_weights(weights, len(raw))
-    arrays = [np.asarray(p, dtype=float) for p in raw]
+    # only scalars are checked, so an array entry costs no per-element work
+    arrays = [np.asarray(_real(p, "a stage p-value") if np.ndim(p) == 0 else p,
+                         dtype=float) for p in raw]
     if any(np.any(~np.isfinite(a)) for a in arrays):
         raise ValueError("stage p-values must be finite")
     if any(np.any((a <= 0.0) | (a >= 1.0)) for a in arrays):
@@ -199,18 +210,13 @@ def flexible_closed_test(
     _check_alpha(alpha)
     config = data.config
     weights = _coerce_weights(weights, data.n_analyses)
-    combined: dict = {}
-
-    def crossing(subset: frozenset, top: np.ndarray) -> bool:
-        stage_ps = [
-            stage_pvalue(config, subset, data.z_stage[q], stage=q + 1,
-                         seed=seed, accuracy=accuracy)
-            for q in range(data.n_analyses)
-        ]
-        combined[subset] = combine(stage_ps, weights)
-        return combined[subset] < alpha
-
-    rejected, _ = _closure_rule(data.z_stage[None], crossing)
+    combined = {
+        s: combine([stage_pvalue(config, s, data.z_stage[q], stage=q + 1,
+                                 seed=seed, accuracy=accuracy)
+                    for q in range(data.n_analyses)], weights)
+        for s in _all_subsets(config.n_comparisons)
+    }
+    rejected, _ = _closure_rule(data.z_stage[None], lambda s, top: combined[s] < alpha)
     local = {s: p < alpha for s, p in combined.items()}
     return ClosureDecision(
         "dunnett-combination",

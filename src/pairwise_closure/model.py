@@ -403,8 +403,10 @@ class MeanConfig:
             raise ValueError("need means for at least two arms")
         if not all(math.isfinite(x) for x in mu):
             raise ValueError("arm means must be finite")
-        if self.delta is not None and not math.isfinite(self.delta):
-            raise ValueError("delta must be finite")
+        if self.delta is not None:
+            object.__setattr__(self, "delta", _real(self.delta, "delta"))
+            if not math.isfinite(self.delta):
+                raise ValueError("delta must be finite")
 
     @property
     def n_arms(self) -> int:

@@ -24,6 +24,7 @@ from .model import (
     _arm_means,
     _check_alpha,
     _max_statistic,
+    _real,
     correlation,
     standardized_means,
 )
@@ -65,6 +66,7 @@ def lfc(n_arms: int, delta: float) -> MeanConfig:
     """
     if n_arms < 2:
         raise ValueError("need at least two arms")
+    delta = _real(delta, "delta")
     if delta == 0 or not math.isfinite(delta):
         raise ValueError("delta must be nonzero and finite")
     return MeanConfig((delta, 0.0) + (delta / 2.0,) * (n_arms - 2), delta=delta)

@@ -26,10 +26,12 @@ from scipy.special import ndtr, ndtri
 
 from .closure import (
     ClosureDecision,
+    _all_subsets,
     _ClassCache,
     _closure_rule,
     _derived_seed,
     _key_correlation,
+    _subset_max,
 )
 from .model import (
     CorrelationModel,
@@ -37,6 +39,7 @@ from .model import (
     _check_alpha,
     _max_statistic,
     _pair_z,
+    _real,
     _resolved_arms,
     correlation,
     z_statistics,
@@ -57,7 +60,7 @@ _SPEND_FLOOR = 1e-6
 
 
 def _check_info_times(info_times: Sequence[float]) -> tuple[float, ...]:
-    times = tuple(float(t) for t in info_times)
+    times = tuple(_real(t, "an information time") for t in info_times)
     if not times:
         raise ValueError("need at least one analysis time")
     if any(not 0.0 < t <= 1.0 for t in times):
@@ -148,6 +151,7 @@ class SpendingSchedule:
     ) -> "SpendingSchedule":
         """Kim-DeMets power spend alpha * tau^rho."""
         _check_alpha(alpha)
+        rho = _real(rho, "rho")
         if rho <= 0:
             raise ValueError("rho must be positive")
         return cls.from_function(
@@ -347,13 +351,14 @@ class StageData:
         cls, config: TrialConfig, cum_means: Sequence[Sequence[float]]
     ) -> "StageData":
         """Build from cumulative per-arm means observed at each analysis."""
-        cum = np.atleast_2d(np.asarray(cum_means, dtype=float))
+        cum = np.atleast_2d(np.asarray(cum_means, dtype=object))
         q_obs = cum.shape[0]
         if cum.shape != (q_obs, config.n_arms) or q_obs > config.n_stages:
             raise ValueError(
                 f"cumulative means must have shape (q <= {config.n_stages}, "
                 f"{config.n_arms})"
             )
+        cum = np.array([[_real(x, "a cumulative mean") for x in row] for row in cum])
         z_cum = np.array(
             [[s.z for s in z_statistics(config, cum[q], stage=q + 1)]
              for q in range(q_obs)]
@@ -387,8 +392,12 @@ def stage_weights(config: TrialConfig, upto: int | None = None) -> np.ndarray:
 def _first_crossing(top: np.ndarray, bounds) -> np.ndarray:
     """The staged local test: the first analysis (counted from 1) at which
     ``top``, whose last axis runs over analyses, crosses ``bounds``, or 0."""
-    hits = top > np.asarray(bounds)
-    return np.where(hits.any(axis=-1), hits.argmax(axis=-1) + 1, 0)
+    bounds = np.asarray(bounds)
+    first = np.zeros(top.shape[:-1], dtype=np.int64)
+    # from the last analysis back, so that the earliest crossing is kept
+    for q in range(top.shape[-1] - 1, -1, -1):
+        first = np.where(top[..., q] > bounds[q], q + 1, first)
+    return first
 
 
 def _first_crossings(boundaries: BoundarySchedule, q_obs: int):
@@ -412,14 +421,9 @@ def gs_closed_test(data: StageData, boundaries: BoundarySchedule) -> ClosureDeci
     stat = _max_statistic(data.z_cum, data.config.sided)
     q_obs = data.n_analyses
     crossing = _first_crossings(boundaries, q_obs)
-    crossed_at: dict = {}
-
-    def record(subset: frozenset, top: np.ndarray) -> np.ndarray:
-        first = crossing(subset, top)
-        crossed_at[subset] = int(first[0]) or None
-        return first
-
-    rejected, stopped = _closure_rule(stat[None], record)
+    crossed_at = {s: int(crossing(s, _subset_max(stat, s))) or None
+                  for s in _all_subsets(data.config.n_comparisons)}
+    rejected, stopped = _closure_rule(stat[None], lambda s, top: crossed_at[s] or 0)
     local = {s: q is not None for s, q in crossed_at.items()}
     name = "dunnett-gs-generalised" if boundaries.generalised else "dunnett-gs"
     return ClosureDecision(

@@ -138,6 +138,23 @@ class TestAnalyze:
         assert status == 2 and out == ""
         assert "an arm mean must be a real number" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("cum_means", [
+        [["0.5", 0.0, 0.1], [0.45, 0.02, 0.1]],
+        [[0.5, True, 0.1], [0.45, 0.02, 0.1]],
+        [["0.5", True, 0.1], [0.45, 0.02, 0.1]],
+    ], ids=["string", "boolean", "both"])
+    def test_staged_means_that_are_not_numbers_exit_2(self, capsys, cum_means):
+        request = {
+            "config": {"n_arms": 3, "sigma2": 1.0,
+                       "stage_n": [[50, 50, 50], [100, 100, 100]]},
+            "spending": {"type": "obrien-fleming"},
+            "cum_means": cum_means,
+        }
+        status, out, err = run_cli(["analyze", "--input", json.dumps(request)], capsys)
+        assert status == 2 and out == ""
+        assert "a cumulative mean must be a real number" in (
+            json.loads(err)["error"]["message"])
+
     def test_missing_means(self, capsys):
         status, _, err = run_cli(["analyze", "--input", K3_CONFIG], capsys)
         assert status == 2
@@ -171,6 +188,19 @@ class TestGsBoundaries:
         assert [r[:2] for r in rows] == [["1", "1"], ["1", "2"]]
         assert abs(float(rows[0][2]) - 2.7718) < 2e-4
         assert abs(float(rows[1][2]) - 1.9793) < 2e-4
+
+    @pytest.mark.parametrize("spending", [
+        {"type": "power", "rho": "2"},
+        {"type": "power", "rho": True},
+        {"type": "obrien-fleming", "info_times": ["0.5", 1.0]},
+        {"type": "obrien-fleming", "info_times": [0.5, True]},
+    ], ids=["string-rho", "boolean-rho", "string-time", "boolean-time"])
+    def test_spending_values_that_are_not_numbers_exit_2(self, capsys, spending):
+        request = dict(self.REQUEST, spending=spending)
+        status, out, err = run_cli(["gs-boundaries", "--input", json.dumps(request)],
+                                   capsys)
+        assert status == 2 and out == ""
+        assert "must be a real number" in json.loads(err)["error"]["message"]
 
     def test_consonance_across_subsets(self, capsys, cfg_k3_q2):
         request = {
@@ -279,6 +309,18 @@ class TestCombine:
         assert status == 2
         assert json.loads(err)["error"]["type"] == "validation"
 
+    @pytest.mark.parametrize("request_", [
+        {"p_values": ["0.02", 0.5]},
+        {"p_values": [0.02, True]},
+        {"p_values": [0.02, 0.5], "weights": ["1", 2]},
+        {"p_values": [0.02, 0.5], "weights": [1, False]},
+        {"p_values": ["0.02", True], "weights": ["1", 2]},
+    ], ids=["string-p", "boolean-p", "string-weight", "boolean-weight", "all"])
+    def test_strings_and_booleans_are_not_real_numbers_exit_2(self, capsys, request_):
+        status, out, err = run_cli(["combine", "--input", json.dumps(request_)], capsys)
+        assert status == 2 and out == ""
+        assert "must be a real number" in json.loads(err)["error"]["message"]
+
 
 class TestDesign:
     def test_univariate_oracle(self, capsys):
@@ -315,6 +357,16 @@ class TestDesign:
         status, _, err = run_cli([command, "--input", json.dumps(request_)], capsys)
         assert status == 2
         assert "whole number" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("request_", [
+        {"n_arms": 3, "sigma2": 1.0, "delta": "0.5"},
+        {"n_arms": 3, "sigma2": 1.0, "delta": True},
+        {"n_arms": 3, "sigma2": 1.0, "means": [0.5, 0.0, 0.25], "delta": "0.5"},
+    ], ids=["string-delta", "boolean-delta", "string-delta-with-means"])
+    def test_delta_that_is_not_a_number_exits_2(self, capsys, request_):
+        status, out, err = run_cli(["design", "--input", json.dumps(request_)], capsys)
+        assert status == 2 and out == ""
+        assert "delta must be a real number" in json.loads(err)["error"]["message"]
 
     def test_missing_delta(self, capsys):
         status, _, err = run_cli(

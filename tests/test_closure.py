@@ -239,6 +239,109 @@ def _edge_vectors(rng, table, count: int) -> np.ndarray:
     return rows
 
 
+def reference_closure_rule(stat, first_crossing):
+    """The closure rule as first written: every local test on every row, with
+    the lattice walked from the singletons up."""
+    n_rows, m = stat.shape[0], stat.shape[-1]
+    rejected = np.ones((n_rows, m), dtype=bool)
+    stopped = np.zeros((n_rows, m), dtype=np.int64)
+    for subset in closure._all_subsets(m):
+        cols = [k - 1 for k in subset]
+        first = np.asarray(first_crossing(subset, stat[..., cols].max(axis=-1)),
+                           dtype=np.int64)
+        crossed = first > 0
+        for col in cols:
+            rejected[:, col] &= crossed
+            np.maximum(stopped[:, col], first, out=stopped[:, col])
+    stopped[~rejected] = 0
+    return rejected, stopped
+
+
+def _row_table_test(table, seen, as_bool):
+    """A row-wise local test read from ``table[subset][row]``.  Each row's
+    statistics lie in [row, row + 1), so the row is the floor of any of its
+    subset maxima."""
+    def first_crossing(subset, top):
+        rows = np.floor(top.reshape(top.shape[0], -1)[:, 0]).astype(np.int64)
+        seen[subset] = rows
+        first = table[subset][rows]
+        return first > 0 if as_bool else first
+    return first_crossing
+
+
+class TestClosureRule:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        analyses=st.integers(1, 3),
+        n_rows=st.integers(1, 30),
+        accept=st.floats(0.0, 0.9),
+        as_bool=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pruned_walk_matches_the_reference(self, m, analyses, n_rows, accept,
+                                               as_bool, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n_rows, m) if analyses == 1 and as_bool else (n_rows, analyses, m)
+        rows = np.arange(n_rows).reshape((n_rows,) + (1,) * (len(shape) - 1))
+        stat = rows + rng.random(shape)
+        table = {
+            s: np.where(rng.random(n_rows) < accept, 0,
+                        rng.integers(1, analyses + 1, n_rows))
+            for s in closure._all_subsets(m)
+        }
+        seen: dict = {}
+        rejected, stopped = closure._closure_rule(
+            stat, _row_table_test(table, seen, as_bool))
+        expected = reference_closure_rule(stat, _row_table_test(table, {}, as_bool))
+        assert np.array_equal(rejected, expected[0])
+        assert np.array_equal(stopped, expected[1])
+        assert rejected.shape == stopped.shape == (n_rows, m)
+        # a callback sees its rows in their original order, and never a row
+        # on which the full set was accepted, except in the full set's own test
+        full = frozenset(range(1, m + 1))
+        assert np.array_equal(seen[full], np.arange(n_rows))
+        dead = np.flatnonzero(table[full] == 0)
+        for subset, rows_seen in seen.items():
+            assert np.all(np.diff(rows_seen) > 0)
+            if subset != full:
+                assert not np.isin(dead, rows_seen).any()
+
+    def test_callbacks_see_fewer_rows_once_the_full_set_fails(self):
+        m, n_rows = 3, 8
+        stat = np.arange(n_rows)[:, None] + np.full((n_rows, m), 0.5)
+        table = {s: np.full(n_rows, 1) for s in closure._all_subsets(m)}
+        full = frozenset({1, 2, 3})
+        table[full][[1, 4, 6]] = 0
+        seen: dict = {}
+        rejected, stopped = closure._closure_rule(
+            stat, _row_table_test(table, seen, as_bool=False))
+        assert seen[full].size == n_rows
+        assert all(rows.tolist() == [0, 2, 3, 5, 7]
+                   for s, rows in seen.items() if s != full)
+        assert rejected.sum(axis=1).tolist() == [3, 0, 3, 3, 0, 3, 0, 3]
+        assert np.array_equal(stopped, rejected.astype(np.int64))
+
+    def test_no_local_test_runs_once_every_row_is_accepted(self):
+        calls = []
+
+        def never(subset, top):
+            calls.append(subset)
+            return np.zeros(top.shape[0], dtype=np.int64)
+
+        rejected, stopped = closure._closure_rule(np.ones((5, 2, 4)), never)
+        assert calls == [frozenset({1, 2, 3, 4})]
+        assert not rejected.any() and not stopped.any()
+
+    def test_lattice_local_reports_every_subset_in_lattice_order(self, table_k4):
+        decision = closed_test([0.3, -0.2, 0.1, 0.0, 0.4, -0.1], table_k4,
+                               method="lattice")
+        assert decision.rejected == (False,) * 6
+        assert not decision.local[frozenset(range(1, 7))]
+        assert len(decision.local) == 2**6 - 1
+        assert list(decision.local) == closure._all_subsets(6)
+
+
 class TestShortcutAgainstLattice:
     def test_k3(self, table_k3):
         rng = np.random.default_rng(11)

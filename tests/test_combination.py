@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
-from pairwise_closure.closure import closed_test
+from pairwise_closure.closure import _all_subsets, closed_test
 from pairwise_closure.combination import (
     CombinationWeights,
     StagePValue,
@@ -105,6 +105,12 @@ class TestCombinationWeights:
         with pytest.raises(ValueError):
             CombinationWeights(bad)
 
+    @pytest.mark.parametrize("bad", [("1", 2.0), (1.0, True), (np.True_,)],
+                             ids=["string", "boolean", "np-boolean"])
+    def test_strings_and_booleans_are_not_weights(self, bad):
+        with pytest.raises(ValueError, match="a stage weight must be a real number"):
+            CombinationWeights(bad)
+
 
 class TestStagePValue:
     def test_singleton_is_the_two_sided_tail(self, cfg_k3_q2):
@@ -170,6 +176,12 @@ class TestCombine:
         direct = combine([ps[0].p, ps[1].p])
         assert combine(ps) == pytest.approx(direct, abs=1e-15)
 
+    @pytest.mark.parametrize("bad", [["0.02", 0.5], [0.02, True], [np.False_, 0.5]],
+                             ids=["string", "boolean", "np-boolean"])
+    def test_strings_and_booleans_are_not_p_values(self, bad):
+        with pytest.raises(ValueError, match="a stage p-value must be a real number"):
+            combine(bad)
+
     def test_elementwise_arrays(self):
         a = np.array([0.05, 0.5, 0.9])
         b = np.array([0.05, 0.5, 0.2])
@@ -234,6 +246,15 @@ class TestFlexibleClosedTest:
             decision = flexible_closed_test(StageData(cfg_k3_q2, z, z))
         assert decision.rejected == (False, False, False)
         assert all(p > 0.49 for p in decision.meta["combined_p"].values())
+
+    def test_every_subset_is_reported_in_lattice_order(self, cfg_k3_q2):
+        z = np.full((2, 3), 0.1)
+        decision = flexible_closed_test(StageData(cfg_k3_q2, z, z))
+        lattice = _all_subsets(3)
+        assert decision.local[frozenset({1, 2, 3})] is False
+        assert list(decision.local) == lattice
+        assert list(decision.meta["combined_p"]) == lattice
+        assert all(p > 0.5 for p in decision.meta["combined_p"].values())
 
     def test_combined_p_bits_are_pinned(self, cfg_k3_q2):
         z = PINNED_STAGE_Z

@@ -47,6 +47,17 @@ class TestLfc:
         with pytest.raises(ValueError):
             MeanConfig((1.0, float("nan")))
 
+    @pytest.mark.parametrize("delta", ["0.5", True, np.True_], ids=["string", "bool", "np-bool"])
+    def test_delta_must_be_a_real_number(self, delta):
+        with pytest.raises(ValueError, match="delta must be a real number"):
+            lfc(3, delta)
+        with pytest.raises(ValueError, match="delta must be a real number"):
+            MeanConfig((0.5, 0.0, 0.25), delta=delta)
+
+    def test_delta_is_stored_as_a_float(self):
+        assert type(lfc(3, 2).delta) is float
+        assert type(MeanConfig((1.0, 0.0), delta=1).delta) is float
+
 
 class TestDisjunctivePower:
     def test_null_means_give_alpha(self, cfg_k4, table_k4):

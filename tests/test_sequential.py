@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 from pairwise_closure import sequential
-from pairwise_closure.closure import closed_test
+from pairwise_closure.closure import _all_subsets, closed_test
 from pairwise_closure.model import TrialConfig, correlation, z_statistics
 from pairwise_closure.mvn import mvn_rect
 from pairwise_closure.sequential import (
@@ -112,6 +112,16 @@ class TestSpendingSchedule:
         quad = SpendingSchedule.power_family(0.05, TWO_LOOKS, rho=2.0)
         assert quad.per_stage == pytest.approx((0.0125, 0.05))
         assert quad.increments() == pytest.approx((0.0125, 0.0375))
+
+    @pytest.mark.parametrize("rho", ["2", True], ids=["string", "boolean"])
+    def test_power_family_rho_must_be_a_real_number(self, rho):
+        with pytest.raises(ValueError, match="rho must be a real number"):
+            SpendingSchedule.power_family(0.05, TWO_LOOKS, rho=rho)
+
+    @pytest.mark.parametrize("times", [("0.5", 1.0), (0.5, True)], ids=["string", "boolean"])
+    def test_information_times_must_be_real_numbers(self, times):
+        with pytest.raises(ValueError, match="an information time must be a real number"):
+            SpendingSchedule.obrien_fleming(0.05, times)
 
     def test_pocock_two_looks(self):
         sched = SpendingSchedule.pocock(0.05, TWO_LOOKS)
@@ -367,6 +377,15 @@ class TestStageData:
         with pytest.raises(ValueError, match="shape"):
             StageData.from_cumulative_means(cfg_k3_q2, np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("cum", [
+        [["0.5", 0.0, 0.1], [0.45, 0.02, 0.1]],
+        [[0.5, True, 0.1], [0.45, 0.02, 0.1]],
+        [0.5, 0.0, np.True_],
+    ], ids=["string", "boolean", "np-boolean-single-row"])
+    def test_means_must_be_real_numbers(self, cfg_k3_q2, cum):
+        with pytest.raises(ValueError, match="a cumulative mean must be a real number"):
+            StageData.from_cumulative_means(cfg_k3_q2, cum)
+
 
 class TestGsClosedTest:
     def test_config_mismatch(self, cfg_k3, cfg_k3_q2, gs_k3_q2):
@@ -379,6 +398,15 @@ class TestGsClosedTest:
         decision = gs_closed_test(data, gs_k3_q2)
         assert decision.rejected == (False, False, False)
         assert decision.stopped_stage == (None, None, None)
+
+    def test_every_subset_is_reported_in_lattice_order(self, cfg_k3_q2, gs_k3_q2):
+        data = StageData(cfg_k3_q2, np.full((2, 3), 0.1), np.zeros((2, 3)))
+        decision = gs_closed_test(data, gs_k3_q2)
+        lattice = _all_subsets(3)
+        assert decision.local[frozenset({1, 2, 3})] is False
+        assert list(decision.local) == lattice
+        assert list(decision.meta["crossed_at"]) == lattice
+        assert set(decision.meta["crossed_at"].values()) == {None}
         assert not any(decision.local.values())
         assert decision.meta["analyses"] == 2
         assert decision.procedure == "dunnett-gs"
@@ -467,6 +495,19 @@ class TestGsClosedTest:
 
 
 class TestBatchGsTest:
+    @pytest.mark.parametrize("analyses", [1, 2, 3, 5])
+    def test_first_crossing_matches_the_any_argmax_form(self, analyses):
+        rng = np.random.default_rng(analyses)
+        top = rng.normal(2.0, 1.0, size=(400, 4, analyses))
+        bounds = rng.normal(2.0, 0.5, size=analyses)
+        bounds[rng.random(analyses) < 0.3] = np.inf
+        hits = top > bounds
+        expected = np.where(hits.any(axis=-1), hits.argmax(axis=-1) + 1, 0)
+        first = sequential._first_crossing(top, tuple(bounds))
+        assert first.dtype == np.int64
+        assert np.array_equal(first, expected)
+        assert sequential._first_crossing(top[0, 0], bounds) == expected[0, 0]
+
     def test_matches_scalar_decisions(self, cfg_k3_q2, gs_k3_q2):
         z = _staged_null_z(cfg_k3_q2, 300, seed=23) * 1.5 + 0.8
         rejected, stopped = batch_gs_test(z, gs_k3_q2)

@@ -4,10 +4,12 @@ Two checkouts whose outputs agree to the last bit print the same digest; a
 change that moves any covered value, even in its last bit, changes it.  It
 covers what the perfbench digests do not: ``lfc_check`` in its three modes,
 disjunctive power by quadrature and by simulation, ``tukey_global_test``,
-``sample_size``, the staged statistics, flexible and stage-wise p-values on a
-two-sided, a one-sided and a three-look unequal-variance design, the tail
-probability table and its batch test, simulated statistics, ``run_scenario``
-over every procedure, group-sequential and generalised boundary tables, the
+``closed_test(method="lattice")`` with every local decision, ``sample_size``,
+the staged statistics, flexible and stage-wise p-values on a two-sided, a
+one-sided and a three-look unequal-variance design, the tail probability
+table and its batch test, simulated statistics, ``batch_gs_test`` and
+``gs_closed_test`` with every local decision, ``run_scenario`` over every
+procedure, group-sequential and generalised boundary tables, the
 messages that reject a table built for another design, and the
 ``--deterministic`` JSON and CSV standard output of the ``critical-values``
 and ``gs-boundaries`` commands.
@@ -92,7 +94,7 @@ def _stdout(argv: list[str]) -> str:
 
 def outputs() -> dict:
     """Every covered output, by name; needs the package on ``sys.path``."""
-    from pairwise_closure.closure import critical_values, tukey_global_test
+    from pairwise_closure.closure import closed_test, critical_values, tukey_global_test
     from pairwise_closure.combination import (
         CombinationWeights,
         TailProbabilityTable,
@@ -105,8 +107,10 @@ def outputs() -> dict:
     from pairwise_closure.sequential import (
         SpendingSchedule,
         StageData,
+        batch_gs_test,
         generalised_boundaries,
         gs_boundaries,
+        gs_closed_test,
     )
     from pairwise_closure.simulate import (
         PROCEDURES,
@@ -140,6 +144,13 @@ def outputs() -> dict:
     out["tukey"] = [
         tukey_global_test(z_k4, k4, 0.05, table=table_k4),
         tukey_global_test(z_k4, k4, 0.1, seed=4),
+    ]
+    # the lattice walk on a row whose full set is not rejected, and on one
+    # where it is
+    out["lattice"] = [
+        (d.rejected, d.local, d.meta)
+        for d in (closed_test(z, table_k4, method="lattice")
+                  for z in ([0.4, -1.1, 0.2, 2.1, -0.3, 0.9], z_k4))
     ]
     out["sample_size"] = [
         sample_size(k3, lfc(3, 0.5), seed=1, accuracy=acc),
@@ -182,7 +193,14 @@ def outputs() -> dict:
         out[f"{name}/batch_flexible"] = batch_flexible_test(
             z[1], cfg, weights, 0.1, table=tail)
         spend = SpendingSchedule.obrien_fleming(0.05, cfg.info_fractions())
-        out[f"{name}/gs"] = gs_boundaries(cfg, spend, seed=8, accuracy=acc).entries()
+        gs = gs_boundaries(cfg, spend, seed=8, accuracy=acc)
+        out[f"{name}/gs"] = gs.entries()
+        out[f"{name}/batch_gs"] = batch_gs_test(z[0], gs)
+        # one trial whose full set is not rejected, and the design's own trial
+        null = StageData.from_cumulative_means(
+            cfg, [[0.02 * q, 0.0, 0.01] for q in range(data.n_analyses)])
+        out[f"{name}/gs_closed"] = [(d.rejected, d.local, d.meta)
+                                    for d in (gs_closed_test(x, gs) for x in (null, data))]
         out[f"{name}/generalised"] = generalised_boundaries(
             cfg, spend, seed=8, accuracy=acc).entries()
 
