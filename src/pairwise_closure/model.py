@@ -91,6 +91,13 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _reals(values, what: str) -> np.ndarray:
+    """``values`` as a float array of the same shape; any string or boolean
+    entry raises ``ValueError`` (``np.asarray`` would read them as numbers)."""
+    raw = np.asarray(values, dtype=object)
+    return np.array([_real(x, what) for x in raw.flat], dtype=float).reshape(raw.shape)
+
+
 def _fractions(row: Sequence[int]) -> tuple[float, ...]:
     """Allocation fractions n / total of one row of per-arm sample sizes,
     which must be positive whole numbers."""
@@ -419,7 +426,7 @@ def _arm_means(means: MeanConfig | Sequence[float], n_arms: int) -> np.ndarray:
     raw = means.mu if isinstance(means, MeanConfig) else means
     if np.ndim(raw) != 1 or len(raw) != n_arms:
         raise ValueError("means must have one entry per arm")
-    mu = np.array([_real(x, "an arm mean") for x in raw])
+    mu = _reals(raw, "an arm mean")
     if not np.all(np.isfinite(mu)):
         raise ValueError("arm means must be finite")
     return mu

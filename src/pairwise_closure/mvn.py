@@ -18,21 +18,30 @@ package, so it has a stricter contract than general-purpose integrators:
 The integration scheme follows the separation-of-variables approach: a
 variance-minimizing ordered Cholesky factorization turns the rectangle
 probability into an integral over the unit cube of dimension rank - 1,
-evaluated with a randomly shifted Kronecker lattice and a tent transform.
-The twelve random shifts are drawn once per call.  The lattice is extensible
-(points 1..2n contain points 1..n; Genz & Bretz 2009), so the rounds double
-the number of points but each evaluates only its new ones and adds them to
-every shift's running sum: a rectangle that converges at n points has spent
-12 n evaluations in all.
+evaluated with a randomly shifted lattice and a tent transform.  Up to
+``_LATTICE_Z.size`` dimensions the points form an embedded rank-1 lattice
+in radical-inverse order (Hickernell, Hong, L'Ecuyer & Lemieux 2000):
+point j is {phi_2(j) z}, with phi_2 the base-2 radical inverse, computed
+by integer bit reversal, and z an integer generating vector chosen by an
+embedded component-by-component search (Cools, Kuo & Nuyens 2006;
+``tools/cbc_lattice.py``).  The first 2^m points are exactly the lattice
+{k z / 2^m}, so each doubling adds its odd multiples.  Past that many
+dimensions the points are the Kronecker sequence j * frac(sqrt(prime)),
+where the lattice gave no gain.  Either sequence is extensible (its first
+2n points contain its first n; Genz & Bretz 2009), and the twelve random
+shifts are drawn once per call.  The rounds double the number of points,
+from a first round of 64, but each evaluates only its new ones and adds
+them to every shift's running sum: a rectangle that converges at n points
+has spent 12 n evaluations in all.
 
-Points are evaluated in chunks of 2^13, small enough that the prefix
-matrix-vector products and the interval buffers of a chunk stay in cache.
-The unshifted lattice points of a chunk are built once and shared by all
-twelve random shifts.  The first integration variable has no predecessors,
-so its factor is one number, computed once for each chunk and shift rather
-than at every point.  These shortcuts are exact in IEEE arithmetic; only the
-chunk size and the round boundaries fix the order in which partial sums are
-added.
+Points are evaluated in chunks of 2^10 lattice points, all twelve shifts of
+a chunk in one call, so that neither the small early rounds nor the many
+shifts multiply the Python-level work.  The unshifted points of a chunk are
+built once and shared by the shifts.  The first integration variable has
+no predecessors, so its factor is one number, computed once per chunk
+rather than at every point.  These shortcuts are exact in IEEE arithmetic;
+only the chunk size and the round boundaries fix the order in which
+partial sums are added.
 
 A coordinate whose limits are both infinite is dropped, with its row and
 column, before the factorization, since its marginal probability is 1; a
@@ -161,7 +170,15 @@ _COEF_TOL = 1e-9
 _U_LO = 1e-300
 _U_HI = float(np.nextafter(1.0, 0.0))
 _N_SHIFTS = 12
-_CHUNK = 1 << 13
+# lattice points per chunk; each evaluates all _N_SHIFTS shifts at once
+_CHUNK = 1 << 10
+# lattice points of a call's first round
+_FIRST_ROUND = 1 << 6
+_MASK32 = np.uint64(0xFFFFFFFF)
+# generating vector of the embedded rank-1 lattice, the first components of
+# tools/cbc_lattice.py; past six dimensions the lattice spent more points
+# than the Kronecker directions
+_LATTICE_Z = np.array([1, 167197, 446031, 227463, 322969, 347039], dtype=np.uint64)
 DEFAULT_ACCURACY = 1e-5
 DEFAULT_QUANTILE_TOL = 1e-4
 DEFAULT_MAX_POINTS = 1 << 26
@@ -173,7 +190,14 @@ _SECANT_STEPS = 3
 
 @lru_cache(maxsize=None)
 def _lattice_generators(dim: int) -> np.ndarray:
-    """Fractional parts of sqrt(prime), the Kronecker lattice directions."""
+    """Generating vector of the point set in ``dim`` dimensions.
+
+    The first ``dim`` components of ``_LATTICE_Z`` (integers) when it has
+    that many; past its length, the fractional parts of sqrt(prime), the
+    Kronecker directions.
+    """
+    if dim <= _LATTICE_Z.size:
+        return _LATTICE_Z[:dim]
     primes: list[int] = []
     candidate = 2
     while len(primes) < dim:
@@ -182,6 +206,30 @@ def _lattice_generators(dim: int) -> np.ndarray:
         candidate += 1
     gen = np.sqrt(np.asarray(primes, dtype=float))
     return np.mod(gen, 1.0)
+
+
+def _bit_reverse32(j: np.ndarray) -> np.ndarray:
+    """The 32-bit reversal of each of the unsigned integers ``j`` < 2^32."""
+    for shift, mask in ((1, 0x55555555), (2, 0x33333333), (4, 0x0F0F0F0F),
+                        (8, 0x00FF00FF), (16, 0x0000FFFF)):
+        j = ((j >> shift) & mask) | ((j & mask) << shift)
+    return j
+
+
+def _lattice_points(gen: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Unshifted points ``start .. stop - 1`` of the sequence ``gen`` defines,
+    shape (dim, stop - start), each coordinate in [0, 1) or, for Kronecker
+    directions, nonnegative.
+
+    An integer vector z gives the rank-1 lattice in radical-inverse order,
+    point j being (bitrev32(j) z mod 2^32) / 2^32: exact in integers and in
+    the float conversion, and its first 2^m points are the lattice
+    {k z / 2^m}.  Float directions give the Kronecker points (j + 1) gen.
+    """
+    if gen.dtype.kind == "u":
+        phi = _bit_reverse32(np.arange(start, stop, dtype=np.uint64))
+        return (np.multiply.outer(gen, phi) & _MASK32) * 2.0**-32
+    return np.multiply.outer(gen, np.arange(start + 1, stop + 1, dtype=float))
 
 
 def _ordered_cholesky(corr: np.ndarray, lower: np.ndarray, upper: np.ndarray):
@@ -353,25 +401,24 @@ def _evaluate(steps, rank: int, x: np.ndarray) -> np.ndarray:
 
 
 def _round_sums(steps, rank, gen, start, stop, shifts) -> np.ndarray:
-    """Integrand sums over lattice points ``start + 1 .. stop``, per shift.
+    """Integrand sums over lattice points ``start .. stop - 1``, per shift.
 
-    The unshifted points ``j * gen`` are built once per chunk and shared by
-    every shift; each shift's sum adds its chunk sums in chunk order.
+    The unshifted points of a chunk are built once; every shift of the
+    chunk goes to one ``_evaluate`` call, and each shift's sum adds its
+    chunk sums in chunk order.
     """
     sums = np.zeros(len(shifts))
-    x = np.empty((gen.shape[0], min(_CHUNK, stop - start)))
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
-        base = gen[:, None] * np.arange(lo + 1, hi + 1, dtype=float)
-        xs = x[:, : hi - lo]
-        for s, shift in enumerate(shifts):
-            np.add(base, shift[:, None], out=xs)
-            # fractional part, exact (and equal to np.mod) for xs >= 0
-            xs -= np.floor(xs)
-            xs *= 2.0
-            xs -= 1.0
-            np.abs(xs, out=xs)
-            sums[s] += float(_evaluate(steps, rank, xs).sum())
+        base = _lattice_points(gen, lo, hi)
+        xs = base[:, None, :] + shifts.T[:, :, None]
+        # fractional part, exact (and equal to np.mod) for xs >= 0
+        xs -= np.floor(xs)
+        xs *= 2.0
+        xs -= 1.0
+        np.abs(xs, out=xs)
+        values = _evaluate(steps, rank, xs.reshape(gen.shape[0], -1))
+        sums += values.reshape(len(shifts), hi - lo).sum(axis=1)
     return sums
 
 
@@ -379,9 +426,10 @@ def _qmc_estimate(steps, rank, accuracy, rng, max_points):
     """Randomized-lattice estimate: ``(value, err_est, points spent)``.
 
     One block of ``_N_SHIFTS`` random shifts serves the whole call.  The
-    lattice is extensible, so the points of a round contain those of the
-    round before: each doubling evaluates only its new points and adds them
-    to every shift's running sum.  The estimate is the mean of the per-shift
+    first round has ``_FIRST_ROUND`` lattice points, and the lattice is
+    extensible, so the points of a round contain those of the round before:
+    each doubling evaluates only its new points and adds them to every
+    shift's running sum.  The estimate is the mean of the per-shift
     means over all points so far, and the error estimate three standard
     errors of that mean.
     """
@@ -392,7 +440,7 @@ def _qmc_estimate(steps, rank, accuracy, rng, max_points):
     gen = _lattice_generators(dim)
     shifts = rng.random((_N_SHIFTS, dim))
     totals = np.zeros(_N_SHIFTS)
-    done, n = 0, 1 << 10
+    done, n = 0, _FIRST_ROUND
     while True:
         totals += _round_sums(steps, rank, gen, done, n, shifts)
         means = totals / n
@@ -455,7 +503,8 @@ def mvn_rect(
         ``value`` in [0, 1]; ``err_est`` three standard errors of the mean
         over the twelve randomized shifts, each shift's mean taken over
         every lattice point evaluated; ``n_points`` the evaluations spent,
-        twelve times the lattice points of the last round.
+        twelve times the lattice points of the last round (64, doubled
+        zero or more times) when the integral needed quadrature.
     """
     _check_accuracy(accuracy)
     model = corr if isinstance(corr, CorrelationModel) else CorrelationModel(corr)

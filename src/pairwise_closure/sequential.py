@@ -40,6 +40,7 @@ from .model import (
     _max_statistic,
     _pair_z,
     _real,
+    _reals,
     _resolved_arms,
     correlation,
     z_statistics,
@@ -88,7 +89,7 @@ class SpendingSchedule:
     def __post_init__(self) -> None:
         times = _check_info_times(self.info_times)
         object.__setattr__(self, "info_times", times)
-        spends = tuple(float(a) for a in self.per_stage)
+        spends = tuple(_real(a, "a cumulative spend") for a in self.per_stage)
         object.__setattr__(self, "per_stage", spends)
         if len(spends) != len(times):
             raise ValueError("need one cumulative spend per analysis")
@@ -330,8 +331,8 @@ class StageData:
     z_stage: np.ndarray
 
     def __post_init__(self) -> None:
-        z_cum = np.atleast_2d(np.asarray(self.z_cum, dtype=float))
-        z_stage = np.atleast_2d(np.asarray(self.z_stage, dtype=float))
+        z_cum = np.atleast_2d(_reals(self.z_cum, "a statistic"))
+        z_stage = np.atleast_2d(_reals(self.z_stage, "a statistic"))
         object.__setattr__(self, "z_cum", z_cum)
         object.__setattr__(self, "z_stage", z_stage)
         m = self.config.n_comparisons
@@ -358,7 +359,7 @@ class StageData:
                 f"cumulative means must have shape (q <= {config.n_stages}, "
                 f"{config.n_arms})"
             )
-        cum = np.array([[_real(x, "a cumulative mean") for x in row] for row in cum])
+        cum = _reals(cum, "a cumulative mean")
         z_cum = np.array(
             [[s.z for s in z_statistics(config, cum[q], stage=q + 1)]
              for q in range(q_obs)]

@@ -36,12 +36,12 @@ COMBINED_05_05 = 0.010004627
 # fails here.
 # tail_table.pvalue over np.linspace(0.5, 3.5, 7), for {1, 2, 3} and {1, 3}
 TAIL_PVALUE_BITS = {
-    (1, 2, 3): [0.8713124040271841, 0.5768576557494991, 0.29091545989708756,
-                0.11218775754122234, 0.033240433720846396, 0.00760349700654539,
-                0.0013472309946137573],
-    (1, 3): [0.8349154773813797, 0.5020344466131237, 0.23024949238202896,
-             0.08289700637813058, 0.023503249729172615, 0.0052365095697485264,
-             0.0009157052071770977],
+    (1, 2, 3): [0.8713091380749757, 0.5768590020801658, 0.29092018414413445,
+                0.11221889548533592, 0.03325733320747659, 0.007635840685900397,
+                0.0013795309098140196],
+    (1, 3): [0.8349142570742119, 0.5020231125059829, 0.2302220925878028,
+             0.08285342725704803, 0.023491607923579738, 0.005176868918599364,
+             0.0008860396809390325],
 }
 # flexible_closed_test combined p-values on PINNED_STAGE_Z (both stages)
 PINNED_STAGE_Z = np.array([[2.4, -0.3, 1.1], [2.0, 0.8, -1.6]])
@@ -49,10 +49,10 @@ COMBINED_P_BITS = {
     (1,): 0.0034200266707986966,
     (2,): 0.645397625074693,
     (3,): 0.09692448465094089,
-    (1, 2): 0.010683485576188105,
-    (1, 3): 0.010683485576188105,
-    (2, 3): 0.23356589235087982,
-    (1, 2, 3): 0.019183061979938527,
+    (1, 2): 0.010684537092663707,
+    (1, 3): 0.010684537092663707,
+    (2, 3): 0.23356864585414933,
+    (1, 2, 3): 0.019180554355905075,
 }
 # batch_flexible_test rejections per row of the batch below, with tail_table
 BATCH_FLEXIBLE_REJECTED = [

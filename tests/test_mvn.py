@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal, studentized_range
@@ -278,19 +281,19 @@ def staged_corr():
     [
         # singular K=4 full set, two-sided
         (0.0, pairwise_corr(4), Rectangle.centered(2.5, 6), 1e-5, 10,
-         ProbResult(0.9401103960606899, 6.38467884166614e-06, 393216)),
+         ProbResult(0.9401065588522209, 5.864985206769634e-06, 49152)),
         # an infinite limit on each side and a nonzero mean, nonsingular
         ([0.2, -0.1, 0.3],
          np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.4], [-0.2, 0.4, 1.0]]),
          Rectangle([-np.inf, -1.0, -0.5], [1.2, np.inf, 0.8]), 1e-5, 9,
-         ProbResult(0.3198357114103792, 4.256526246975036e-06, 98304)),
+         ProbResult(0.3198406078532558, 5.271247573871954e-06, 12288)),
         # one-sided singular K=3 full set with a nonzero mean
         ([0.2, -0.1, 0.3], pairwise_corr(3), Rectangle.below(1.9, 3), 1e-5, 9,
-         ProbResult(0.8915105584576438, 7.661266080933823e-06, 196608)),
-        # staged K=3 Q=2 matrix: the last round takes each shift from 32,768
-        # to 65,536 points, four lattice chunks
+         ProbResult(0.8915239428006592, 9.352167680900734e-06, 24576)),
+        # staged K=3 Q=2 matrix: the last round takes each shift from 4,096
+        # to 8,192 points, four lattice chunks
         (0.0, staged_corr(), Rectangle.centered(2.4, 6), 1e-5, 1,
-         ProbResult(0.9264246930850217, 6.389653819500853e-06, 786432)),
+         ProbResult(0.9264369577455693, 9.737986496013914e-06, 98304)),
     ],
     ids=["k4-two-sided", "infinite-limits-mean", "k3-one-sided-mean", "staged-chunks"],
 )
@@ -301,7 +304,7 @@ def test_kernel_bits_are_pinned(mean, corr, rect, accuracy, seed, expected):
 
 
 def test_quantile_bits_are_pinned():
-    assert equicoord_quantile(pairwise_corr(3), 0.95, seed=3) == 2.3437034800156034
+    assert equicoord_quantile(pairwise_corr(3), 0.95, seed=3) == 2.3437019109617863
 
 
 def test_coarse_accuracy_is_one_policy():
@@ -314,14 +317,12 @@ def test_coarse_accuracy_is_one_policy():
 
 
 def test_quantile_at_level_1e3_keeps_its_bits():
-    assert equicoord_quantile(pairwise_corr(4), 0.999, seed=1) == 3.7554404117294293
+    assert equicoord_quantile(pairwise_corr(4), 0.999, seed=1) == 3.754218117759353
 
 
 def test_quantile_below_level_1e3_is_pinned():
-    # the coarse phase runs at the accuracy of level 1e-3 below it; the value
-    # moved by -1.1e-6 from 4.3042246196112455 when that floor was added,
-    # well inside the quantile tolerance 1e-4
-    assert equicoord_quantile(pairwise_corr(4), 0.9999, seed=1) == 4.304223520795397
+    # the coarse phase runs at the accuracy of level 1e-3 below it
+    assert equicoord_quantile(pairwise_corr(4), 0.9999, seed=1) == 4.3045406721638875
 
 
 @pytest.mark.parametrize("n_arms", [3, 4])
@@ -464,16 +465,26 @@ def _honesty_cases():
     orthant_truth = 0.125 + sum(
         np.arcsin(orthant[i, j]) for i, j in ((0, 1), (0, 2), (1, 2))
     ) / (4 * np.pi)
+    # a random walk with symmetric increments stays below 0 at all of its
+    # first q steps with probability C(2q, q) / 4^q (Sparre Andersen): here
+    # the cumulative statistic of one comparison at six equally spaced looks
+    walk = TrialConfig.single_stage(2, 1.0, 10).with_stage_n(
+        tuple((10 * q,) * 2 for q in range(1, 7)))
     return {
         "k3-full-set": (pairwise_corr(3), Rectangle.centered(2.3437, 3), 5e-6,
                         studentized_range.cdf(2.3437 * np.sqrt(2), 3, np.inf)),
         "k4-full-set": (pairwise_corr(4), Rectangle.centered(2.569, 6), 5e-5,
                         studentized_range.cdf(2.569 * np.sqrt(2), 4, np.inf)),
         "orthant": (orthant, Rectangle.below(0.0, 3), 5e-6, orthant_truth),
+        "k4-coarse": (pairwise_corr(4), Rectangle.centered(2.569, 6), 5e-4,
+                      studentized_range.cdf(2.569 * np.sqrt(2), 4, np.inf)),
+        "staged-5d": (joint_covariance(walk), Rectangle.below(0.0, 6), 5e-5,
+                      math.comb(12, 6) / 4**6),
     }
 
 
-@pytest.mark.parametrize("case", ["k3-full-set", "k4-full-set", "orthant"])
+@pytest.mark.parametrize(
+    "case", ["k3-full-set", "k4-full-set", "orthant", "k4-coarse", "staged-5d"])
 def test_error_estimate_is_honest(case, monkeypatch):
     corr, rect, accuracy, truth = _honesty_cases()[case]
     evaluated = []
@@ -492,9 +503,9 @@ def test_error_estimate_is_honest(case, monkeypatch):
         misses += gap > res.err_est
         worst = max(worst, gap)
         # each round doubles the lattice and evaluates only its new points,
-        # so 12 shifts x 1,024 x 2^r points in all
-        growth = res.n_points // (12 * 1024)
-        assert res.n_points == 12 * 1024 * growth and growth & (growth - 1) == 0
+        # so 12 shifts x 64 x 2^r points in all
+        growth = res.n_points // (12 * 64)
+        assert res.n_points == 12 * 64 * growth and growth & (growth - 1) == 0
         assert sum(evaluated) == res.n_points
     assert misses <= 10
     assert worst <= 2 * accuracy
@@ -510,8 +521,38 @@ def test_max_points_stops_before_a_further_round(monkeypatch):
 
     monkeypatch.setattr(mvn, "_round_sums", recording)
     corr = pairwise_corr(4)
-    # 12 x 4,096 evaluations reach the budget of 40,000 in the third round
+    # 12 x 4,096 evaluations reach the budget of 40,000 in the seventh round
     with pytest.raises(AccuracyError, match="after 49152 points"):
         mvn_rect(0.0, corr, Rectangle.centered(2.0, 6), accuracy=1e-9, seed=0,
                  max_points=40_000)
-    assert rounds == [(0, 1024), (1024, 2048), (2048, 4096)]
+    assert rounds == [(0, 64), (64, 128), (128, 256), (256, 512), (512, 1024),
+                      (1024, 2048), (2048, 4096)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(0, 12), dim=st.integers(1, mvn._LATTICE_Z.size))
+def test_radical_inverse_points_are_the_embedded_lattices(m, dim):
+    z = mvn._lattice_generators(dim)
+    n = 1 << m
+    k = np.arange(n, dtype=np.uint64)
+    lattice = (np.multiply.outer(z, k) % np.uint64(n)) / n
+    first = mvn._lattice_points(z, 0, n)
+    # the first 2^m points are the lattice {k z / 2^m}, in another order
+    assert sorted(map(tuple, first.T)) == sorted(map(tuple, lattice.T))
+    # and the round from 2^m to 2^(m+1) adds exactly its odd multiples
+    odd = (np.multiply.outer(z, 2 * k + 1) % np.uint64(2 * n)) / (2 * n)
+    added = mvn._lattice_points(z, n, 2 * n)
+    assert sorted(map(tuple, added.T)) == sorted(map(tuple, odd.T))
+
+
+@pytest.mark.parametrize("n_arms", [mvn._LATTICE_Z.size + 2, mvn._LATTICE_Z.size + 3])
+def test_both_sides_of_the_lattice_length(n_arms):
+    # the full set of K arms integrates in K - 2 dimensions: the last
+    # dimension the generating vector covers, then the first Kronecker one
+    dim = n_arms - 2
+    gen = mvn._lattice_generators(dim)
+    assert gen.dtype.kind == ("u" if dim <= mvn._LATTICE_Z.size else "f")
+    corr = pairwise_corr(n_arms)
+    res = mvn_rect(0.0, corr, Rectangle.centered(3.0, corr.shape[0]), accuracy=1e-4, seed=1)
+    truth = studentized_range.cdf(3.0 * np.sqrt(2), n_arms, np.inf)
+    assert abs(res.value - truth) <= 2 * res.err_est

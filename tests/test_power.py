@@ -277,12 +277,12 @@ class TestLfcCheck:
     # power, alternative and search result is pinned to the bit.
     @pytest.mark.parametrize("n_arms, sigma2, n, delta, mode, expected", [
         (4, 1.0, 100, 0.5, "theorem", {
-            "mode": "theorem", "lfc_power": 0.8584069109539475,
+            "mode": "theorem", "lfc_power": 0.8585646316042161,
             "alternatives": [
-                {"epsilon": -0.25, "power": 0.9401464983495296, "ge_lfc": True},
-                {"epsilon": -0.125, "power": 0.8820446161752318, "ge_lfc": True},
-                {"epsilon": 0.125, "power": 0.8820451253727982, "ge_lfc": True},
-                {"epsilon": 0.25, "power": 0.9401424468568231, "ge_lfc": True},
+                {"epsilon": -0.25, "power": 0.9402044818002147, "ge_lfc": True},
+                {"epsilon": -0.125, "power": 0.8821710611858573, "ge_lfc": True},
+                {"epsilon": 0.125, "power": 0.8821809472684374, "ge_lfc": True},
+                {"epsilon": 0.25, "power": 0.9401941643367889, "ge_lfc": True},
             ],
             "is_minimum": True, "trivial": False,
         }),
@@ -291,14 +291,14 @@ class TestLfcCheck:
             "is_minimum": True, "trivial": True,
         }),
         (3, 1.0, 100, 0.5, "search", {
-            "mode": "search", "lfc_power": 0.8962935736389075,
-            "min_power": 0.8962935736389075, "minimizing_means": (0.5, 0.0, 0.25),
+            "mode": "search", "lfc_power": 0.8962714620627569,
+            "min_power": 0.8962714620627569, "minimizing_means": (0.5, 0.0, 0.25),
             "scaling": (1.0, 1.0, 1.0), "alternatives": [], "is_minimum": True,
             "trivial": False,
         }),
         (3, (1.0, 1.7, 0.8), (40, 60, 50), 0.8, "search", {
-            "mode": "search", "lfc_power": 0.8860659218797682,
-            "min_power": 0.8857343972568361, "minimizing_means": (0.8, 0.0, 0.420625),
+            "mode": "search", "lfc_power": 0.8860498467874226,
+            "min_power": 0.885718516956671, "minimizing_means": (0.8, 0.0, 0.420625),
             "scaling": (1.0, 1.0, 1.0515625), "alternatives": [], "is_minimum": True,
             "trivial": False,
         }),

@@ -43,11 +43,11 @@ TWO_LOOKS = (0.5, 1.0)
 # default accuracy), one vector per class, and of one generalised vector.  A
 # refactor of the cache or the root finder that moves a single bit fails.
 K3_STAGE_BOUNDS_BITS = {
-    1: (2.2414027276049446, 2.12516457972626),
-    2: (2.4774715103514127, 2.3760985304508044),
-    3: (2.603775352597539, 2.5064507511180754),
+    1: (2.2414027276049446, 2.1251010799876857),
+    2: (2.4774919740403196, 2.375933496245335),
+    3: (2.603768799620663, 2.506359402835757),
 }
-GENERALISED_OBF_BITS = (3.09563449122651, 2.363905361980798)
+GENERALISED_OBF_BITS = (3.0979884702268934, 2.358737094933715)
 # batch_gs_test on _pinned_batch() against gs_k3_q2: per row, the analysis at
 # which each comparison's rejection completed (0 = not rejected)
 BATCH_GS_STOPPED = [
@@ -122,6 +122,12 @@ class TestSpendingSchedule:
     def test_information_times_must_be_real_numbers(self, times):
         with pytest.raises(ValueError, match="an information time must be a real number"):
             SpendingSchedule.obrien_fleming(0.05, times)
+
+    @pytest.mark.parametrize("spends", [("0.01", "0.05"), (0.01, True)],
+                             ids=["string", "boolean"])
+    def test_cumulative_spends_must_be_real_numbers(self, spends):
+        with pytest.raises(ValueError, match="a cumulative spend must be a real number"):
+            SpendingSchedule(TWO_LOOKS, spends)
 
     def test_pocock_two_looks(self):
         sched = SpendingSchedule.pocock(0.05, TWO_LOOKS)
@@ -385,6 +391,16 @@ class TestStageData:
     def test_means_must_be_real_numbers(self, cfg_k3_q2, cum):
         with pytest.raises(ValueError, match="a cumulative mean must be a real number"):
             StageData.from_cumulative_means(cfg_k3_q2, cum)
+
+    @pytest.mark.parametrize("row", [["1.5", 0.0, 0.1], [1.5, True, 0.1],
+                                     np.array([True, False, True])],
+                             ids=["string", "boolean", "np-boolean-array"])
+    def test_statistics_must_be_real_numbers(self, cfg_k3_q2, row):
+        good = [[1.5, 0.0, 0.1]]
+        with pytest.raises(ValueError, match="a statistic must be a real number"):
+            StageData(cfg_k3_q2, [row], good)
+        with pytest.raises(ValueError, match="a statistic must be a real number"):
+            StageData(cfg_k3_q2, good, [row])
 
 
 class TestGsClosedTest:
