@@ -174,7 +174,6 @@ _N_SHIFTS = 12
 _CHUNK = 1 << 10
 # lattice points of a call's first round
 _FIRST_ROUND = 1 << 6
-_MASK32 = np.uint64(0xFFFFFFFF)
 # generating vector of the embedded rank-1 lattice, the first components of
 # tools/cbc_lattice.py; past six dimensions the lattice spent more points
 # than the Kronecker directions
@@ -228,7 +227,7 @@ def _lattice_points(gen: np.ndarray, start: int, stop: int) -> np.ndarray:
     """
     if gen.dtype.kind == "u":
         phi = _bit_reverse32(np.arange(start, stop, dtype=np.uint64))
-        return (np.multiply.outer(gen, phi) & _MASK32) * 2.0**-32
+        return (np.multiply.outer(gen, phi) & 0xFFFFFFFF) * 2.0**-32
     return np.multiply.outer(gen, np.arange(start + 1, stop + 1, dtype=float))
 
 

@@ -27,7 +27,7 @@ With weights 1 on the 2 pi^2 B_2 kernel instead, the origin's term,
 search returns repeated components.
 
 Each step costs O(2^M_HI log 2^M_HI) by the fast CBC of Nuyens & Cools
-(2006): every odd residue mod 2^L is +-5^b, omega is symmetric, so the
+(2006): every odd residue mod 2^L is +-5^b and B_2(1 - x) = B_2(x), so the
 sum over the odd k of one 2-adic level is a cyclic correlation of length
 2^(L-2), done with the FFT.
 
