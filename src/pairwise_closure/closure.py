@@ -12,10 +12,11 @@ This module also owns the intersection lattice that the group-sequential
 (``sequential``) and combination (``combination``) tests reuse: the one
 guarded subset enumeration, the one closure rule over it, and the one
 per-class cache behind every table of per-subset values.  Each of those
-procedures supplies only its local test.  The closure rule walks the lattice
-from the full set down and runs a subset's local test only on the rows
-where one of its members can still be rejected; a row whose full set is
-accepted costs one local test.  The single-trial tests report every
+procedures supplies only its local test.  The closure rule tests the full
+set on every row, then walks the rest of the lattice downwards on the rows
+it rejected alone, and runs a subset's local test only on the rows where
+one of its members can still be rejected; a row whose full set is accepted
+costs one local test.  The single-trial tests report every
 subset's local decision, so they compute those first, in lattice order, and
 hand the rule a lookup.
 
@@ -380,57 +381,75 @@ def _closure_rule(
     """The closure rule over the whole intersection lattice, for many rows.
 
     ``stat`` has shape (rows, ..., m): the statistics the local tests read
-    (absolute values for two-sided families), which must be finite.
+    (absolute values for two-sided families), which must be finite.  It is
+    read through its axis-reversed view, so the rule is fastest when the
+    rows run innermost in memory, as they do in the simulator's arrays.
     Comparison k is rejected when every subset containing it is rejected,
     at the latest of their first crossings.
 
-    The lattice is walked from the full set down.  On a row where every
-    member of a subset is already accepted, the subset's local test cannot
-    change a decision, so ``first_crossing(subset, top)`` receives only the
-    live rows, those where some member may still be rejected, in their
-    original order: ``top`` is the subset's largest statistic, of shape
-    (live rows, ...).  It returns per row the analysis (counted from 1) at
-    which the subset's local test first rejects, or 0 if it never does; a
-    boolean counts as a single analysis.  The callback must therefore act
-    row by row, and it is not called for a subset with no live row.  Once
-    the full set is accepted on a row, no other subset is tested there.
+    ``first_crossing(subset, top)`` is the local test: ``top`` is the
+    subset's largest statistic, of shape (rows tested, ...), and it returns
+    per row the analysis (counted from 1) at which the test first rejects,
+    or 0 if it never does; a boolean counts as a single analysis, and a
+    scalar answers for every row.  The full set is tested on every row
+    first.  Its rejected rows are then gathered once, and the rest of the
+    lattice is walked on those alone, from the larger subsets down: on a
+    row where every member of a subset is already accepted, the subset's
+    test cannot change a decision, so each test receives only the rows
+    where some member may still be rejected, in their original order.  The
+    callback must therefore act row by row; it is not called for a subset
+    with no such row, and no subset but the full set sees a row on which
+    the full set was accepted.
 
     Returns
     -------
     rejected : ndarray of bool, shape (rows, m)
     stopped : ndarray of int, shape (rows, m)
-        The analysis at which each rejection completed; 0 where not rejected.
+        The analysis at which each rejection completed; 0 where not
+        rejected.  In both, each comparison's column is contiguous.
     """
     if not np.all(np.isfinite(stat)):
         raise ValueError("statistics must be finite")
     n_rows, m = stat.shape[0], stat.shape[-1]
-    # per comparison: by_col[c] is comparison c's statistics, alive[c] marks
-    # the rows where it may still be rejected and latest[c] holds the latest
-    # first crossing seen there
-    by_col = np.moveaxis(stat, -1, 0)
-    alive = np.ones((m, n_rows), dtype=bool)
-    latest = np.zeros((m, n_rows), dtype=np.int64)
+    subsets = _all_subsets(m)
+    # by_col[c] is comparison c's statistics, rows on the last axis; a
+    # callback reads the axis-reversed (rows, ...) view
+    by_col = stat.T
     first = np.zeros(n_rows, dtype=np.int64)
-    for subset in reversed(_all_subsets(m)):
+    if n_rows:
+        first[:] = first_crossing(subsets[-1], functools.reduce(np.maximum, by_col).T)
+    rejected = np.zeros((m, n_rows), dtype=bool)
+    stopped = np.zeros((m, n_rows), dtype=np.int64)
+    rows = np.flatnonzero(first)
+    if rows.size == 0:
+        return rejected.T, stopped.T
+    # on the full set's rejected rows: alive[c] marks the rows where
+    # comparison c may still be rejected and latest[c] holds the latest
+    # first crossing seen there
+    by_col = np.take(by_col, rows, axis=-1)
+    alive = np.ones((m, rows.size), dtype=bool)
+    latest = np.repeat(first[rows][None], m, axis=0)
+    first = np.zeros(rows.size, dtype=np.int64)
+    for subset in reversed(subsets[:-1]):
         cols = [k - 1 for k in subset]
         live = np.flatnonzero(np.logical_or.reduce(alive[cols]))
         if live.size == 0:
             continue
-        if live.size == n_rows:
-            # read in place: gathering every row of a large block copies it
+        if live.size == rows.size:
             top = functools.reduce(np.maximum, (by_col[col] for col in cols))
         else:
-            top = functools.reduce(np.maximum, (np.take(by_col[col], live, axis=0)
+            top = functools.reduce(np.maximum, (np.take(by_col[col], live, axis=-1)
                                                 for col in cols))
         # rows left out keep 0: each of their members is accepted already
         first[:] = 0
-        first[live] = first_crossing(subset, top)
+        first[live] = first_crossing(subset, top.T)
         crossed = first > 0
         for col in cols:
             alive[col] &= crossed
             np.maximum(latest[col], first, out=latest[col])
-    rejected = np.ascontiguousarray(alive.T)
-    return rejected, np.where(rejected, latest.T, 0)
+    rejected[:, rows] = alive
+    stopped[:, rows] = np.where(alive, latest, 0)
+    return rejected.T, stopped.T
 
 
 def _lattice(stat: np.ndarray, table: CriticalValueTable):
@@ -509,20 +528,24 @@ def batch_closed_test(abs_z: np.ndarray, table: CriticalValueTable) -> np.ndarra
 
     Each row's statistics are walked in decreasing order; the r-th largest
     is rejected when it and every larger one exceed the critical value of
-    their tail set (that statistic together with all smaller ones).  Only the
-    tail sets of rows still rejecting are looked up, so only the classes the
-    data visit are solved.  Decisions equal the full lattice walk because the
-    table is consonant.  Works for any family of up to 62 comparisons.
+    their tail set (that statistic together with all smaller ones).  The
+    first step, each row's maximum against the full-set cut, runs on every
+    row column by column; only the rows that pass it are sorted and walked
+    on.  Only the tail sets of rows still rejecting are looked up, so only
+    the classes the data visit are solved.  Decisions equal the full
+    lattice walk because the table is consonant.  Works for any family of
+    up to 62 comparisons.
 
     Parameters
     ----------
     abs_z : ndarray, shape (n_replicates, m)
-        Absolute statistics (or signed, for one-sided tables); must be finite.
+        Absolute statistics (or signed, for one-sided tables); must be
+        finite.  Fastest when each column is contiguous.
     table : CriticalValueTable
 
     Returns
     -------
-    ndarray of bool, shape (n_replicates, m)
+    ndarray of bool, shape (n_replicates, m), each column contiguous
     """
     abs_z = np.asarray(abs_z, dtype=float)
     m = table.n_comparisons
@@ -541,23 +564,30 @@ def batch_closed_test(abs_z: np.ndarray, table: CriticalValueTable) -> np.ndarra
             c = values[mask] = table.value(k + 1 for k in range(m) if mask >> k & 1)
         return c
 
-    rejected = np.empty(abs_z.shape, dtype=bool)
-    for start in range(0, abs_z.shape[0], _BLOCK_ROWS):
-        block = abs_z[start:start + _BLOCK_ROWS]
+    rejected = np.zeros((m, abs_z.shape[0]), dtype=bool).T
+    if abs_z.size == 0:
+        return rejected
+    # the first step on every row: its maximum against the full-set cut
+    passed = np.flatnonzero(functools.reduce(np.maximum, abs_z.T) > critical((1 << m) - 1))
+    for start in range(0, passed.size, _BLOCK_ROWS):
+        rows = passed[start:start + _BLOCK_ROWS]
+        block = abs_z[rows]
         order = np.argsort(-block, axis=1, kind="stable")
         ranked = np.take_along_axis(block, order, axis=1)
         # tails[:, r] marks the comparisons ranked r and below
         tails = np.bitwise_or.accumulate(bits[order[:, ::-1]], axis=1)[:, ::-1]
+        # every row here has crossed at rank 0, the full set
         crossed = np.zeros(block.shape, dtype=bool)
+        crossed[:, 0] = True
         alive = np.arange(block.shape[0])
-        for rank in range(m):
+        for rank in range(1, m):
             masks, which = np.unique(tails[alive, rank], return_inverse=True)
             cuts = np.array([critical(int(mask)) for mask in masks])
             alive = alive[ranked[alive, rank] > cuts[which]]
             if alive.size == 0:
                 break
             crossed[alive, rank] = True
-        np.put_along_axis(rejected[start:start + _BLOCK_ROWS], order, crossed, axis=1)
+        rejected[rows[:, None], order] = crossed
     return rejected
 
 
@@ -572,9 +602,11 @@ def _fixed_sequence(stat: np.ndarray, cut: float, order: Iterable[int]) -> np.nd
     """Fixed-sequence rule on (rows, m) statistics: comparison k is rejected
     when it and every comparison before it in ``order`` (a permutation of
     1..m) clear ``cut``."""
-    cols = np.asarray(order) - 1
+    cols = [k - 1 for k in order]
     passed = stat > cut
-    passed[:, cols] = np.logical_and.accumulate(passed[:, cols], axis=1)
+    # column by column, down the sequence
+    for prev, col in zip(cols, cols[1:]):
+        passed[:, col] &= passed[:, prev]
     return passed
 
 

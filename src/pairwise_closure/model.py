@@ -206,11 +206,23 @@ def _pair_correlation(v: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarr
 
 
 def _pair_z(means: np.ndarray, v: np.ndarray, sided: str) -> np.ndarray:
-    """Standardized pairwise differences of arm means whose variances are
-    ``v``; the last axis of both runs over arms, and of the result over
-    comparisons in the order of :func:`_pair_arms`."""
-    ii, jj = _pair_arms(means.shape[-1], sided)
-    return (means[..., ii] - means[..., jj]) / np.sqrt(v[..., ii] + v[..., jj])
+    """Standardized pairwise differences (mean_i - mean_j) / sqrt(v_i + v_j)
+    of arm means whose variances are ``v``.
+
+    The first axis of ``means`` and ``v`` runs over arms, and ``v`` must
+    broadcast against ``means``.  Each comparison is formed from whole
+    per-arm rows into its own contiguous row, so the result is the
+    axis-reversed view of storage ordered (comparisons, ...): arrays ordered
+    (arms, stages, replicates) give a (replicates, stages, comparisons)
+    view, and (arms, stages) gives (stages, comparisons).  Comparisons come
+    in the order of :func:`_pair_arms`.
+    """
+    ii, jj = _pair_arms(len(means), sided)
+    out = np.empty((len(ii),) + means.shape[1:])
+    for row, i, j in zip(out, ii.tolist(), jj.tolist()):
+        np.subtract(means[i], means[j], out=row)
+        row /= np.sqrt(v[i] + v[j])
+    return out.T
 
 
 def _resolved_arms(
@@ -222,18 +234,25 @@ def _resolved_arms(
     one-sided family, ``stopped`` holding the analysis of each rejection.
     A pair resolves at its earliest rejecting direction, and an arm at the
     latest of its pairs.  Returns ``(resolved, stage)``, both of shape
-    (rows, K); ``stage`` is meaningful only where ``resolved`` holds.
+    (rows, K) with each arm's column contiguous; ``stage`` is meaningful
+    only where ``resolved`` holds.  The work runs column by column.
     """
     m2 = n_arms * (n_arms - 1) // 2
+    never = np.iinfo(np.int64).max
     # one-sided columns k and k + m2 are the two directions of one pair
-    hit = rejected.reshape(len(rejected), -1, m2)
-    first = np.where(hit, stopped.reshape(hit.shape), np.iinfo(np.int64).max).min(axis=1)
-    hit = hit.any(axis=1)
+    directions = [range(pair, rejected.shape[1], m2) for pair in range(m2)]
+    hit = [functools.reduce(np.logical_or, (rejected[:, c] for c in cols))
+           for cols in directions]
+    first = [functools.reduce(np.minimum, (np.where(rejected[:, c], stopped[:, c], never)
+                                           for c in cols))
+             for cols in directions]
     ii, jj = _pair_arms(n_arms, TWO_SIDED)
-    touching = [(ii == arm) | (jj == arm) for arm in range(n_arms)]
-    resolved = np.stack([hit[:, cols].all(axis=1) for cols in touching], axis=1)
-    stage = np.stack([first[:, cols].max(axis=1) for cols in touching], axis=1)
-    return resolved, stage
+    touching = [np.flatnonzero((ii == arm) | (jj == arm)).tolist() for arm in range(n_arms)]
+    resolved = np.stack([functools.reduce(np.logical_and, (hit[p] for p in pairs))
+                         for pairs in touching])
+    stage = np.stack([functools.reduce(np.maximum, (first[p] for p in pairs))
+                      for pairs in touching])
+    return resolved.T, stage.T
 
 
 @dataclass(frozen=True)

@@ -370,7 +370,7 @@ class StageData:
         cum_n = np.asarray(config.stage_n[:q_obs], dtype=float)
         stage_means = cum.copy()
         stage_means[1:] = (cum[1:] * cum_n[1:] - cum[:-1] * cum_n[:-1]) / inc[1:]
-        z_stage = _pair_z(stage_means, np.asarray(config.sigma2) / inc, config.sided)
+        z_stage = _pair_z(stage_means.T, (np.asarray(config.sigma2) / inc).T, config.sided)
         return cls(config, z_cum, z_stage)
 
 

@@ -53,6 +53,9 @@ PROCEDURES = (
 )
 _STAGED = ("dunnett-gs", "dunnett-gs-generalised")
 _CHUNK = 200_000
+# a schedule's total spend may miss alpha by this much: the O'Brien-Fleming
+# spend at alpha 0.05 totals 0.050000000000000044
+_SPEND_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,21 @@ class SimScenario:
         _check_alpha(self.alpha)
         if any(t in _STAGED for t in procedures) and self.spending is None:
             raise ValueError("staged procedures need a spending schedule")
+        n_stages = self.config.n_stages
+        if self.spending is not None:
+            if self.spending.n_stages != n_stages:
+                raise ValueError(f"the spending schedule has {self.spending.n_stages} "
+                                 f"analyses but the design has {n_stages}")
+            # the staged procedures run at the schedule's level, the others at alpha
+            if abs(self.spending.alpha - self.alpha) > _SPEND_ROUNDING:
+                raise ValueError(f"the spending schedule spends {self.spending.alpha!r} "
+                                 f"in total but alpha is {self.alpha!r}")
+        if self.weights is not None:
+            if not isinstance(self.weights, CombinationWeights):
+                object.__setattr__(self, "weights", CombinationWeights(tuple(self.weights)))
+            if self.weights.n_stages != n_stages:
+                raise ValueError(f"the combination weights cover {self.weights.n_stages} "
+                                 f"stages but the design has {n_stages}")
         if "global" in procedures:
             _check_global_design(self.config)
 
@@ -138,7 +156,9 @@ def simulate_statistics(
 
     Returns ``(z_cum, z_stage)``, each of shape (replicates, stages,
     comparisons).  The first r replicates are identical for any larger
-    replicate count with the same seed.
+    replicate count with the same seed.  The arrays are views with the
+    replicate index innermost in memory, so they need not be C-contiguous;
+    for a single-stage design both are the same array.
     """
     mu = _arm_means(means, config.n_arms)
     replicates = _whole(replicates, "replicates")
@@ -149,14 +169,28 @@ def simulate_statistics(
 
 
 def _draw_statistics(config, mu, n_reps, rng):
+    # the draw keeps its (replicates, stages, arms) order, so the stream is
+    # fixed; the work runs on one (arms, stages, replicates) copy, and each
+    # per-arm term is shaped (arms, stages, 1) to broadcast over replicates
     inc = config.stage_increments()
     sig2 = np.asarray(config.sigma2)
-    sums = rng.standard_normal((n_reps, config.n_stages, config.n_arms))
-    sums *= np.sqrt(sig2 * inc)
-    sums += np.asarray(mu) * inc
     cum_n = np.asarray(config.stage_n, dtype=float)
-    z_cum = _pair_z(np.cumsum(sums, axis=1) / cum_n, sig2 / cum_n, config.sided)
-    return z_cum, _pair_z(sums / inc, sig2 / inc, config.sided)
+    sums = np.ascontiguousarray(
+        rng.standard_normal((n_reps, config.n_stages, config.n_arms)).T)
+    sums *= np.sqrt(sig2 * inc).T[..., None]
+    sums += (np.asarray(mu) * inc).T[..., None]
+    # a running sum over whole stage rows: the additions of np.cumsum, in
+    # its order, without its walk along the short stage axis
+    cum = sums.copy() if config.n_stages > 1 else sums
+    for q in range(1, config.n_stages):
+        cum[:, q] += cum[:, q - 1]
+    cum /= cum_n.T[..., None]
+    z_cum = _pair_z(cum, (sig2 / cum_n).T[..., None], config.sided)
+    if config.n_stages == 1:
+        # one stage: the cumulative statistics are the stage's, bit for bit
+        return z_cum, z_cum
+    sums /= inc.T[..., None]
+    return z_cum, _pair_z(sums, (sig2 / inc).T[..., None], config.sided)
 
 
 def _build_resources(scenario: SimScenario) -> dict[str, Callable]:
@@ -164,7 +198,8 @@ def _build_resources(scenario: SimScenario) -> dict[str, Callable]:
 
     Each procedure's table, boundaries or cut is built here once and shared
     by every replicate; the two Dunnett-type single-stage procedures share
-    one table, and the two staged procedures one boundary schedule.
+    one table, and the two staged procedures one boundary schedule; the
+    single-stage rules share one array of final statistics per chunk.
     ``rule(z_cum, z_stage)`` returns the (replicates, m) rejection matrix
     and, for staged procedures, the stopping stages (None otherwise).  The
     comparator cuts and the fixed-sequence rule are those of the
@@ -183,10 +218,15 @@ def _build_resources(scenario: SimScenario) -> dict[str, Callable]:
     tags = scenario.procedures
     solve = {"seed": scenario.seed, "accuracy": scenario.accuracy}
 
+    final: dict = {}
+
     def single(decide):
-        # single-analysis rules read the final statistics
+        # single-analysis rules read the final statistics, formed once for
+        # each z_cum they are handed
         def rule(z_cum, z_stage):
-            return decide(_max_statistic(z_cum[:, -1, :], sided)), None
+            if final.get("z_cum") is not z_cum:
+                final.update(z_cum=z_cum, stat=_max_statistic(z_cum[:, -1, :], sided))
+            return decide(final["stat"]), None
         return rule
 
     cut_one = _normal_cut(alpha, 1, sided)
@@ -235,9 +275,13 @@ def _total_sample_size(config, rejected, stopped):
     enrolment of the analysis that resolved it.
     """
     resolved, stage = _resolved_arms(config.n_arms, rejected, stopped)
-    drop_stage = np.where(resolved, stage, config.n_stages)
     stage_n = np.asarray(config.stage_n, dtype=float)
-    return stage_n[drop_stage - 1, np.arange(config.n_arms)].sum(axis=1)
+    total = np.zeros(len(rejected))
+    # arm by arm; the sizes are whole numbers, so the sum is exact in any order
+    for arm in range(config.n_arms):
+        drop_stage = np.where(resolved[:, arm], stage[:, arm], config.n_stages)
+        total += stage_n[drop_stage - 1, arm]
+    return total
 
 
 def run_scenario(
@@ -268,7 +312,10 @@ def run_scenario(
                 raise NumericsError(
                     f"{tag} failed on replicates {done + 1}..{done + take}: {err}"
                 ) from err
-            hist[tag] += np.bincount(rejected.sum(axis=1), minlength=m + 1)
+            count = np.zeros(take, dtype=np.int64)
+            for col in range(m):
+                count += rejected[:, col]
+            hist[tag] += np.bincount(count, minlength=m + 1)
             if tag in n_sum:
                 n_sum[tag] += _total_sample_size(cfg, rejected, stopped).sum()
             if keep_decisions:

@@ -307,6 +307,37 @@ class TestClosureRule:
             if subset != full:
                 assert not np.isin(dead, rows_seen).any()
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        analyses=st.integers(1, 3),
+        n_rows=st.integers(1, 30),
+        accept=st.floats(0.0, 0.9),
+        as_bool=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_memory_layout_changes_nothing(self, m, analyses, n_rows, accept, as_bool,
+                                           seed):
+        # the same values C-ordered and with the row index innermost in memory
+        rng = np.random.default_rng(seed)
+        stat = np.arange(n_rows)[:, None, None] + rng.random((n_rows, analyses, m))
+        inner = np.ascontiguousarray(stat.T).T
+        table = {
+            s: np.where(rng.random(n_rows) < accept, 0,
+                        rng.integers(1, analyses + 1, n_rows))
+            for s in closure._all_subsets(m)
+        }
+        seen_c: dict = {}
+        seen_inner: dict = {}
+        c_order = closure._closure_rule(stat, _row_table_test(table, seen_c, as_bool))
+        row_inner = closure._closure_rule(inner, _row_table_test(table, seen_inner, as_bool))
+        for got, expect in zip(row_inner, c_order):
+            assert np.array_equal(got, expect)
+            # each comparison's column is contiguous
+            assert got.flags.f_contiguous
+        assert seen_inner.keys() == seen_c.keys()
+        assert all(np.array_equal(seen_inner[s], seen_c[s]) for s in seen_c)
+
     def test_callbacks_see_fewer_rows_once_the_full_set_fails(self):
         m, n_rows = 3, 8
         stat = np.arange(n_rows)[:, None] + np.full((n_rows, m), 0.5)
@@ -378,6 +409,24 @@ class TestShortcutAgainstLattice:
         batch = batch_closed_test(np.abs(z), table_k4)
         for row, flags in zip(z, batch):
             assert closed_test(row, table_k4, method="lattice").rejected == tuple(flags)
+
+    @pytest.mark.parametrize("rows", [1, 2, 700])
+    def test_batch_reads_any_memory_layout(self, table_k4, rows):
+        rng = np.random.default_rng(16)
+        z = np.abs(np.vstack([
+            _stress_vectors(rng, 6, 400, table_k4.value(table_k4.full_set())),
+            _edge_vectors(rng, table_k4, 300),
+        ]))[:rows]
+        inner = np.ascontiguousarray(z.T).T
+        expect = batch_closed_test(z, table_k4)
+        got = batch_closed_test(inner, table_k4)
+        assert np.array_equal(got, expect)
+        assert got.flags.f_contiguous and expect.flags.f_contiguous
+
+    def test_batch_of_no_rows_solves_nothing(self, cfg_k4):
+        table = critical_values(cfg_k4, 0.05, seed=1)
+        assert batch_closed_test(np.zeros((0, 6)), table).shape == (0, 6)
+        assert table._class_values == {}
 
     def test_batch_shape_validation(self, table_k4):
         with pytest.raises(ValueError):

@@ -383,6 +383,16 @@ class TestBatchFlexibleTest:
             scalar = flexible_closed_test(StageData(cfg_k3_q2, np.zeros((2, 3)), row))
             assert tuple(flags) == scalar.rejected
 
+    def test_memory_layout_changes_nothing(self, cfg_k3_q2, tail_table):
+        # the same values C-ordered and with the replicate index innermost
+        zs = np.random.default_rng(4).normal(scale=1.8, size=(500, 2, 3))
+        inner = np.ascontiguousarray(zs.T).T
+        expect = batch_flexible_test(zs, cfg_k3_q2, table=tail_table)
+        got = batch_flexible_test(inner, cfg_k3_q2, table=tail_table)
+        assert np.array_equal(got, expect)
+        assert got.flags.f_contiguous
+        assert 0 < expect.sum() < expect.size
+
     def test_fwer_under_adaptive_stage_sizes(self, cfg_k3_q2, tail_table):
         # stage 2 is resized from the stage-1 data; the stage-wise statistics
         # stay null-uniform, so the familywise error cannot inflate

@@ -534,6 +534,16 @@ class TestBatchGsTest:
                 0 if s is None else s for s in scalar.stopped_stage
             )
 
+    def test_memory_layout_changes_nothing(self, cfg_k3_q2, gs_k3_q2):
+        # the same values C-ordered and with the replicate index innermost
+        z = _staged_null_z(cfg_k3_q2, 500, seed=31) * 1.5 + 0.8
+        inner = np.ascontiguousarray(z.T).T
+        expect = batch_gs_test(z, gs_k3_q2)
+        for got, want in zip(batch_gs_test(inner, gs_k3_q2), expect):
+            assert np.array_equal(got, want)
+            assert got.flags.f_contiguous
+        assert 0 < expect[0].sum() < expect[0].size
+
     def test_partial_analyses(self, cfg_k3_q2, gs_k3_q2):
         z = np.array([[[5.0, 5.0, 0.1]], [[0.1, 0.1, 0.1]]])
         rejected, stopped = batch_gs_test(z, gs_k3_q2)

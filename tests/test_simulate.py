@@ -15,7 +15,15 @@ from pairwise_closure.closure import (
     tukey_global_test,
     unadjusted_test,
 )
-from pairwise_closure.model import ONE_SIDED, TWO_SIDED, TrialConfig, standardized_means
+from pairwise_closure import simulate
+from pairwise_closure.combination import CombinationWeights
+from pairwise_closure.model import (
+    ONE_SIDED,
+    TWO_SIDED,
+    TrialConfig,
+    _pair_arms,
+    standardized_means,
+)
 from pairwise_closure.power import MeanConfig, disjunctive_power
 from pairwise_closure.sequential import (
     BoundarySchedule,
@@ -69,6 +77,38 @@ def table1():
     return table1_rows(seed=2, replicates=25_000)
 
 
+def _reference_statistics(config, mu, replicates, seed):
+    """The simulated statistics as first written: replicates outermost in
+    memory, and each comparison gathered by fancy indexing on the arm axis."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    inc = config.stage_increments()
+    sig2 = np.asarray(config.sigma2)
+    sums = rng.standard_normal((replicates, config.n_stages, config.n_arms))
+    sums *= np.sqrt(sig2 * inc)
+    sums += np.asarray(mu) * inc
+    cum_n = np.asarray(config.stage_n, dtype=float)
+    ii, jj = _pair_arms(config.n_arms, config.sided)
+
+    def pair_z(means, v):
+        return (means[..., ii] - means[..., jj]) / np.sqrt(v[..., ii] + v[..., jj])
+
+    return (pair_z(np.cumsum(sums, axis=1) / cum_n, sig2 / cum_n),
+            pair_z(sums / inc, sig2 / inc))
+
+
+STATISTICS_DESIGNS = {
+    "two-sided": (TrialConfig.single_stage(3, 1.0, 50).with_stage_n(
+        ((50, 50, 50), (100, 100, 100))), (0.3, 0.0, -0.1)),
+    "one-sided": (TrialConfig.single_stage(4, 1.0, 40, sided=ONE_SIDED).with_stage_n(
+        ((40,) * 4, (80,) * 4)), (0.4, 0.0, 0.1, 0.2)),
+    "three-look-unequal": (
+        TrialConfig.single_stage(3, (1.0, 1.7, 0.8), (40, 60, 50)).with_stage_n(
+            ((40, 60, 50), (80, 120, 100), (120, 180, 150))),
+        (0.5, -0.2, 0.25),
+    ),
+}
+
+
 class TestSimScenario:
     def _base(self, cfg, **kw):
         args = dict(
@@ -105,6 +145,25 @@ class TestSimScenario:
         assert self._base(cfg_k3, replicates=10.0).replicates == 10
         with pytest.raises(ValueError, match="arm means must be finite"):
             self._base(cfg_k3, means=(math.nan, 0.0, 0.0))
+        # the staged inputs must fit the design and the level
+        with pytest.raises(ValueError, match="schedule has 3 analyses but the design has 2"):
+            self._base(cfg_k3_q2, procedures=("dunnett-gs",),
+                       spending=SpendingSchedule.obrien_fleming(0.05, (0.3, 0.6, 1.0)))
+        with pytest.raises(ValueError, match="weights cover 3 stages but the design has 2"):
+            self._base(cfg_k3_q2, procedures=("combination",),
+                       weights=CombinationWeights.equal(3))
+        with pytest.raises(ValueError, match="weights cover 1 stages but the design has 2"):
+            self._base(cfg_k3_q2, procedures=("combination",), weights=(1.0,))
+        with pytest.raises(ValueError, match="spends 0.025 in total but alpha is 0.05"):
+            self._base(cfg_k3_q2, procedures=("dunnett-gs",),
+                       spending=SpendingSchedule.power_family(0.025, (0.5, 1.0)))
+        # the O'Brien-Fleming spend misses 0.05 by rounding alone
+        spending = SpendingSchedule.obrien_fleming(0.05, (0.5, 1.0))
+        assert spending.alpha != 0.05
+        assert self._base(cfg_k3_q2, procedures=("dunnett-gs",),
+                          spending=spending).spending is spending
+        weighted = self._base(cfg_k3_q2, procedures=("combination",), weights=(1.0, 1.0))
+        assert weighted.weights == CombinationWeights.equal(2)
 
     def test_global_needs_a_balanced_design(self):
         lopsided = TrialConfig.single_stage(3, 1.0, (50, 50, 80))
@@ -140,6 +199,15 @@ class TestSimulateStatistics:
         expect = standardized_means(cfg_k3_q2, mu)
         got = z_cum[:, -1, :].mean(axis=0)
         assert np.all(np.abs(got - expect) < 4.0 / math.sqrt(50_000))
+
+    @pytest.mark.parametrize("design", ["two-sided", "one-sided", "three-look-unequal"])
+    def test_bits_match_the_fancy_index_formula(self, design):
+        config, mu = STATISTICS_DESIGNS[design]
+        got = simulate_statistics(config, mu, 257, seed=14)
+        expect = _reference_statistics(config, mu, 257, seed=14)
+        for z, want in zip(got, expect):
+            assert z.shape == want.shape
+            assert np.ascontiguousarray(z).tobytes() == want.tobytes()
 
     def test_validation(self, cfg_k3):
         with pytest.raises(ValueError):
@@ -474,3 +542,41 @@ def test_every_procedure_is_pinned(cfg_k3_q2):
     result = run_scenario(scenario)
     got = {tag: (s.per_count, s.mean_total_n) for tag, s in result.procedures.items()}
     assert got == PINNED_K3_Q2
+
+
+# One scenario per kind of rule: every single-stage procedure at K=4, and
+# the staged procedures on a two-sided and a one-sided K=3 design.
+CHUNKING_SCENARIOS = {
+    "k4-single-stage": dict(
+        config=TrialConfig.single_stage(4, 1.0, 60),
+        means=MeanConfig((0.45, 0.3, 0.0, 0.15)),
+        procedures=COMPARATORS,
+    ),
+    "k3-staged-two-sided": dict(
+        config=TrialConfig.single_stage(3, 1.0, 50).with_stage_n(((50,) * 3, (100,) * 3)),
+        means=MeanConfig((0.5, 0.0, 0.25)),
+        procedures=("dunnett-gs", "dunnett-gs-generalised", "combination"),
+        spending=SpendingSchedule.obrien_fleming(0.05, (0.5, 1.0)),
+    ),
+    "k3-staged-one-sided": dict(
+        config=TrialConfig.single_stage(3, 1.0, 40, sided=ONE_SIDED).with_stage_n(
+            ((40,) * 3, (80,) * 3)),
+        means=MeanConfig((0.4, 0.0, 0.1)),
+        procedures=("dunnett", "bonferroni", "dunnett-gs", "dunnett-gs-generalised",
+                    "combination"),
+        spending=SpendingSchedule.power_family(0.05, (0.5, 1.0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CHUNKING_SCENARIOS))
+def test_chunking_changes_nothing(name, monkeypatch):
+    scenario = SimScenario(**CHUNKING_SCENARIOS[name], replicates=200, seed=4,
+                           accuracy=1e-3)
+    whole = run_scenario(scenario, keep_decisions=True)
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    chunked = run_scenario(scenario, keep_decisions=True)
+    assert chunked.procedures == whole.procedures
+    for tag in scenario.procedures:
+        assert np.array_equal(chunked.decisions[tag], whole.decisions[tag]), tag
+    assert any(whole.decisions[tag].any() for tag in scenario.procedures)

@@ -9,7 +9,9 @@ the staged statistics, flexible and stage-wise p-values on a two-sided, a
 one-sided and a three-look unequal-variance design, the tail probability
 table and its batch test, simulated statistics, ``batch_gs_test`` and
 ``gs_closed_test`` with every local decision, ``run_scenario`` over every
-procedure, group-sequential and generalised boundary tables, the
+procedure on a two-sided staged design, over the five single-stage
+procedures at K=4 and over the staged procedures on a one-sided design,
+group-sequential and generalised boundary tables, the
 messages that reject a table built for another design, and the
 ``--deterministic`` JSON and CSV standard output of the ``critical-values``
 and ``gs-boundaries`` commands.
@@ -211,6 +213,19 @@ def outputs() -> dict:
         accuracy=acc,
     )
     out["run_scenario"] = run_scenario(scenario, keep_decisions=True)
+    out["run_scenario/k4-single-stage"] = run_scenario(SimScenario(
+        k4, (0.3, 0.1, 0.0, 0.2), ("dunnett", "global", "bonferroni", "unadjusted",
+                                   "gatekeeping"),
+        replicates=3000, seed=11, accuracy=acc,
+    ), keep_decisions=True)
+    cfg, _ = designs["one-sided"]
+    out["run_scenario/one-sided-staged"] = run_scenario(SimScenario(
+        cfg, (0.35, 0.0, 0.1), ("dunnett", "dunnett-gs", "dunnett-gs-generalised",
+                                "combination"),
+        replicates=3000, seed=12,
+        spending=SpendingSchedule.obrien_fleming(0.05, cfg.info_fractions()),
+        accuracy=acc,
+    ), keep_decisions=True)
 
     staged = {"n_arms": 3, "sigma2": 1.0, "stage_n": [[50, 50, 50], [100, 100, 100]]}
     requests = {
