@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -45,9 +45,6 @@ from .model import (
 )
 from .mvn import DEFAULT_ACCURACY, _max_range, _max_rect, mvn_rect
 from .sequential import StageData
-
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
 
 # clamp for degenerate p-values so the normal quantile stays finite
 _P_FLOOR = 1e-300
@@ -167,9 +164,9 @@ def combine(pvalues: Sequence, weights=None):
     ``pvalues`` holds one entry per stage: a :class:`StagePValue`, a real
     number, or an array of floats (arrays combine elementwise); a string or
     a boolean entry raises ``ValueError``.  Values at or outside (0, 1) are
-    clamped to the open interval with a warning.  Returns
-    1 - Phi(sum_q w_q Phi^{-1}(1 - p_q)), which is again uniform under the
-    null and decreasing in every input.
+    clamped to the open interval, with a warning for those outside [0, 1].
+    Returns 1 - Phi(sum_q w_q Phi^{-1}(1 - p_q)), which is again uniform
+    under the null and decreasing in every input.
     """
     if not len(pvalues):
         raise ValueError("need at least one stage p-value")
@@ -181,9 +178,11 @@ def combine(pvalues: Sequence, weights=None):
     if any(np.any(~np.isfinite(a)) for a in arrays):
         raise ValueError("stage p-values must be finite")
     if any(np.any((a <= 0.0) | (a >= 1.0)) for a in arrays):
-        warnings.warn(
-            "stage p-values at or outside (0, 1) were clamped", RuntimeWarning
-        )
+        # 0 and 1 are valid p-values (a maximum of exactly zero has p = 1);
+        # only values outside [0, 1] point at an error upstream
+        if any(np.any((a < 0.0) | (a > 1.0)) for a in arrays):
+            warnings.warn("stage p-values outside [0, 1] were clamped",
+                          RuntimeWarning)
         arrays = [np.clip(a, _P_FLOOR, _P_CEIL) for a in arrays]
     score = sum(w * -ndtri(a) for w, a in zip(weights.weights, arrays))
     combined = ndtr(-score)
@@ -228,6 +227,106 @@ def flexible_closed_test(
     )
 
 
+class _MonotoneCubic:
+    """Fritsch-Carlson monotone cubic (PCHIP) on a uniform grid.
+
+    Node derivatives are weighted harmonic means of the adjacent slopes,
+    zero where the slopes change sign or one of them is flat, with Moler's
+    three-point rule at both ends and the linear rule on a two-node grid.
+    Every formula and its order of operations follow scipy's
+    ``PchipInterpolator``, and so does the evaluation, so for node values in
+    [0, 1] the two agree to the last bit.  The grid being uniform, an
+    element's interval is found by one division and a one-step correction
+    instead of a binary search.  Inputs outside the grid, and NaN, give NaN.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.empty_like(y)
+        if len(x) == 2:
+            d[:] = m[0]
+        else:
+            # slopes of opposite signs, or a flat one, give a flat node
+            sign = np.sign(m)
+            flat = sign[1:] * sign[:-1] <= 0
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            # a flat or tiny slope divides by zero or overflows here; such
+            # nodes are flat or get 1 / inf = 0 anyway
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+                d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+            d[0] = self._end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x = x
+        self._step = (x[-1] - x[0]) / (len(x) - 1)
+        # right ends of the intervals, the last one open so x[-1] stays in it
+        self._upper = np.append(x[1:-1], np.inf)
+        # the Hermite form's power coefficients on each interval
+        self._coef = (y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)
+
+    @staticmethod
+    def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+        """Moler's one-sided three-point derivative, kept shape-preserving."""
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    def __call__(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        shape = z.shape
+        z = z.reshape(-1)
+        x = self.x
+        inside = None
+        # min and max allocate nothing; NaN fails both comparisons
+        if z.size and not (z.min() >= x[0] and z.max() <= x[-1]):
+            inside = (z >= x[0]) & (z <= x[-1])
+            z = np.where(inside, z, x[0])
+        # fresh arrays of this length cost page faults comparable to the
+        # arithmetic, so four float buffers serve every step
+        a = np.subtract(z, x[0])
+        a /= self._step
+        i = a.astype(np.intp)
+        np.minimum(i, len(x) - 2, out=i)
+        # rounding can put an element one interval off, and only one: step
+        # it so that x[i] <= z < x[i + 1], with x[-1] in the last interval
+        x.take(i, out=a)
+        down = z < a
+        if down.any():
+            i -= down
+            x.take(i, out=a)
+        b = self._upper.take(i)
+        up = z >= b
+        if up.any():
+            i += up
+            x.take(i, out=a)
+        s = np.subtract(z, a, out=a)
+        # scipy's summation order: ((c3 + c2 s) + c1 s^2) + c0 s^3
+        c3, c2, c1, c0 = self._coef
+        out = c2.take(i, out=b)
+        out *= s
+        power = c3.take(i)
+        out += power
+        np.multiply(s, s, out=power)
+        term = c1.take(i)
+        term *= power
+        out += term
+        power *= s
+        c0.take(i, out=term)
+        term *= power
+        out += term
+        if inside is not None:
+            out[~inside] = np.nan
+        return out.reshape(shape)
+
+
 @dataclass
 class TailProbabilityTable(_ClassCache):
     """Interpolated stage p-values for bulk simulation.
@@ -256,12 +355,8 @@ class TailProbabilityTable(_ClassCache):
         lo, hi = _max_range(self.config.central)
         return np.linspace(lo, hi, int(round((hi - lo) / self.grid_step)) + 1)
 
-    def _solve(self, key) -> PchipInterpolator:
+    def _solve(self, key) -> _MonotoneCubic:
         """Interpolant of G(c) over the grid for one class."""
-        # imported here so that importing the package does not load
-        # scipy.interpolate
-        from scipy.interpolate import PchipInterpolator
-
         corr = _key_correlation(key)
         run_seed = _derived_seed(self.seed, ("grid", key))
         grid = self._grid()
@@ -272,7 +367,7 @@ class TailProbabilityTable(_ClassCache):
                 0.0, corr, rect, accuracy=self.accuracy, seed=run_seed
             ).value
         vals = np.clip(np.maximum.accumulate(vals), 0.0, 1.0)
-        return PchipInterpolator(grid, vals, extrapolate=False)
+        return _MonotoneCubic(grid, vals)
 
     def pvalue(self, members: Iterable[int], z_obs):
         """p-values for observed subset maxima; ``z_obs`` may be an array."""
@@ -281,9 +376,10 @@ class TailProbabilityTable(_ClassCache):
         if len(subset) == 1:
             p = _singleton_p(z, self.config.sided)
         else:
-            grid = self._grid()
-            g = self.value(subset)(np.clip(z, grid[0], grid[-1]))
-            p = np.clip(1.0 - g, 0.0, 1.0)
+            cubic = self.value(subset)
+            p = cubic(np.clip(z, cubic.x[0], cubic.x[-1]))
+            np.subtract(1.0, p, out=p)
+            np.clip(p, 0.0, 1.0, out=p)
         return float(p) if np.ndim(z_obs) == 0 else p
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -294,7 +295,8 @@ class TestCombine:
         assert json.loads(out)["weights"] == pytest.approx([0.6, 0.8])
 
     def test_degenerate_p_is_clamped(self, capsys):
-        with pytest.warns(RuntimeWarning, match="clamped"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             status, out, _ = run_cli(
                 ["combine", "--input", '{"p_values": [1.0, 0.5]}'], capsys
             )
@@ -519,6 +521,31 @@ class TestDispatch:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_parser_is_built_once_and_reused(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        argvs = [["combine", "--input", '{"p_values": [0.1, 0.2]}', "--deterministic"],
+                 ["combine", "--input", '{"p_values": []}'], ["frobnicate"]]
+        seen = []
+        for argv in argvs * 2:
+            try:
+                status = cli.main(argv)
+            except SystemExit as exc:
+                status = ("exit", exc.code)
+            seen.append((status, *capsys.readouterr()))
+        cli._parser.cache_clear()
+        assert len(built) == 1
+        # a reused parser answers every request as a fresh one did
+        assert seen[:3] == seen[3:]
+        assert [s[0] for s in seen[:3]] == [0, 2, ("exit", 2)]
+
     def test_there_is_no_threads_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["critical-values", "--input", K2_CONFIG, "--threads", "2"])
@@ -569,6 +596,29 @@ class TestDispatch:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_flexible_simulation_leaves_interpolate_unloaded(self):
+        # the tail probability table's cubic is the package's own
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import sys\n"
+            "from pairwise_closure import SimScenario, TrialConfig, run_scenario\n"
+            "for sided in ('two-sided', 'one-sided'):\n"
+            "    cfg = TrialConfig.single_stage(3, 1.0, 50, sided=sided).with_stage_n(\n"
+            "        ((50, 50, 50), (100, 100, 100)))\n"
+            "    run_scenario(SimScenario(cfg, (0.3, 0.1, 0.0), ('combination',),\n"
+            "                             replicates=500, seed=1))\n"
+            "print('scipy.interpolate' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_json_outputs_reparse(self, capsys):
         argv_sets = [

@@ -1,11 +1,12 @@
 """Stage-wise p-values, inverse-normal combination, and flexible closure."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
@@ -15,6 +16,7 @@ from pairwise_closure.combination import (
     CombinationWeights,
     StagePValue,
     TailProbabilityTable,
+    _MonotoneCubic,
     batch_flexible_test,
     combine,
     flexible_closed_test,
@@ -191,12 +193,26 @@ class TestCombine:
         assert got[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_degenerate_inputs_are_clamped(self):
-        with pytest.warns(RuntimeWarning, match="clamped"):
+        # 0 and 1 are valid p-values, clamped into the open interval silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             lo = combine([0.0, 0.5])
         assert 0.0 <= lo < 0.05
-        with pytest.warns(RuntimeWarning, match="clamped"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             hi = combine([1.0, 0.5])
         assert 0.05 < hi <= 1.0
+
+    @pytest.mark.parametrize("bad", [1.5, -0.2, np.array([0.5, 1.5]),
+                                     np.array([-0.2, 0.0])],
+                             ids=["above", "below", "array-above", "array-below"])
+    def test_values_outside_the_unit_interval_warn(self, bad):
+        with pytest.warns(RuntimeWarning, match=r"outside \[0, 1\] were clamped"):
+            got = combine([bad, 0.5])
+        # clamped exactly as the nearest valid p-value is
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(got, combine([np.clip(bad, 0.0, 1.0), 0.5]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -241,8 +257,9 @@ class TestFlexibleClosedTest:
     def test_null_stages_reject_nothing(self, cfg_k3_q2):
         z = np.zeros((2, 3))
         # a max statistic of exactly zero yields a stage p of one, which the
-        # combination clamps into the open interval
-        with pytest.warns(RuntimeWarning, match="clamped"):
+        # combination clamps into the open interval without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             decision = flexible_closed_test(StageData(cfg_k3_q2, z, z))
         assert decision.rejected == (False, False, False)
         assert all(p > 0.49 for p in decision.meta["combined_p"].values())
@@ -350,6 +367,57 @@ class TestTailProbabilityTable:
         z = np.linspace(0.5, 3.5, 7)
         for members, expect in TAIL_PVALUE_BITS.items():
             assert tail_table.pvalue(members, z).tolist() == expect
+
+
+@st.composite
+def _cubic_nodes(draw):
+    """A grid of 2, 3 or 161 nodes on [0, 8] or [-8, 8] and values in [0, 1]
+    with runs of exact 0 (or -0.0) and 1: nondecreasing, as a table's G(c),
+    unless the draw leaves the middle values unsorted, which reaches the
+    shape-preserving branches a monotone G never takes."""
+    n = draw(st.sampled_from([2, 3, 161]))
+    lo = draw(st.sampled_from([0.0, -8.0]))
+    zeros = draw(st.integers(0, n))
+    ones = draw(st.integers(0, n - zeros))
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    inner = draw(st.lists(st.floats(0.0, 1.0), min_size=n - zeros - ones,
+                          max_size=n - zeros - ones))
+    if draw(st.booleans()):
+        inner.sort()
+    return np.linspace(lo, 8.0, n), np.array([zero] * zeros + inner + [1.0] * ones)
+
+
+class TestMonotoneCubic:
+    """The table's cubic against scipy's PchipInterpolator, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(nodes=_cubic_nodes(), between=st.lists(st.floats(-9.0, 9.0), max_size=20))
+    # the first end slope is cut to three times the first segment's slope
+    @example(nodes=(np.linspace(0.0, 8.0, 3), np.array([0.5, 0.6, 0.1])), between=[])
+    def test_matches_pchip_to_the_last_bit(self, nodes, between):
+        from scipy.interpolate import PchipInterpolator
+
+        x, y = nodes
+        z = np.concatenate([
+            x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+            [x[0] - 1.0, x[-1] + 1.0, -np.inf, np.inf, np.nan], between,
+        ])
+        with np.errstate(over="ignore"):
+            # scipy warns when a tiny slope overflows its harmonic mean
+            expect = PchipInterpolator(x, y, extrapolate=False)(z)
+        assert _MonotoneCubic(x, y)(z).tobytes() == expect.tobytes()
+
+    def test_keeps_the_input_shape(self):
+        from scipy.interpolate import PchipInterpolator
+
+        x = np.linspace(0.0, 8.0, 5)
+        y = np.array([0.0, 0.5, 0.8, 1.0, 1.0])
+        oracle = PchipInterpolator(x, y, extrapolate=False)
+        cubic = _MonotoneCubic(x, y)
+        for z in (3.3, np.array([[0.1, 9.0], [np.nan, 8.0]]), np.empty(0)):
+            got, expect = cubic(z), oracle(z)
+            assert got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
 
 
 class TestNullUniformity:

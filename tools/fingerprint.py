@@ -7,7 +7,9 @@ disjunctive power by quadrature and by simulation, ``tukey_global_test``,
 ``closed_test(method="lattice")`` with every local decision, ``sample_size``,
 the staged statistics, flexible and stage-wise p-values on a two-sided, a
 one-sided and a three-look unequal-variance design, the tail probability
-table and its batch test, simulated statistics, ``batch_gs_test`` and
+table (also at every grid node, one ulp either side of it and beyond both
+ends, on its own grid and on grids of two and three nodes) and its batch
+test, simulated statistics, ``batch_gs_test`` and
 ``gs_closed_test`` with every local decision, ``run_scenario`` over every
 procedure on a two-sided staged design, over the five single-stage
 procedures at K=4 and over the staged procedures on a one-sided design,
@@ -37,7 +39,6 @@ import hashlib
 import io
 import json
 import sys
-import warnings
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -92,6 +93,14 @@ def _stdout(argv: list[str]) -> str:
     with contextlib.redirect_stdout(buf):
         status = cli.main(argv)
     return f"{status}\n{buf.getvalue()}"
+
+
+def _around_nodes(grid: np.ndarray) -> np.ndarray:
+    """Every node of ``grid``, one ulp either side of it, and an even
+    spread of points from half a unit below the grid to half above it."""
+    lo, hi = grid[0], grid[-1]
+    return np.concatenate([grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                           np.linspace(lo - 0.5, hi + 0.5, 41)])
 
 
 def outputs() -> dict:
@@ -191,6 +200,13 @@ def outputs() -> dict:
         out[f"{name}/simulate_statistics"] = z
         out[f"{name}/tail_p"] = [tail.pvalue(members, z[1][:, 0, 0])
                                  for members in ([1], [1, 2], full)]
+        lo, hi = tail._grid()[[0, -1]]
+        for n_nodes in (None, 2, 3):
+            table = tail if n_nodes is None else TailProbabilityTable(
+                cfg, seed=6, grid_step=(hi - lo) / (n_nodes - 1))
+            out[f"{name}/tail_p/nodes-{n_nodes or 'default'}"] = [
+                table.pvalue(members, _around_nodes(table._grid()))
+                for members in ([1, 2], full)]
         weights = CombinationWeights.from_information(cfg)
         out[f"{name}/batch_flexible"] = batch_flexible_test(
             z[1], cfg, weights, 0.1, table=tail)
@@ -246,11 +262,7 @@ def outputs() -> dict:
 
 def main(argv: list[str]) -> int:
     sys.path.insert(0, str(Path(argv[0]).resolve() if argv else SRC))
-    with warnings.catch_warnings():
-        # the one-sided design combines stage p-values of exactly 1, which
-        # are clamped with a warning; the clamped values are what is covered
-        warnings.simplefilter("ignore", RuntimeWarning)
-        found = outputs()
+    found = outputs()
     print(digest(found))
     print(f"{len(found)} outputs")
     return 0
