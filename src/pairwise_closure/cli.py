@@ -178,8 +178,6 @@ def _cmd_design(data: dict, args) -> tuple[dict, list, list]:
     sigma2 = _require(data, "sigma2", "the request")
     alpha = _alpha_from(data)
     target = data.get("power", 0.9)
-    if not 0.0 < target < 1.0:
-        raise ValueError("power must lie strictly between 0 and 1")
     sided = _sided_from(data, "sided")
     config = TrialConfig.single_stage(n_arms, sigma2, 2, sided=sided)
     if "means" in data:
@@ -192,7 +190,7 @@ def _cmd_design(data: dict, args) -> tuple[dict, list, list]:
         config,
         means,
         alpha=alpha,
-        power_target=float(target),
+        power_target=target,
         seed=args.seed,
         accuracy=args.accuracy,
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,9 +32,8 @@ import numpy as np
 TWO_SIDED = "two-sided"
 ONE_SIDED = "one-sided"
 
-# Slack when checking that allocation fractions agree across stages and with
-# ``TrialConfig.alloc``; integer stage sizes that are exact multiples, and
-# fractions computed from the first row, satisfy this exactly.
+# Absolute slack when checking that allocation fractions agree across stages;
+# integer stage sizes that are exact multiples satisfy this exactly.
 _PROPORTION_RTOL = 1e-6
 
 
@@ -265,23 +264,19 @@ class TrialConfig:
         Number of arms K >= 2.
     sigma2 : tuple of float
         Known per-arm response variances, all positive.
-    alloc : tuple of float
-        Allocation fractions: those of the first ``stage_n`` row, to within
-        1e-6.
     stage_n : tuple of tuple of int
         Cumulative per-arm sample sizes, one row per analysis.  Rows are
         strictly increasing componentwise and keep the allocation fractions
         constant over stages (the joint distribution across analyses relies
-        on this).
-    sided : str
+        on this), so the first row states the allocation, :attr:`alloc`.
+    sided : str, keyword-only
         ``"two-sided"`` (default) or ``"one-sided"``.
     """
 
     n_arms: int
     sigma2: tuple[float, ...]
-    alloc: tuple[float, ...]
     stage_n: tuple[tuple[int, ...], ...]
-    sided: str = TWO_SIDED
+    sided: str = field(default=TWO_SIDED, kw_only=True)
 
     def __post_init__(self) -> None:
         _check_sided(self.sided)
@@ -289,7 +284,6 @@ class TrialConfig:
         if self.n_arms < 2:
             raise ValueError("need at least two arms")
         object.__setattr__(self, "sigma2", tuple(_real(v, "sigma2") for v in self.sigma2))
-        object.__setattr__(self, "alloc", tuple(_real(r, "alloc") for r in self.alloc))
         object.__setattr__(self, "stage_n", tuple(
             tuple(_whole(n, "a per-arm sample size") for n in row) for row in self.stage_n
         ))
@@ -309,9 +303,6 @@ class TrialConfig:
         fractions = np.array([_fractions(row) for row in self.stage_n])
         if not np.allclose(fractions, fractions[0], rtol=0.0, atol=_PROPORTION_RTOL):
             raise ValueError("per-arm allocation fractions must be constant across stages")
-        if len(self.alloc) != self.n_arms or not np.allclose(
-                self.alloc, fractions[0], rtol=0.0, atol=_PROPORTION_RTOL):
-            raise ValueError("alloc must hold the allocation fractions of the first stage")
 
     @classmethod
     def single_stage(
@@ -327,8 +318,13 @@ class TrialConfig:
             sigma2 = (sigma2,) * n_arms
         if np.isscalar(n_per_arm):
             n_per_arm = (n_per_arm,) * n_arms
-        n_row = tuple(n_per_arm)
-        return cls(n_arms, tuple(sigma2), _fractions(n_row), (n_row,), sided)
+        return cls(n_arms, tuple(sigma2), (n_per_arm,), sided=sided)
+
+    @property
+    def alloc(self) -> tuple[float, ...]:
+        """Allocation fractions n / total of the first analysis, which every
+        later analysis keeps."""
+        return _fractions(self.stage_n[0])
 
     @property
     def n_stages(self) -> int:
@@ -373,9 +369,7 @@ class TrialConfig:
     def with_stage_n(self, stage_n: Sequence[Sequence[int]]) -> "TrialConfig":
         """This trial with cumulative per-arm sizes ``stage_n``, one row per
         analysis; its allocation fractions become those of the first row."""
-        rows = tuple(tuple(row) for row in stage_n)
-        return TrialConfig(self.n_arms, self.sigma2, _fractions(rows[0]) if rows else (),
-                           rows, self.sided)
+        return TrialConfig(self.n_arms, self.sigma2, stage_n, sided=self.sided)
 
     def _check_stage(self, stage: int) -> None:
         if not (1 <= stage <= self.n_stages):
@@ -385,7 +379,6 @@ class TrialConfig:
         return {
             "n_arms": self.n_arms,
             "sigma2": list(self.sigma2),
-            "alloc": list(self.alloc),
             "stage_n": [list(row) for row in self.stage_n],
             "sided": self.sided,
         }
@@ -399,7 +392,6 @@ class TrialConfig:
             return cls(
                 n_arms=payload["n_arms"],
                 sigma2=tuple(payload["sigma2"]),
-                alloc=tuple(payload["alloc"]),
                 stage_n=tuple(tuple(row) for row in payload["stage_n"]),
                 sided=payload.get("sided", TWO_SIDED),
             )

@@ -165,8 +165,9 @@ def sample_size(
     The search bisects on a nominal total n; per-arm sizes are the ceilings
     of the allocation fractions times n, and the reported total is their
     sum.  Power is evaluated by quadrature at each candidate, so the search
-    is deterministic.  The allocation ratios and variances come from
-    ``config``; its own sample sizes are ignored.
+    is deterministic.  The variances come from ``config``, and the
+    allocation ratios are those of its first analysis, ``config.alloc``; its
+    sample sizes are otherwise ignored.
 
     Raises
     ------
@@ -175,6 +176,7 @@ def sample_size(
         equal so power cannot exceed alpha.
     """
     _check_alpha(alpha)
+    power_target = _real(power_target, "power_target")
     if not 0.0 < power_target < 1.0:
         raise ValueError("power_target must lie strictly between 0 and 1")
     mu = _arm_means(means, config.n_arms)

@@ -60,7 +60,14 @@ _SPEND_ROUNDING = 1e-12
 
 @dataclass(frozen=True)
 class SimScenario:
-    """One simulation setting: a design, true means, and procedures to run."""
+    """One simulation setting: a design, true means, and procedures to run.
+
+    ``accuracy`` is the quadrature accuracy of the closure table and the
+    boundary solves.  The ``combination`` rule's tail probability table keeps
+    its own default of 1e-4: each class of that table takes 161 grid solves
+    (321 one-sided), and at the simulation default of 1e-5 they cost several
+    times more (4.6x for the two-sided full set at K=4, 6.5x at K=5).
+    """
 
     config: TrialConfig
     means: MeanConfig
@@ -203,7 +210,11 @@ def _build_resources(scenario: SimScenario) -> dict[str, Callable]:
     ``rule(z_cum, z_stage)`` returns the (replicates, m) rejection matrix
     and, for staged procedures, the stopping stages (None otherwise).  The
     comparator cuts and the fixed-sequence rule are those of the
-    single-trial tests in ``closure``.
+    single-trial tests in ``closure``.  ``scenario.accuracy`` sets the
+    closure table and the boundary solves; the ``combination`` rule's
+    :class:`~pairwise_closure.combination.TailProbabilityTable` is solved at
+    its own 1e-4, since its 161 grid solves per class (321 one-sided) would
+    cost several times more at the simulation default of 1e-5.
 
     ``global`` and ``dunnett-gs-generalised`` read one full-set cut for
     every subset.  A superset's maximum is never below a member's

@@ -351,6 +351,17 @@ class TestDesign:
         status, _, err = run_cli(["design", "--input", request], capsys)
         assert status == 2
 
+    @pytest.mark.parametrize("power, message", [
+        ("0.9", "power_target must be a real number, got '0.9'"),
+        (True, "power_target must be a real number, got True"),
+        (1.5, "power_target must lie strictly between 0 and 1"),
+    ], ids=["string", "boolean", "above-one"])
+    def test_power_is_checked_by_the_library_exits_2(self, capsys, power, message):
+        request = {"n_arms": 3, "sigma2": 1.0, "delta": 0.5, "power": power}
+        status, out, err = run_cli(["design", "--input", json.dumps(request)], capsys)
+        assert status == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == message
+
     @pytest.mark.parametrize("command, request_", [
         ("design", {"n_arms": 2.9, "sigma2": 1.0, "delta": 0.5}),
         ("critical-values", {"config": {"n_arms": 2, "sigma2": 1.0, "n": 100.7}}),

@@ -1,5 +1,7 @@
 """Closed testing of all pairwise comparisons, plus the comparator procedures."""
 
+import functools
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,7 @@ from pairwise_closure.closure import (
     tukey_global_test,
     unadjusted_test,
 )
-from pairwise_closure.model import TrialConfig
+from pairwise_closure.model import TrialConfig, correlation
 
 # Frozen reference values (seed=1): one row per correlation-equivalence
 # class of the 63 subsets at K=4, equal allocation.  Columns: subset size,
@@ -137,6 +139,41 @@ class TestCriticalValueTable:
             table.value(table.full_set())
         # subsets on at most eight of the nine arms still key
         assert table.value({1}) == pytest.approx(1.959964, abs=1e-4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_arms=st.integers(2, 5), sided=st.sampled_from(["two-sided", "one-sided"]),
+           data=st.data())
+    def test_class_key_carries_the_subset_correlation(self, n_arms, sided, data):
+        sigma2 = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n_arms, max_size=n_arms))
+        n = data.draw(st.lists(st.integers(20, 200), min_size=n_arms, max_size=n_arms))
+        cfg = TrialConfig.single_stage(n_arms, sigma2, n, sided=sided)
+        members = sorted(data.draw(st.sets(st.integers(1, cfg.n_comparisons),
+                                           min_size=1, max_size=6)))
+        keyed = closure._key_correlation(closure._class_key(cfg, tuple(members))).matrix
+        direct = correlation(cfg, members).matrix
+        # the canonical form orders the comparisons its own way, and a
+        # two-sided one may also turn some round, which a |z| box ignores
+        dim = len(members)
+        flips = itertools.product((1.0, -1.0), repeat=dim - 1) if sided == "two-sided" else [()]
+        signs = [np.array((1.0, *flip)) for flip in flips]
+        close = functools.partial(np.allclose, rtol=0.0, atol=1e-10)  # weights keep 12 digits
+        assert any(
+            close(keyed, sign * direct[np.ix_(order, order)] * sign[:, None])
+            for order in itertools.permutations(range(dim))
+            if close(np.abs(keyed), np.abs(direct[np.ix_(order, order)]))
+            for sign in signs
+        )
+
+    @settings(max_examples=10, deadline=None)
+    @given(sided=st.sampled_from(["two-sided", "one-sided"]),
+           sigma2=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+           n=st.lists(st.integers(20, 200), min_size=3, max_size=3))
+    def test_consonance_on_random_designs(self, sided, sigma2, n):
+        cfg = TrialConfig.single_stage(3, sigma2, n, sided=sided)
+        entries = critical_values(cfg, 0.05, seed=1, accuracy=1e-3).entries()
+        for subset, value in entries.items():
+            if len(subset) > 1:
+                assert all(entries[subset - {k}] < value for k in subset)
 
 
 class TestClosedTest:
@@ -608,7 +645,7 @@ class TestComparators:
             assert a.rejected == b.rejected
 
     def test_tukey_requires_balanced_design(self):
-        uneven_n = TrialConfig(3, (1.0, 1.0, 1.0), (0.5, 0.25, 0.25), ((50, 25, 25),))
+        uneven_n = TrialConfig(3, (1.0, 1.0, 1.0), ((50, 25, 25),))
         with pytest.raises(ValueError):
             tukey_global_test([1.0, 1.0, 1.0], uneven_n, 0.05)
         uneven_var = TrialConfig.single_stage(3, (1.0, 2.0, 1.0), 50)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairwise_closure.closure import critical_values
 from pairwise_closure.model import (
     ONE_SIDED,
     TWO_SIDED,
@@ -23,6 +25,7 @@ from pairwise_closure.model import (
     standardized_means,
     z_statistics,
 )
+from pairwise_closure.power import disjunctive_power
 
 
 def lexicographic_pairs(n_arms):
@@ -85,18 +88,16 @@ def test_index_validation_errors():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least two arms"):
         TrialConfig.single_stage(1, 1.0, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="arm variances must be positive"):
         TrialConfig.single_stage(3, (1.0, 0.0, 1.0), 10)
-    with pytest.raises(ValueError):
-        TrialConfig(2, (1.0, 1.0), (0.7, 0.7), ((10, 10),))
-    with pytest.raises(ValueError):
-        TrialConfig(2, (1.0, 1.0), (0.5, 0.5), ((10, 10), (10, 10)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TrialConfig(2, (1.0, 1.0), ((10, 10), (10, 10)))
+    with pytest.raises(ValueError, match="constant across stages"):
         # allocation drifts between stages
-        TrialConfig(2, (1.0, 1.0), (0.5, 0.5), ((10, 10), (30, 20)))
-    with pytest.raises(ValueError):
+        TrialConfig(2, (1.0, 1.0), ((10, 10), (30, 20)))
+    with pytest.raises(ValueError, match="sided must be"):
         TrialConfig.single_stage(2, 1.0, 10, sided="both")
 
 
@@ -105,8 +106,8 @@ def test_arm_counts_and_sample_sizes_must_be_whole_numbers():
         lambda: TrialConfig.single_stage(3, 1.0, 100.7),
         lambda: TrialConfig.single_stage(3, 1.0, (100, 100.5, 100)),
         lambda: TrialConfig.single_stage(2.9, 1.0, 100),
-        lambda: TrialConfig(2, (1.0, 1.0), (0.5, 0.5), ((10, 10), (20.5, 20))),
-        lambda: TrialConfig(2.5, (1.0, 1.0), (0.5, 0.5), ((10, 10),)),
+        lambda: TrialConfig(2, (1.0, 1.0), ((10, 10), (20.5, 20))),
+        lambda: TrialConfig(2.5, (1.0, 1.0), ((10, 10),)),
         lambda: TrialConfig.single_stage(3, 1.0, np.inf),
     ):
         with pytest.raises(ValueError, match="whole number"):
@@ -131,7 +132,7 @@ def test_arm_counts_and_sample_sizes_are_not_strings():
     with pytest.raises(ValueError, match="sample size must be a whole number, got '100'"):
         TrialConfig.single_stage(3, 1.0, "100")
     with pytest.raises(ValueError, match="whole number, got True"):
-        TrialConfig(2, (1.0, 1.0), (0.5, 0.5), ((10, True),))
+        TrialConfig(2, (1.0, 1.0), ((10, True),))
     assert _whole(2000.0, "replicates") == 2000
     assert _whole(np.int64(20), "replicates") == 20
 
@@ -145,7 +146,7 @@ def test_variances_are_not_strings_or_booleans(value):
     with pytest.raises(ValueError, match="sigma2 must be a real number, got "):
         TrialConfig.single_stage(3, value, 100)
     with pytest.raises(ValueError, match="sigma2 must be a real number, got "):
-        TrialConfig(2, (1.0, value), (0.5, 0.5), ((10, 10),))
+        TrialConfig(2, (1.0, value), ((10, 10),))
 
 
 @pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
@@ -170,14 +171,44 @@ def test_with_stage_n_takes_the_allocation_of_its_first_row():
     assert staged.alloc == resized.alloc
 
 
-def test_alloc_must_match_the_first_stage():
-    with pytest.raises(ValueError, match="allocation fractions of the first stage"):
-        TrialConfig(3, (1.0, 1.0, 1.0), (0.5, 0.25, 0.25), ((10, 10, 10),))
-    with pytest.raises(ValueError, match="allocation fractions of the first stage"):
-        TrialConfig(2, (1.0, 1.0), (np.nan, 0.5), ((10, 10),))
-    # fractions within the relative 1e-6 of the first row pass
-    near = TrialConfig(3, (1.0, 1.0, 1.0), (0.25, 0.25 + 1e-9, 0.5 - 1e-9), ((10, 10, 20),))
-    assert near.alloc[1] == 0.25 + 1e-9
+@given(st.integers(min_value=2, max_value=5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_way_to_state_a_design_builds_the_same_config(n_arms, data):
+    row = tuple(data.draw(st.lists(st.integers(1, 500), min_size=n_arms, max_size=n_arms)))
+    sigma2 = tuple(data.draw(st.lists(st.floats(0.5, 2.0), min_size=n_arms,
+                                      max_size=n_arms)))
+    sided = data.draw(st.sampled_from([TWO_SIDED, ONE_SIDED]))
+    for stage_n in ((row,), (row, tuple(2 * n for n in row))):
+        direct = TrialConfig(n_arms, sigma2, stage_n, sided=sided)
+        table = critical_values(direct, 0.05)
+        ways = [
+            TrialConfig.single_stage(n_arms, sigma2, row, sided=sided).with_stage_n(stage_n),
+            TrialConfig.single_stage(n_arms, sigma2, 7, sided=sided).with_stage_n(stage_n),
+            TrialConfig.from_dict(direct.to_dict()),
+            TrialConfig.from_dict(dict(direct.to_dict(), alloc=[0.5] * n_arms)),
+        ]
+        if len(stage_n) == 1:
+            ways.append(TrialConfig.single_stage(n_arms, sigma2, row, sided=sided))
+        for way in ways:
+            assert way == direct and hash(way) == hash(direct)
+            assert way.alloc == tuple(n / sum(row) for n in row)
+            # the one check a table runs before it serves another config
+            assert table._serving(way) is table
+
+
+def test_a_table_serves_every_statement_of_its_design():
+    assert [f.name for f in dataclasses.fields(TrialConfig)] == [
+        "n_arms", "sigma2", "stage_n", "sided"]
+    direct = TrialConfig(3, (1.0, 1.0, 1.0), ((10, 10, 20),))
+    table = critical_values(direct, 0.05, seed=1, accuracy=1e-3)
+    mu = (0.9, 0.0, 0.45)
+    expect = disjunctive_power(direct, mu, seed=1, accuracy=1e-3, table=table)
+    for other in (TrialConfig.single_stage(3, 1.0, (10, 10, 20)),
+                  TrialConfig.single_stage(3, 1.0, 5).with_stage_n(((10, 10, 20),))):
+        assert disjunctive_power(other, mu, seed=1, accuracy=1e-3, table=table) == expect
+    # the old positional form, with fractions before the sizes, is an arity error
+    with pytest.raises(TypeError):
+        TrialConfig(3, (1.0, 1.0, 1.0), (0.25, 0.25, 0.5), ((10, 10, 20),))
 
 
 def test_zero_sample_sizes_are_a_validation_error():
@@ -212,7 +243,7 @@ def test_every_layer_shares_the_alpha_check(alpha):
 
 
 def test_config_round_trip_json():
-    config = TrialConfig(3, (1.0, 2.0, 0.5), (0.25, 0.5, 0.25), ((10, 20, 10), (20, 40, 20)))
+    config = TrialConfig(3, (1.0, 2.0, 0.5), ((10, 20, 10), (20, 40, 20)))
     again = TrialConfig.from_json(config.to_json())
     assert again == config
     assert again.info_fractions() == pytest.approx([0.5, 1.0])
@@ -374,7 +405,7 @@ def test_correlation_model_rejects_invalid():
 
 
 def test_stage_increments():
-    config = TrialConfig(2, (1.0, 1.0), (0.5, 0.5), ((10, 10), (25, 25), (50, 50)))
+    config = TrialConfig(2, (1.0, 1.0), ((10, 10), (25, 25), (50, 50)))
     inc = config.stage_increments()
     assert inc.tolist() == [[10, 10], [15, 15], [25, 25]]
 

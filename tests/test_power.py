@@ -1,6 +1,7 @@
 """Power, least favourable configuration, and sample-size search."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ class TestSampleSize:
         assert served == disjunctive_power(direct, mu, seed=1, accuracy=1e-3, table=table)
 
     def test_unequal_allocation_respects_ratios(self):
-        cfg = TrialConfig(3, (1.0, 1.0, 1.0), (0.5, 0.25, 0.25), ((20, 10, 10),))
+        cfg = TrialConfig(3, (1.0, 1.0, 1.0), ((20, 10, 10),))
         result = sample_size(cfg, lfc(3, 0.5), power_target=0.8, seed=1)
         n1, n2, n3 = result.n_per_arm
         assert n2 == n3
@@ -216,6 +217,16 @@ class TestSampleSize:
     def test_alpha_validation(self, cfg_k3, alpha):
         with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
             sample_size(cfg_k3, lfc(3, 0.5), alpha=alpha)
+
+    @pytest.mark.parametrize("target, message", [
+        ("0.9", "power_target must be a real number, got '0.9'"),
+        (True, "power_target must be a real number, got True"),
+        (1.5, "power_target must lie strictly between 0 and 1"),
+        (math.nan, "power_target must lie strictly between 0 and 1"),
+    ], ids=["string", "boolean", "above-one", "nan"])
+    def test_power_target_validation(self, cfg_k3, target, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_size(cfg_k3, lfc(3, 0.5), power_target=target)
 
     def test_equal_means_cannot_reach_target(self, cfg_k3):
         with pytest.raises(SolverError):

@@ -628,8 +628,8 @@ class TestGeneralisedBoundaries:
 @pytest.mark.parametrize("sided", ["two-sided", "one-sided"])
 def test_stage_statistics_match_the_pairwise_loop(sided):
     cfg = TrialConfig(
-        3, (1.0, 2.0, 0.5), (0.25, 0.25, 0.5),
-        ((10, 10, 20), (20, 20, 40), (30, 30, 60)), sided,
+        3, (1.0, 2.0, 0.5),
+        ((10, 10, 20), (20, 20, 40), (30, 30, 60)), sided=sided,
     )
     cum = np.random.default_rng(5).normal(size=(3, 3))
     data = StageData.from_cumulative_means(cfg, cum)

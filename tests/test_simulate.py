@@ -421,6 +421,25 @@ def test_generalised_boundary_shares_the_full_set_solve(cfg_k3_q2, monkeypatch):
     assert not np.array_equal(got[0], decisions["dunnett-gs"][0])
 
 
+def test_accuracy_does_not_reach_the_tail_probability_table(cfg_k3_q2):
+    # the combination rule's table is solved at its own 1e-4 whatever the
+    # scenario's accuracy, so a combination-only run cannot tell them apart
+    runs = [
+        run_scenario(SimScenario(
+            config=cfg_k3_q2,
+            means=MeanConfig((0.4, 0.0, 0.2)),
+            procedures=("combination",),
+            replicates=2_000,
+            seed=17,
+            accuracy=accuracy,
+        ), keep_decisions=True)
+        for accuracy in (1e-3, 1e-5)
+    ]
+    assert runs[0].procedures == runs[1].procedures
+    assert np.array_equal(runs[0].decisions["combination"], runs[1].decisions["combination"])
+    assert 0.0 < runs[0].summary("combination").any_reject < 1.0
+
+
 @pytest.mark.parametrize("n_arms, sided, means", [
     (3, ONE_SIDED, (0.5, 0.0, 0.25)),
     (4, TWO_SIDED, (0.5, 0.0, 0.25, 0.1)),
