@@ -18,9 +18,9 @@ object on standard error; numeric non-convergence exits with status 3.
 Every command solves its tables in the calling process.
 
 This module checks only the shape of a request: that it is a JSON object with
-the keys a command needs.  Every value (a level, an arm count, a replicate
-count, the quadrature accuracy) is checked once, by the library call that
-uses it, and its ``ValueError`` becomes the exit-2 error.
+the keys a command needs.  Every value (a level, a sidedness, an arm count,
+a replicate count, the quadrature accuracy) is checked once, by the library
+call that uses it, and its ``ValueError`` becomes the exit-2 error.
 
 The shared ``config`` object looks like::
 
@@ -45,7 +45,7 @@ from datetime import datetime, timezone
 
 from .closure import closed_test, critical_values, one_sided_closed_test
 from .combination import CombinationWeights, combine
-from .model import ONE_SIDED, TWO_SIDED, TrialConfig, _check_alpha, _whole, z_statistics
+from .model import TWO_SIDED, TrialConfig, _whole, z_statistics
 from .mvn import DEFAULT_ACCURACY, NumericsError, _check_accuracy
 from .power import MeanConfig, lfc, sample_size
 from .sequential import (
@@ -64,7 +64,6 @@ _EXIT_VALIDATION = 2
 _EXIT_NUMERICS = 3
 
 _CONFIG_KEYS = {"n_arms", "sigma2", "n", "stage_n", "sided"}
-_SIDED = {"two-sided": TWO_SIDED, "one-sided": ONE_SIDED}
 
 
 def _load_input(raw: str | None, command: str) -> dict:
@@ -92,13 +91,6 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
-def _sided_from(obj: dict, where: str) -> str:
-    sided = _SIDED.get(obj.get("sided", "two-sided"))
-    if sided is None:
-        raise ValueError(f"{where} must be 'two-sided' or 'one-sided'")
-    return sided
-
-
 def _config_from(data: dict) -> TrialConfig:
     obj = _require(data, "config", "the request")
     if not isinstance(obj, dict):
@@ -108,12 +100,12 @@ def _config_from(data: dict) -> TrialConfig:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
     n_arms = _require(obj, "n_arms", "config")
     sigma2 = _require(obj, "sigma2", "config")
-    sided = _sided_from(obj, "config.sided")
     if ("n" in obj) == ("stage_n" in obj):
         raise ValueError("config needs exactly one of 'n' or 'stage_n'")
     try:
         # a staged config replaces the placeholder row with its own rows
-        config = TrialConfig.single_stage(n_arms, sigma2, obj.get("n", 1), sided=sided)
+        config = TrialConfig.single_stage(n_arms, sigma2, obj.get("n", 1),
+                                          sided=obj.get("sided", TWO_SIDED))
         return config.with_stage_n(obj["stage_n"]) if "stage_n" in obj else config
     except (TypeError, ValueError) as err:
         raise ValueError(f"invalid config: {err}") from err
@@ -152,12 +144,6 @@ def _weights_from(data: dict) -> CombinationWeights | None:
         raise ValueError(f"invalid weights: {err}") from err
 
 
-def _alpha_from(data: dict) -> float:
-    alpha = data.get("alpha", 0.05)
-    _check_alpha(alpha)
-    return float(alpha)
-
-
 def _subset_label(subset) -> str:
     return "+".join(str(k) for k in sorted(subset))
 
@@ -176,10 +162,9 @@ def _fmt(value) -> str:
 def _cmd_design(data: dict, args) -> tuple[dict, list, list]:
     n_arms = _require(data, "n_arms", "the request")
     sigma2 = _require(data, "sigma2", "the request")
-    alpha = _alpha_from(data)
+    alpha = data.get("alpha", 0.05)
     target = data.get("power", 0.9)
-    sided = _sided_from(data, "sided")
-    config = TrialConfig.single_stage(n_arms, sigma2, 2, sided=sided)
+    config = TrialConfig.single_stage(n_arms, sigma2, 2, sided=data.get("sided", TWO_SIDED))
     if "means" in data:
         means = MeanConfig(tuple(data["means"]), delta=data.get("delta"))
         if len(set(means.mu)) == 1:
@@ -210,7 +195,7 @@ def _cmd_design(data: dict, args) -> tuple[dict, list, list]:
 
 def _cmd_critical_values(data: dict, args) -> tuple[dict, list, list]:
     config = _config_from(data)
-    alpha = _alpha_from(data)
+    alpha = data.get("alpha", 0.05)
     table = critical_values(
         config, alpha, seed=args.seed, accuracy=args.accuracy
     )
@@ -228,7 +213,7 @@ def _cmd_critical_values(data: dict, args) -> tuple[dict, list, list]:
 
 def _cmd_analyze(data: dict, args) -> tuple[dict, list, list]:
     config = _config_from(data)
-    alpha = _alpha_from(data)
+    alpha = data.get("alpha", 0.05)
     staged = "spending" in data
     if staged:
         schedule = _spending_from(data, config, alpha, args)
@@ -276,7 +261,7 @@ def _cmd_analyze(data: dict, args) -> tuple[dict, list, list]:
 
 def _cmd_gs_boundaries(data: dict, args) -> tuple[dict, list, list]:
     config = _config_from(data)
-    alpha = _alpha_from(data)
+    alpha = data.get("alpha", 0.05)
     schedule = _spending_from(data, config, alpha, args)
     build = generalised_boundaries if data.get("generalised") else gs_boundaries
     bounds = build(config, schedule, seed=args.seed, accuracy=args.accuracy)
@@ -345,7 +330,7 @@ def _cmd_simulate(data: dict, args) -> tuple[dict, list, list]:
     if args.table1:
         return _table1(data, args)
     config = _config_from(data)
-    alpha = _alpha_from(data)
+    alpha = data.get("alpha", 0.05)
     spending = None
     if "spending" in data:
         spending = _spending_from(data, config, alpha, args)

@@ -17,8 +17,8 @@ set on every row, then walks the rest of the lattice downwards on the rows
 it rejected alone, and runs a subset's local test only on the rows where
 one of its members can still be rejected; a row whose full set is accepted
 costs one local test.  The single-trial tests report every
-subset's local decision, so they compute those first, in lattice order, and
-hand the rule a lookup.
+subset's local decision in one lazy map, filled in lattice order on its
+first lookup, which the lattice method hands the rule.
 
 Subsets whose correlation matrices coincide up to relabelling share one
 critical value.  Equivalence is decided by canonicalizing the subset's
@@ -452,13 +452,6 @@ def _closure_rule(
     return rejected.T, stopped.T
 
 
-def _lattice(stat: np.ndarray, table: CriticalValueTable):
-    local = {s: bool(_subset_max(stat, s) > table.value(s))
-             for s in _all_subsets(stat.size)}
-    rejected, _ = _closure_rule(stat[None, :], lambda s, top: local[s])
-    return rejected[0].tolist(), local
-
-
 def _closed_test(z, table, method, sided, name) -> ClosureDecision:
     """The closed test of :func:`closed_test` and :func:`one_sided_closed_test`."""
     if table.config.sided != sided:
@@ -468,11 +461,12 @@ def _closed_test(z, table, method, sided, name) -> ClosureDecision:
         raise ValueError(
             f"expected {table.n_comparisons} statistics, got {stat.size}"
         )
+    local = _lazy_local(stat.size, lambda s: _subset_max(stat, s) > table.value(s))
     if method == "shortcut":
         rejected = batch_closed_test(stat[None, :], table)[0].tolist()
-        local = _lazy_local(stat.size, lambda s: _subset_max(stat, s) > table.value(s))
     elif method == "lattice":
-        rejected, local = _lattice(stat, table)
+        # the first lookup fills every subset's decision, in lattice order
+        rejected = _closure_rule(stat[None, :], lambda s, top: local[s])[0][0].tolist()
     else:
         raise ValueError(f"unknown method {method!r}")
     meta = {} if sided == TWO_SIDED else {"sided": ONE_SIDED}
@@ -497,7 +491,8 @@ def closed_test(
         :func:`batch_closed_test` on this one row: at most m lookups, and
         only the classes of the tail sets it visits are solved.  ``local``
         is then filled (solving every class) only when it is read.
-        ``"lattice"`` evaluates every intersection explicitly.  Both give
+        ``"lattice"`` evaluates every intersection explicitly, so it
+        returns the same read-only ``local``, already filled.  Both give
         identical decisions.
 
     Returns
@@ -631,21 +626,25 @@ def bonferroni_cut(alpha: float, m: int) -> float:
     return _normal_cut(alpha, m, TWO_SIDED)
 
 
-def bonferroni_test(z: Sequence, alpha: float, m: int | None = None) -> ClosureDecision:
+def _single_step(procedure: str, alpha: float, stat: np.ndarray, cut: float,
+                 meta: dict) -> ClosureDecision:
+    """The single-step rule: each statistic against one cut, and an
+    intersection rejected when its largest statistic crosses it."""
+    rejected = tuple(bool(s > cut) for s in stat)
+    local = _lazy_local(stat.size, lambda s: _subset_max(stat, s) > cut)
+    return ClosureDecision(procedure, alpha, rejected, local, meta=meta)
+
+
+def bonferroni_test(z: Sequence, alpha: float) -> ClosureDecision:
     """Single-step Bonferroni comparator: each |z_k| against the alpha/(2m) cut.
 
     The per-comparison level alpha/m is split evenly across the two tails, so
     the cut for m = 1 coincides with the unadjusted two-sided value.
     """
     stat = np.abs(_extract_z(z))
-    m = stat.size if m is None else m
-    if m != stat.size:
-        raise ValueError("m does not match the number of statistics")
-    cut = bonferroni_cut(alpha, m)
-    rejected = tuple(bool(s > cut) for s in stat)
-    local = _lazy_local(m, lambda s: _subset_max(stat, s) > cut)
+    cut = bonferroni_cut(alpha, stat.size)
     meta = {"cut": cut, "normalization": "two-sided, alpha/(2m) per tail"}
-    return ClosureDecision("bonferroni", alpha, rejected, local, meta=meta)
+    return _single_step("bonferroni", alpha, stat, cut, meta)
 
 
 def gatekeeping_test(
@@ -689,11 +688,7 @@ def tukey_global_test(
     table = (CriticalValueTable(config, alpha, seed) if table is None
              else table._serving(config, alpha=alpha))
     c_full = table.value(table.full_set())
-    rejected = tuple(bool(s > c_full) for s in stat)
-    local = _lazy_local(stat.size, lambda s: _subset_max(stat, s) > c_full)
-    return ClosureDecision(
-        "tukey_global", alpha, rejected, local, meta={"cut": c_full}
-    )
+    return _single_step("tukey_global", alpha, stat, c_full, {"cut": c_full})
 
 
 def unadjusted_test(z: Sequence, alpha: float) -> ClosureDecision:

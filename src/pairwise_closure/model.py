@@ -32,10 +32,6 @@ import numpy as np
 TWO_SIDED = "two-sided"
 ONE_SIDED = "one-sided"
 
-# Absolute slack when checking that allocation fractions agree across stages;
-# integer stage sizes that are exact multiples satisfy this exactly.
-_PROPORTION_RTOL = 1e-6
-
 
 def n_comparisons(n_arms: int, sided: str = TWO_SIDED) -> int:
     """Number of pairwise comparisons: K(K-1)/2 unordered, K(K-1) ordered."""
@@ -76,18 +72,27 @@ _NOT_NUMBERS = (str, bytes, bool, np.bool_)
 
 def _whole(value, what: str) -> int:
     """``value`` as an int; whole floats and numpy integers pass, while a
-    fractional or non-finite number, a string or a boolean raises
+    fractional or non-finite number, a string, a boolean, anything else
+    ``float()`` refuses and an int too large for a float raise
     ``ValueError``."""
-    if isinstance(value, _NOT_NUMBERS) or not float(value).is_integer():
+    try:
+        whole = not isinstance(value, _NOT_NUMBERS) and float(value).is_integer()
+    except (TypeError, OverflowError):
+        whole = False
+    if not whole:
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return int(value)
 
 
 def _real(value, what: str) -> float:
-    """``value`` as a float; a string or a boolean raises ``ValueError``."""
-    if isinstance(value, _NOT_NUMBERS):
-        raise ValueError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    """``value`` as a float; a string, a boolean, anything else ``float()``
+    refuses and an int too large for a float raise ``ValueError``."""
+    if not isinstance(value, _NOT_NUMBERS):
+        try:
+            return float(value)
+        except (TypeError, OverflowError):
+            pass
+    raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
 def _reals(values, what: str) -> np.ndarray:
@@ -95,16 +100,6 @@ def _reals(values, what: str) -> np.ndarray:
     entry raises ``ValueError`` (``np.asarray`` would read them as numbers)."""
     raw = np.asarray(values, dtype=object)
     return np.array([_real(x, what) for x in raw.flat], dtype=float).reshape(raw.shape)
-
-
-def _fractions(row: Sequence[int]) -> tuple[float, ...]:
-    """Allocation fractions n / total of one row of per-arm sample sizes,
-    which must be positive whole numbers."""
-    n_row = [_whole(n, "a per-arm sample size") for n in row]
-    if any(n <= 0 for n in n_row):
-        raise ValueError("per-arm sample sizes must be positive")
-    total = sum(n_row)
-    return tuple(n / total for n in n_row)
 
 
 @dataclass(frozen=True)
@@ -298,10 +293,16 @@ class TrialConfig:
         for prev, cur in zip(self.stage_n, self.stage_n[1:]):
             if any(c <= p for p, c in zip(prev, cur)):
                 raise ValueError("cumulative sample sizes must be strictly increasing")
-        # Constant allocation over stages; a drifting fraction breaks the
-        # sqrt(information ratio) covariance between analyses.
-        fractions = np.array([_fractions(row) for row in self.stage_n])
-        if not np.allclose(fractions, fractions[0], rtol=0.0, atol=_PROPORTION_RTOL):
+        # rows strictly increase, so a positive first row makes every row positive
+        first, total = self.stage_n[0], sum(self.stage_n[0])
+        if any(n <= 0 for n in first):
+            raise ValueError("per-arm sample sizes must be positive")
+        # Constant allocation over stages, exactly: row q keeps the first
+        # row's fractions when n_qi * total_1 == n_1i * total_q for every arm
+        # i.  A drifting fraction breaks the sqrt(information ratio)
+        # covariance between analyses.
+        if any(n * total != n1 * sum(row)
+               for row in self.stage_n[1:] for n, n1 in zip(row, first)):
             raise ValueError("per-arm allocation fractions must be constant across stages")
 
     @classmethod
@@ -324,7 +325,8 @@ class TrialConfig:
     def alloc(self) -> tuple[float, ...]:
         """Allocation fractions n / total of the first analysis, which every
         later analysis keeps."""
-        return _fractions(self.stage_n[0])
+        total = sum(self.stage_n[0])
+        return tuple(n / total for n in self.stage_n[0])
 
     @property
     def n_stages(self) -> int:
@@ -434,8 +436,9 @@ class MeanConfig:
 def _arm_means(means: MeanConfig | Sequence[float], n_arms: int) -> np.ndarray:
     """The one check of a vector of arm means: one finite real number per
     arm.  Returns the means as a float array."""
-    raw = means.mu if isinstance(means, MeanConfig) else means
-    if np.ndim(raw) != 1 or len(raw) != n_arms:
+    # an object array keeps a ragged entry for _reals to name
+    raw = np.asarray(means.mu if isinstance(means, MeanConfig) else means, dtype=object)
+    if raw.ndim != 1 or len(raw) != n_arms:
         raise ValueError("means must have one entry per arm")
     mu = _reals(raw, "an arm mean")
     if not np.all(np.isfinite(mu)):
@@ -519,10 +522,9 @@ class CorrelationModel:
         return self.matrix.shape[0]
 
 
-def correlation(
-    config: TrialConfig, subset: Iterable[int], stage: int = 1
-) -> CorrelationModel:
-    """Correlation matrix of the statistics in ``subset`` at one analysis.
+def correlation(config: TrialConfig, subset: Iterable[int]) -> CorrelationModel:
+    """Correlation matrix of the statistics in ``subset``, the same at every
+    analysis because the allocation is constant across stages.
 
     Shared arms induce the only dependence.  Writing v_a = sigma_a^2 / n_a,
     the covariance of two differences (mu_i1 - mu_j1) and (mu_i2 - mu_j2) is
@@ -538,9 +540,6 @@ def correlation(
     config : TrialConfig
     subset : iterable of int
         Comparison indices (1-based, ordering preserved).
-    stage : int
-        Analysis whose cumulative sample sizes set the variances (the result
-        does not depend on it under constant allocation).
 
     Returns
     -------
@@ -554,5 +553,5 @@ def correlation(
     if outside.size:
         raise ValueError(f"index must lie in 1..{m}, got {outside[0]}")
     ii, jj = _pair_arms(config.n_arms, config.sided)
-    v = config.arm_variances(stage)
+    v = config.arm_variances(1)
     return CorrelationModel(_pair_correlation(v, ii[members - 1], jj[members - 1]))

@@ -82,14 +82,37 @@ class TestCriticalValues:
         assert status == 0
         assert "1.95996" in out
 
-    def test_non_numeric_alpha(self, capsys):
-        request = '{"config": {"n_arms": 2, "sigma2": 1.0, "n": 50}, "alpha": "0.05"}'
-        status, out, err = run_cli(["critical-values", "--input", request], capsys)
+    # a level or a sidedness is checked once, by the library call that reads it
+    @pytest.mark.parametrize("command, request_, message", [
+        ("critical-values",
+         '{"config": {"n_arms": 2, "sigma2": 1.0, "n": 50}, "alpha": "0.05"}',
+         "alpha must lie strictly between 0 and 1"),
+        ("critical-values",
+         '{"config": {"n_arms": 2, "sigma2": 1.0, "n": 50, "sided": "both"}}',
+         "invalid config: sided must be 'two-sided' or 'one-sided', got 'both'"),
+        ("critical-values",
+         '{"config": {"n_arms": 2, "sigma2": 1.0, "n": 50, "sided": ["x"]}}',
+         "invalid config: sided must be 'two-sided' or 'one-sided', got ['x']"),
+        ("design", '{"n_arms": 2, "sigma2": 1.0, "delta": 0.5, "sided": "both"}',
+         "sided must be 'two-sided' or 'one-sided', got 'both'"),
+        ("design", '{"n_arms": 2, "sigma2": 1.0, "delta": 0.5, "sided": ["x"]}',
+         "sided must be 'two-sided' or 'one-sided', got ['x']"),
+    ] + [
+        (command, json.dumps({
+            "config": {"n_arms": 2, "sigma2": 1.0, "stage_n": [[40, 40], [80, 80]]},
+            "spending": {"type": "obrien-fleming"}, "alpha": 1.5,
+            "cum_means": [[0.1, 0.0], [0.2, 0.0]], "means": [0.0, 0.0],
+            "procedures": ["gs"], "replicates": 10,
+        }), "invalid spending schedule: alpha must lie strictly between 0 and 1")
+        for command in ("analyze", "gs-boundaries", "simulate")
+    ], ids=["string-alpha", "config-sided", "config-sided-list", "design-sided",
+            "design-sided-list", "analyze-spending-alpha", "gs-boundaries-spending-alpha",
+            "simulate-spending-alpha"])
+    def test_non_numeric_alpha(self, capsys, command, request_, message):
+        status, out, err = run_cli([command, "--input", request_], capsys)
         assert status == 2 and out == ""
         error = json.loads(err)["error"]
-        assert error == {
-            "type": "validation", "message": "alpha must lie strictly between 0 and 1"
-        }
+        assert error == {"type": "validation", "message": message}
 
 
 class TestAnalyze:
@@ -317,7 +340,11 @@ class TestCombine:
         {"p_values": [0.02, 0.5], "weights": ["1", 2]},
         {"p_values": [0.02, 0.5], "weights": [1, False]},
         {"p_values": ["0.02", True], "weights": ["1", 2]},
-    ], ids=["string-p", "boolean-p", "string-weight", "boolean-weight", "all"])
+        {"p_values": [0.02, None]},
+        {"p_values": [0.02, 0.5], "weights": [1, [2]]},
+        {"p_values": [0.02, 0.5], "weights": [1, 10**400]},
+    ], ids=["string-p", "boolean-p", "string-weight", "boolean-weight", "all", "null-p",
+            "list-weight", "huge-weight"])
     def test_strings_and_booleans_are_not_real_numbers_exit_2(self, capsys, request_):
         status, out, err = run_cli(["combine", "--input", json.dumps(request_)], capsys)
         assert status == 2 and out == ""
@@ -485,7 +512,11 @@ class TestSimulate:
         dict(REQUEST, config={"n_arms": 3, "sigma2": [1.0, True, 1.0], "n": 100}),
         dict(REQUEST, means=[0.5, "0.0", 0.0]),
         dict(REQUEST, means=[0.5, False, 0.0]),
-    ], ids=["string-sigma2", "boolean-sigma2", "string-mean", "boolean-mean"])
+        dict(REQUEST, config={"n_arms": 3, "sigma2": [1.0, None, 1.0], "n": 100}),
+        dict(REQUEST, means=[0.5, [0.0], 0.0]),
+        dict(REQUEST, config={"n_arms": 3, "sigma2": 10**400, "n": 100}),
+    ], ids=["string-sigma2", "boolean-sigma2", "string-mean", "boolean-mean",
+            "null-sigma2", "list-mean", "huge-sigma2"])
     def test_strings_and_booleans_are_not_real_numbers_exit_2(self, capsys, request_):
         status, out, err = run_cli(["simulate", "--input", json.dumps(request_)], capsys)
         assert status == 2 and out == ""

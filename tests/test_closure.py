@@ -228,8 +228,9 @@ class TestClosedTest:
         assert decision.local == closed_test(z, table_k3, method="lattice").local
         assert len(solves) == 3
 
-    def test_local_is_read_only(self, table_k3):
-        decision = closed_test([3.0, 0.2, 2.5], table_k3)
+    @pytest.mark.parametrize("method", ["shortcut", "lattice"])
+    def test_local_is_read_only(self, table_k3, method):
+        decision = closed_test([3.0, 0.2, 2.5], table_k3, method=method)
         with pytest.raises(TypeError):
             decision.local[frozenset({1})] = False
 

@@ -2,11 +2,13 @@
 module-level private name is used somewhere in the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pairwise_closure"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Imported only so that perfbench/spans.py can wrap it in this namespace.
 KEPT_FOR_TRACING = {("closure", "correlation")}
@@ -47,6 +49,14 @@ def test_no_unused_module_level_imports(path):
 def test_tracing_exceptions_are_still_imported():
     for module, name in KEPT_FOR_TRACING:
         assert name in _unused_imports(SRC / f"{module}.py")
+
+
+def test_tracing_exceptions_are_still_traced(monkeypatch):
+    # once the tracer stops wrapping a name, its import and exception go too
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    wrapped = {(module, name) for module, name, *_ in spans._FUNCTIONS}
+    assert KEPT_FOR_TRACING <= wrapped
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairwise_closure.closure import critical_values
@@ -97,6 +97,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="constant across stages"):
         # allocation drifts between stages
         TrialConfig(2, (1.0, 1.0), ((10, 10), (30, 20)))
+    with pytest.raises(ValueError, match="constant across stages"):
+        # first-arm fractions 0.49999975 and 0.49999963: close, but not equal
+        TrialConfig(2, (1.0, 1.0), ((1000000, 1000001), (2000000, 2000003)))
     with pytest.raises(ValueError, match="sided must be"):
         TrialConfig.single_stage(2, 1.0, 10, sided="both")
 
@@ -119,8 +122,10 @@ def test_arm_counts_and_sample_sizes_must_be_whole_numbers():
     assert TrialConfig.from_dict(dict(expect.to_dict(), n_arms=3.0)) == expect
 
 
-@pytest.mark.parametrize("value", ["20", b"20", True, False, np.bool_(True)],
-                         ids=["str", "bytes", "true", "false", "numpy-bool"])
+@pytest.mark.parametrize("value", ["20", b"20", True, False, np.bool_(True), None, [20],
+                                   10**400],
+                         ids=["str", "bytes", "true", "false", "numpy-bool", "none", "list",
+                              "huge-int"])
 def test_whole_numbers_are_not_strings_or_booleans(value):
     with pytest.raises(ValueError, match="must be a whole number, got "):
         _whole(value, "replicates")
@@ -137,8 +142,8 @@ def test_arm_counts_and_sample_sizes_are_not_strings():
     assert _whole(np.int64(20), "replicates") == 20
 
 
-NOT_REAL = ["1.0", b"1.0", True, np.bool_(False)]
-NOT_REAL_IDS = ["str", "bytes", "bool", "numpy-bool"]
+NOT_REAL = ["1.0", b"1.0", True, np.bool_(False), 10**400]
+NOT_REAL_IDS = ["str", "bytes", "bool", "numpy-bool", "huge-int"]
 
 
 @pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
@@ -149,7 +154,8 @@ def test_variances_are_not_strings_or_booleans(value):
         TrialConfig(2, (1.0, value), ((10, 10),))
 
 
-@pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
+@pytest.mark.parametrize("value", NOT_REAL + [None, [0.0]],
+                         ids=NOT_REAL_IDS + ["none", "list"])
 def test_arm_means_are_not_strings_or_booleans(value):
     config = TrialConfig.single_stage(3, 1.0, 100)
     for check in (
@@ -194,6 +200,23 @@ def test_every_way_to_state_a_design_builds_the_same_config(n_arms, data):
             assert way.alloc == tuple(n / sum(row) for n in row)
             # the one check a table runs before it serves another config
             assert table._serving(way) is table
+
+
+@given(st.integers(min_value=2, max_value=5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_later_rows_keep_the_first_rows_allocation_exactly(n_arms, data):
+    row = data.draw(st.lists(st.integers(1, 10**6), min_size=n_arms, max_size=n_arms))
+    c = data.draw(st.integers(min_value=2, max_value=10**6))
+    later = [c * n for n in row]
+    config = TrialConfig(n_arms, (1.0,) * n_arms, (row, later))
+    assert config.alloc == TrialConfig.single_stage(n_arms, 1.0, row).alloc
+    # one unit moved between two arms, in a row that still strictly increases
+    i, j = data.draw(st.permutations(range(n_arms)))[:2]
+    later[i] += 1
+    later[j] -= 1
+    assume(later[j] > row[j])
+    with pytest.raises(ValueError, match="constant across stages"):
+        TrialConfig(n_arms, (1.0,) * n_arms, (row, later))
 
 
 def test_a_table_serves_every_statement_of_its_design():
