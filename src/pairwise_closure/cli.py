@@ -45,7 +45,7 @@ from datetime import datetime, timezone
 
 from .closure import closed_test, critical_values, one_sided_closed_test
 from .combination import CombinationWeights, combine
-from .model import TWO_SIDED, TrialConfig, _whole, z_statistics
+from .model import TWO_SIDED, TrialConfig, _real, _whole, z_statistics
 from .mvn import DEFAULT_ACCURACY, NumericsError, _check_accuracy
 from .power import MeanConfig, lfc, sample_size
 from .sequential import (
@@ -292,15 +292,17 @@ def _cmd_combine(data: dict, args) -> tuple[dict, list, list]:
     pvalues = _require(data, "p_values", "the request")
     if not isinstance(pvalues, list) or not pvalues:
         raise ValueError("p_values must be a nonempty list")
+    # combine() also takes an array per stage, which this output cannot hold
+    pvalues = [_real(p, "each entry of p_values") for p in pvalues]
     weights = _weights_from(data)
-    combined = float(combine(pvalues, weights))
+    combined = combine(pvalues, weights)
     used = weights or CombinationWeights.equal(len(pvalues))
     payload = {
-        "p_values": [float(p) for p in pvalues],
+        "p_values": pvalues,
         "weights": list(used.weights),
         "combined_p": combined,
     }
-    rows = [[f"p_{q + 1}", float(p)] for q, p in enumerate(pvalues)]
+    rows = [[f"p_{q + 1}", p] for q, p in enumerate(pvalues)]
     rows += [[f"w_{q + 1}", w] for q, w in enumerate(used.weights)]
     rows.append(["combined_p", combined])
     return payload, ["quantity", "value"], rows

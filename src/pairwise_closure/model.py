@@ -95,6 +95,18 @@ def _real(value, what: str) -> float:
     raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
+def _per_arm(value, n_arms: int) -> tuple:
+    """``value`` as one entry per arm: an iterable gives its entries, and
+    anything else, such as a number, ``None`` or a string, is repeated.  The
+    entries are checked where they are used."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    return (value,) * n_arms
+
+
 def _reals(values, what: str) -> np.ndarray:
     """``values`` as a float array of the same shape; any string or boolean
     entry raises ``ValueError`` (``np.asarray`` would read them as numbers)."""
@@ -315,11 +327,8 @@ class TrialConfig:
     ) -> "TrialConfig":
         """One-analysis trial; scalar ``sigma2``/``n_per_arm`` broadcast to all arms."""
         n_arms = _whole(n_arms, "n_arms")
-        if np.isscalar(sigma2):
-            sigma2 = (sigma2,) * n_arms
-        if np.isscalar(n_per_arm):
-            n_per_arm = (n_per_arm,) * n_arms
-        return cls(n_arms, tuple(sigma2), (n_per_arm,), sided=sided)
+        return cls(n_arms, _per_arm(sigma2, n_arms), (_per_arm(n_per_arm, n_arms),),
+                   sided=sided)
 
     @property
     def alloc(self) -> tuple[float, ...]:

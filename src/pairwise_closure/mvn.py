@@ -29,10 +29,10 @@ embedded component-by-component search (Cools, Kuo & Nuyens 2006;
 dimensions the points are the Kronecker sequence j * frac(sqrt(prime)),
 where the lattice gave no gain.  Either sequence is extensible (its first
 2n points contain its first n; Genz & Bretz 2009), and the twelve random
-shifts are drawn once per call.  The rounds double the number of points,
-from a first round of 64, but each evaluates only its new ones and adds
-them to every shift's running sum: a rectangle that converges at n points
-has spent 12 n evaluations in all.
+shifts are drawn once per seed and dimension.  The rounds double the number
+of points, from a first round of 64, but each evaluates only its new ones
+and adds them to every shift's running sum: a rectangle that converges at n
+points has spent 12 n evaluations in all.
 
 Points are evaluated in chunks of 2^10 lattice points, all twelve shifts of
 a chunk in one call, so that neither the small early rounds nor the many
@@ -42,6 +42,18 @@ no predecessors, so its factor is one number, computed once per chunk
 rather than at every point.  These shortcuts are exact in IEEE arithmetic;
 only the chunk size and the round boundaries fix the order in which
 partial sums are added.
+
+A root solve or a tail-table grid calls the kernel many times with one seed
+and one dimension.  So the shifts, and the shifted, tent-folded points of
+the first 4,096 lattice points, of the last two ``(seed, dimension)`` keys
+are kept (``_point_set``): at most 2 x 12 x 4,097 x dim doubles, 4.7 MB at
+six dimensions.  A call with a kept key reads them instead of drawing the
+shifts and building the points again, and rounds past the kept points build
+theirs as before.  Every integrand evaluation still runs, so a result does
+not depend on the calls before it.  Module state is safe here: the package
+runs in one process and starts no threads; for a caller that does, the keys
+change under a lock, and a kept chunk is complete before it is stored and
+never written afterwards.
 
 A coordinate whose limits are both infinite is dropped, with its row and
 column, before the factorization, since its marginal probability is 1; a
@@ -67,6 +79,7 @@ usual case.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -174,6 +187,10 @@ _N_SHIFTS = 12
 _CHUNK = 1 << 10
 # lattice points of a call's first round
 _FIRST_ROUND = 1 << 6
+# lattice points, from the first, whose folded points are kept per key, and
+# the (seed, dimension) keys kept (see the module text)
+_KEPT_POINTS = 1 << 12
+_KEPT_KEYS = 2
 # generating vector of the embedded rank-1 lattice, the first components of
 # tools/cbc_lattice.py; past six dimensions the lattice spent more points
 # than the Kronecker directions
@@ -399,49 +416,99 @@ def _evaluate(steps, rank: int, x: np.ndarray) -> np.ndarray:
     return pv
 
 
-def _round_sums(steps, rank, gen, start, stop, shifts) -> np.ndarray:
+class _PointSet:
+    """The shifts of one ``(seed, dimension)`` and the chunks of shifted,
+    tent-folded points kept for it.
+
+    ``chunks`` maps a chunk's ``(start, stop)`` to its points, shape
+    (dim, _N_SHIFTS * (stop - start)), shift-major; only chunks that end
+    by ``_KEPT_POINTS`` are kept.
+    """
+
+    __slots__ = ("shifts", "chunks")
+
+    def __init__(self, seed, dim: int) -> None:
+        self.shifts = np.random.default_rng(seed).random((_N_SHIFTS, dim))
+        self.chunks: dict[tuple[int, int], np.ndarray] = {}
+
+
+# the point sets of the last _KEPT_KEYS (seed, dimension) keys, least
+# recently used first; the lock makes each lookup and eviction one step
+_POINT_SETS: dict[tuple, _PointSet] = {}
+_POINT_SETS_LOCK = threading.Lock()
+
+
+def _point_set(seed, dim: int) -> _PointSet:
+    """The point set of ``(seed, dim)``, kept or drawn afresh.
+
+    A seed that is not an integer (``None`` draws fresh entropy) is never
+    kept.
+    """
+    if not isinstance(seed, (int, np.integer)):
+        return _PointSet(seed, dim)
+    key = (seed, dim)
+    with _POINT_SETS_LOCK:
+        points = _POINT_SETS.pop(key, None)
+        if points is None:
+            points = _PointSet(seed, dim)
+            if len(_POINT_SETS) >= _KEPT_KEYS:
+                del _POINT_SETS[next(iter(_POINT_SETS))]
+        _POINT_SETS[key] = points
+    return points
+
+
+def _round_sums(steps, rank, gen, start, stop, points: _PointSet) -> np.ndarray:
     """Integrand sums over lattice points ``start .. stop - 1``, per shift.
 
-    The unshifted points of a chunk are built once; every shift of the
-    chunk goes to one ``_evaluate`` call, and each shift's sum adds its
-    chunk sums in chunk order.
+    A chunk's shifted, folded points are read from ``points`` when kept
+    there.  Otherwise its unshifted points are built once and shared by the
+    shifts, and the result is kept when the chunk ends by ``_KEPT_POINTS``.
+    Every shift of the chunk goes to one ``_evaluate`` call, and each
+    shift's sum adds its chunk sums in chunk order.
     """
-    sums = np.zeros(len(shifts))
+    sums = np.zeros(_N_SHIFTS)
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
-        base = _lattice_points(gen, lo, hi)
-        xs = base[:, None, :] + shifts.T[:, :, None]
-        # fractional part, exact (and equal to np.mod) for xs >= 0
-        xs -= np.floor(xs)
-        xs *= 2.0
-        xs -= 1.0
-        np.abs(xs, out=xs)
-        values = _evaluate(steps, rank, xs.reshape(gen.shape[0], -1))
-        sums += values.reshape(len(shifts), hi - lo).sum(axis=1)
+        xs = points.chunks.get((lo, hi))
+        if xs is None:
+            base = _lattice_points(gen, lo, hi)
+            xs = base[:, None, :] + points.shifts.T[:, :, None]
+            # fractional part, exact (and equal to np.mod) for xs >= 0
+            xs -= np.floor(xs)
+            xs *= 2.0
+            xs -= 1.0
+            np.abs(xs, out=xs)
+            xs = xs.reshape(gen.shape[0], -1)
+            if hi <= _KEPT_POINTS:
+                points.chunks[lo, hi] = xs
+        values = _evaluate(steps, rank, xs)
+        sums += values.reshape(_N_SHIFTS, hi - lo).sum(axis=1)
     return sums
 
 
-def _qmc_estimate(steps, rank, accuracy, rng, max_points):
+def _qmc_estimate(steps, rank, accuracy, seed, max_points):
     """Randomized-lattice estimate: ``(value, err_est, points spent)``.
 
-    One block of ``_N_SHIFTS`` random shifts serves the whole call.  The
-    first round has ``_FIRST_ROUND`` lattice points, and the lattice is
-    extensible, so the points of a round contain those of the round before:
-    each doubling evaluates only its new points and adds them to every
-    shift's running sum.  The estimate is the mean of the per-shift
-    means over all points so far, and the error estimate three standard
-    errors of that mean.
+    One block of ``_N_SHIFTS`` random shifts serves the whole call, and
+    every call with the same seed and dimension: the shifts, and the folded
+    points of the first ``_KEPT_POINTS`` lattice points, of the last
+    ``_KEPT_KEYS`` such keys are kept (``_point_set``).  The first round has
+    ``_FIRST_ROUND`` lattice points, and the lattice is extensible, so the
+    points of a round contain those of the round before: each doubling
+    evaluates only its new points and adds them to every shift's running
+    sum.  The estimate is the mean of the per-shift means over all points
+    so far, and the error estimate three standard errors of that mean.
     """
     dim = rank - 1
     if dim == 0:
         # every factor is a constant interval: the value is exact
         return _first_factor(steps[0])[1], 0.0, 1
     gen = _lattice_generators(dim)
-    shifts = rng.random((_N_SHIFTS, dim))
+    points = _point_set(seed, dim)
     totals = np.zeros(_N_SHIFTS)
     done, n = 0, _FIRST_ROUND
     while True:
-        totals += _round_sums(steps, rank, gen, done, n, shifts)
+        totals += _round_sums(steps, rank, gen, done, n, points)
         means = totals / n
         spent = n * _N_SHIFTS
         err = 3.0 * max(float(means.std(ddof=1)) / math.sqrt(_N_SHIFTS), 1e-16)
@@ -529,8 +596,7 @@ def mvn_rect(
         steps = _integration_plan(cho, tlo, thi, rank)
     except _ZeroProbability:
         return ProbResult(0.0, 0.0, 0)
-    rng = np.random.default_rng(seed)
-    value, err, spent = _qmc_estimate(steps, rank, accuracy, rng, max_points)
+    value, err, spent = _qmc_estimate(steps, rank, accuracy, seed, max_points)
     return ProbResult(float(np.clip(value, 0.0, 1.0)), err, spent)
 
 

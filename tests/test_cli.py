@@ -97,6 +97,10 @@ class TestCriticalValues:
          "sided must be 'two-sided' or 'one-sided', got 'both'"),
         ("design", '{"n_arms": 2, "sigma2": 1.0, "delta": 0.5, "sided": ["x"]}',
          "sided must be 'two-sided' or 'one-sided', got ['x']"),
+        ("critical-values", '{"config": {"n_arms": 3, "sigma2": null, "n": 100}}',
+         "invalid config: sigma2 must be a real number, got None"),
+        ("critical-values", '{"config": {"n_arms": 3, "sigma2": 1.0, "n": null}}',
+         "invalid config: a per-arm sample size must be a whole number, got None"),
     ] + [
         (command, json.dumps({
             "config": {"n_arms": 2, "sigma2": 1.0, "stage_n": [[40, 40], [80, 80]]},
@@ -106,7 +110,8 @@ class TestCriticalValues:
         }), "invalid spending schedule: alpha must lie strictly between 0 and 1")
         for command in ("analyze", "gs-boundaries", "simulate")
     ], ids=["string-alpha", "config-sided", "config-sided-list", "design-sided",
-            "design-sided-list", "analyze-spending-alpha", "gs-boundaries-spending-alpha",
+            "design-sided-list", "config-null-sigma2", "config-null-n",
+            "analyze-spending-alpha", "gs-boundaries-spending-alpha",
             "simulate-spending-alpha"])
     def test_non_numeric_alpha(self, capsys, command, request_, message):
         status, out, err = run_cli([command, "--input", request_], capsys)
@@ -349,6 +354,17 @@ class TestCombine:
         status, out, err = run_cli(["combine", "--input", json.dumps(request_)], capsys)
         assert status == 2 and out == ""
         assert "must be a real number" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("entry", [[0.5], {"p": 0.5}], ids=["list", "object"])
+    def test_non_scalar_p_value_is_refused_by_name(self, capsys, entry):
+        # combine() itself takes an array per stage; one output row cannot
+        request_ = json.dumps({"p_values": [0.02, entry]})
+        status, out, err = run_cli(["combine", "--input", request_], capsys)
+        assert status == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "validation",
+            "message": f"each entry of p_values must be a real number, got {entry!r}",
+        }
 
 
 class TestDesign:

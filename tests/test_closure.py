@@ -140,6 +140,15 @@ class TestCriticalValueTable:
         # subsets on at most eight of the nine arms still key
         assert table.value({1}) == pytest.approx(1.959964, abs=1e-4)
 
+    def test_derived_seed_of_the_full_set_is_pinned(self):
+        # the seed hashes repr(key), and the key holds numpy floats: numpy 1.x
+        # writes np.float64(1.0) as 1.0, which would move every derived seed
+        # and so every pinned value (hence numpy>=2 in pyproject.toml)
+        key = closure._class_key(TrialConfig.single_stage(3, 1.0, 100), (1, 2, 3))
+        assert repr(key) == ("('two-sided', (((0, 1), (0, 2), (1, 2)), "
+                             "(np.float64(1.0), np.float64(1.0), np.float64(1.0))))")
+        assert closure._derived_seed(0, key) == 1478717990
+
     @settings(max_examples=100, deadline=None)
     @given(n_arms=st.integers(2, 5), sided=st.sampled_from(["two-sided", "one-sided"]),
            data=st.data())

@@ -131,6 +131,19 @@ def test_whole_numbers_are_not_strings_or_booleans(value):
         _whole(value, "replicates")
 
 
+def test_single_stage_names_a_null_field():
+    with pytest.raises(ValueError, match="^sigma2 must be a real number, got None$"):
+        TrialConfig.single_stage(3, None, 100)
+    with pytest.raises(ValueError,
+                       match="^a per-arm sample size must be a whole number, got None$"):
+        TrialConfig.single_stage(3, 1.0, None)
+    # numbers and numpy scalars still broadcast; sequences give one entry per arm
+    assert TrialConfig.single_stage(3, np.float64(1.0), np.int64(100)) == \
+        TrialConfig.single_stage(3, (1.0,) * 3, [100] * 3)
+    assert TrialConfig.single_stage(2, np.array([1.0, 2.0]), range(10, 12)).stage_n == \
+        ((10, 11),)
+
+
 def test_arm_counts_and_sample_sizes_are_not_strings():
     with pytest.raises(ValueError, match="n_arms must be a whole number, got '3'"):
         TrialConfig.single_stage("3", 1.0, "100")

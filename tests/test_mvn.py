@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -556,3 +558,94 @@ def test_both_sides_of_the_lattice_length(n_arms):
     res = mvn_rect(0.0, corr, Rectangle.centered(3.0, corr.shape[0]), accuracy=1e-4, seed=1)
     truth = studentized_range.cdf(3.0 * np.sqrt(2), n_arms, np.inf)
     assert abs(res.value - truth) <= 2 * res.err_est
+
+
+def _equicorrelated(dim, rho=0.5):
+    return np.full((dim, dim), rho) + (1.0 - rho) * np.eye(dim)
+
+
+def test_results_do_not_depend_on_call_history():
+    # (corr, rect, accuracy, seed); the kernel keeps the shifts and points of
+    # its last two (seed, dimension) keys, so a warm call must give the bits
+    # of a cold one, also for a key evicted and drawn again
+    cases = [
+        # integrates in one dimension; 1e-7 runs past the kept points
+        (pairwise_corr(3), Rectangle.centered(2.3437, 3), 1e-7, 0),
+        (pairwise_corr(3), Rectangle.centered(2.2, 3), 1e-5, 7),
+        (pairwise_corr(4), Rectangle.centered(2.569, 6), 1e-5, 0),
+        # the key of the case before, another integrand
+        (pairwise_corr(4), Rectangle.below(2.3, 6), 1e-5, 0),
+        (pairwise_corr(5), Rectangle.centered(2.7, 10), 1e-5, 0),
+        (_equicorrelated(7), Rectangle.below(2.0, 7), 1e-5, 3),
+        # seven dimensions: Kronecker directions
+        (_equicorrelated(8), Rectangle.centered(2.6, 8), 1e-4, 3),
+    ]
+    cold = []
+    for corr, rect, accuracy, seed in cases:
+        mvn._POINT_SETS.clear()
+        cold.append(mvn_rect(0.0, corr, rect, accuracy=accuracy, seed=seed))
+    assert cold[0].n_points > 12 * mvn._KEPT_POINTS
+    order = np.random.default_rng(5).permutation(np.repeat(np.arange(len(cases)), 3))
+    for i in order:
+        corr, rect, accuracy, seed = cases[i]
+        assert mvn_rect(0.0, corr, rect, accuracy=accuracy, seed=seed) == cold[i]
+
+
+def test_threads_sharing_the_kept_points_get_cold_results():
+    # more threads than keys kept, each cycling through more keys than kept,
+    # with frequent switches: an eviction or a chunk raced by another thread
+    # would raise or change a result
+    cases = [(pairwise_corr(n_arms), Rectangle.centered(2.4, n_arms * (n_arms - 1) // 2),
+              seed) for n_arms in (3, 4, 5) for seed in (0, 1)]
+    cold = []
+    for corr, rect, seed in cases:
+        mvn._POINT_SETS.clear()
+        cold.append(mvn_rect(0.0, corr, rect, accuracy=1e-4, seed=seed))
+    failures = []
+
+    keys = [(seed, dim) for seed in range(3) for dim in (1, 2)]
+    shifts = {key: np.random.default_rng(key[0]).random((12, key[1])) for key in keys}
+
+    def work(offset):
+        try:
+            for step in range(3 * len(cases)):
+                i = (offset + step) % len(cases)
+                corr, rect, seed = cases[i]
+                if mvn_rect(0.0, corr, rect, accuracy=1e-4, seed=seed) != cold[i]:
+                    failures.append(i)
+                # and the lookups alone, many at a time, to meet an eviction
+                for j in range(200):
+                    key = keys[(offset + j) % len(keys)]
+                    if not np.array_equal(mvn._point_set(*key).shifts, shifts[key]):
+                        failures.append(key)
+        except Exception as err:  # reported below, not lost with the thread
+            failures.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(mvn._POINT_SETS) <= mvn._KEPT_KEYS
+
+
+def test_kept_points_stay_under_their_bound():
+    mvn._POINT_SETS.clear()
+    dim = 6
+    for seed in range(3):
+        res = mvn_rect(0.0, _equicorrelated(dim + 1), Rectangle.below(2.0, dim + 1),
+                       accuracy=1e-5, seed=seed)
+        assert res.n_points > 12 * mvn._KEPT_POINTS
+    assert len(mvn._POINT_SETS) == mvn._KEPT_KEYS == 2
+    kept = sum(array.nbytes for points in mvn._POINT_SETS.values()
+               for array in (points.shifts, *points.chunks.values()))
+    # at most 2 x 12 x 4,097 x dim doubles, 4.7 MB at six dimensions
+    assert mvn._KEPT_POINTS == 4096
+    assert kept <= 2 * 12 * 4097 * dim * 8 < 4.8e6
