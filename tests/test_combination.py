@@ -38,12 +38,12 @@ COMBINED_05_05 = 0.010004627
 # fails here.
 # tail_table.pvalue over np.linspace(0.5, 3.5, 7), for {1, 2, 3} and {1, 3}
 TAIL_PVALUE_BITS = {
-    (1, 2, 3): [0.8713091380749757, 0.5768590020801658, 0.29092018414413445,
-                0.11221889548533592, 0.03325733320747659, 0.007635840685900397,
-                0.0013795309098140196],
-    (1, 3): [0.8349142570742119, 0.5020231125059829, 0.2302220925878028,
-             0.08285342725704803, 0.023491607923579738, 0.005176868918599364,
-             0.0008860396809390325],
+    (1, 2, 3): [0.8713081045015412, 0.5768469553307594, 0.29090495566052443,
+                0.11218311427809713, 0.033241803469498676, 0.007608050218787188,
+                0.0013515137632374996],
+    (1, 3): [0.8349147393086678, 0.502028222160792, 0.23023811187115584,
+             0.08288814738035732, 0.023499883060959736, 0.005235812659905803,
+             0.000915762745655857],
 }
 # flexible_closed_test combined p-values on PINNED_STAGE_Z (both stages)
 PINNED_STAGE_Z = np.array([[2.4, -0.3, 1.1], [2.0, 0.8, -1.6]])
@@ -51,10 +51,10 @@ COMBINED_P_BITS = {
     (1,): 0.0034200266707986966,
     (2,): 0.645397625074693,
     (3,): 0.09692448465094089,
-    (1, 2): 0.010684537092663707,
-    (1, 3): 0.010684537092663707,
-    (2, 3): 0.23356864585414933,
-    (1, 2, 3): 0.019180554355905075,
+    (1, 2): 0.010683666506083858,
+    (1, 3): 0.010683666506083858,
+    (2, 3): 0.23356569228421387,
+    (1, 2, 3): 0.019182902024115968,
 }
 # batch_flexible_test rejections per row of the batch below, with tail_table
 BATCH_FLEXIBLE_REJECTED = [

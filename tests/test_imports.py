@@ -3,6 +3,7 @@ module-level private name is used somewhere in the package."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -86,15 +87,17 @@ def _referenced(stmts) -> set[str]:
 
 
 def _orphans(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
-    """Private names nothing references outside their own definition."""
-    orphans = set()
-    for module, tree in trees.items():
-        for name, definition in _private_definitions(tree).items():
-            elsewhere = [stmt for other in trees.values() for stmt in other.body
-                         if stmt is not definition]
-            if name not in _referenced(elsewhere):
-                orphans.add((module, name))
-    return orphans
+    """Private names nothing references outside their own definition.
+
+    Each top-level statement is walked once; a name is used elsewhere when
+    some statement besides its definition references it.
+    """
+    referenced = {id(stmt): _referenced([stmt])
+                  for tree in trees.values() for stmt in tree.body}
+    statements_naming = Counter(name for names in referenced.values() for name in names)
+    return {(module, name) for module, tree in trees.items()
+            for name, definition in _private_definitions(tree).items()
+            if statements_naming[name] == (name in referenced[id(definition)])}
 
 
 def test_no_orphaned_private_helpers():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal, studentized_range
@@ -197,8 +198,9 @@ def test_deterministic_for_fixed_seed():
 
 
 def test_error_estimate_reflects_scatter():
-    corr = pairwise_corr(3)
-    rect = Rectangle.centered(2.0, 3)
+    # K=4 integrates in two dimensions, on the lattice (K=3 is exact)
+    corr = pairwise_corr(4)
+    rect = Rectangle.centered(2.0, 6)
     results = [mvn_rect(0.0, corr, rect, accuracy=1e-4, seed=s) for s in range(24)]
     values = np.array([r.value for r in results])
     errs = np.array([r.err_est for r in results])
@@ -230,6 +232,9 @@ def test_accuracy_unreachable_raises():
     with pytest.raises(AccuracyError):
         mvn_rect(0.0, corr, Rectangle.centered(2.0, 6), accuracy=1e-9, seed=0,
                  max_points=20_000)
+    # a rank-2 rectangle's error estimate is at least 1e-16
+    with pytest.raises(AccuracyError):
+        mvn_rect(0.0, pairwise_corr(3), Rectangle.centered(2.0, 3), accuracy=1e-17)
 
 
 def test_quantile_univariate_closed_form():
@@ -289,9 +294,10 @@ def staged_corr():
          np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.4], [-0.2, 0.4, 1.0]]),
          Rectangle([-np.inf, -1.0, -0.5], [1.2, np.inf, 0.8]), 1e-5, 9,
          ProbResult(0.3198406078532558, 5.271247573871954e-06, 12288)),
-        # one-sided singular K=3 full set with a nonzero mean
+        # one-sided singular K=3 full set with a nonzero mean: rank 2, so
+        # Gauss-Legendre on 9 pieces; nested quad gives 0.891512527726486
         ([0.2, -0.1, 0.3], pairwise_corr(3), Rectangle.below(1.9, 3), 1e-5, 9,
-         ProbResult(0.8915239428006592, 9.352167680900734e-06, 24576)),
+         ProbResult(0.8915125277264999, 2.220446049250313e-16, 324)),
         # staged K=3 Q=2 matrix: the last round takes each shift from 4,096
         # to 8,192 points, four lattice chunks
         (0.0, staged_corr(), Rectangle.centered(2.4, 6), 1e-5, 1,
@@ -306,7 +312,7 @@ def test_kernel_bits_are_pinned(mean, corr, rect, accuracy, seed, expected):
 
 
 def test_quantile_bits_are_pinned():
-    assert equicoord_quantile(pairwise_corr(3), 0.95, seed=3) == 2.3437019109617863
+    assert equicoord_quantile(pairwise_corr(3), 0.95, seed=3) == 2.343700586378407
 
 
 def test_coarse_accuracy_is_one_policy():
@@ -430,6 +436,96 @@ def test_matches_scipy_oracle_with_infinite_limits():
     assert misses <= 1
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
+def test_seed_is_checked_at_every_rank(seed):
+    # a one-coordinate rectangle and ranks 1, 2 and 3 read the seed at
+    # different depths, or not at all
+    cases = [(np.eye(1), 1), (np.ones((2, 2)), 2), (pairwise_corr(3), 3),
+             (pairwise_corr(4), 6)]
+    for corr, dim in cases:
+        with pytest.raises(ValueError, match="seed"):
+            mvn_rect(0.0, corr, Rectangle.centered(1.0, dim), seed=seed)
+
+
+def test_rank2_evaluates_no_lattice_points(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a rank-2 rectangle reached the lattice")
+
+    monkeypatch.setattr(mvn, "_evaluate", refuse)
+    monkeypatch.setattr(mvn, "_point_set", refuse)
+    corr2 = np.array([[1.0, 0.4], [0.4, 1.0]])
+    for corr, rect in ((pairwise_corr(3), Rectangle.centered(2.3, 3)),
+                       (corr2, Rectangle([-1.0, -np.inf], [0.5, 1.2]))):
+        res = mvn_rect(0.0, corr, rect, accuracy=1e-9, seed=0)
+        # 24 + 12 Gauss-Legendre nodes on each piece
+        assert res.n_points > 0 and res.n_points % 36 == 0
+        assert res.err_est < 1e-14
+
+
+@pytest.mark.parametrize("c", [0.5, 1.5, 2.343, 3.0, 4.5])
+def test_rank2_matches_studentized_range(c):
+    res = mvn_rect(0.0, pairwise_corr(3), Rectangle.centered(c, 3), seed=0)
+    assert abs(res.value - studentized_range.cdf(c * np.sqrt(2), 3, np.inf)) <= 1e-12
+
+
+def _nested_quad(mean, b, lo, hi):
+    """P(lo < mean + b u < hi) for u ~ N(0, I_2), by nested quad: u2 given u1
+    inside, u1 outside.  A row of ``b`` without a u2 term bounds u1."""
+    phi = lambda u: math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    free = b[:, 1] != 0.0
+    left, right = (lo - mean) / b[:, 0], (hi - mean) / b[:, 0]
+    outer = (np.max(np.where(b[:, 0] > 0, left, right)[~free], initial=-12.0),
+             np.min(np.where(b[:, 0] > 0, right, left)[~free], initial=12.0))
+
+    def inner(u1):
+        m, c = mean[free] + b[free, 0] * u1, b[free, 1]
+        left, right = (lo[free] - m) / c, (hi[free] - m) / c
+        low, high = np.max(np.where(c > 0, left, right)), np.min(np.where(c > 0, right, left))
+        return phi(u1) * quad(phi, low, high, epsabs=1e-15)[0] if low < high else 0.0
+
+    return quad(inner, *outer, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+
+
+def _k3_factor(v):
+    """A factor b (b b^T the covariance) of the K=3 full set's differences
+    x1 - x2, x1 - x3, x2 - x3 for arm variances v, free of cancellation."""
+    s = math.sqrt(v[0] + v[1])
+    w = math.sqrt((v[0] * v[1] + v[0] * v[2] + v[1] * v[2]) / (v[0] + v[1]))
+    return np.array([[s, 0.0], [v[0] / s, w], [-v[1] / s, w]])
+
+
+def _rank2_cases():
+    """(mean, b, lo, hi) with the rows of b of unit length: every
+    sidedness, nonzero means and infinite limits, on two correlated
+    coordinates or on the singular K=3 full set with unequal variances."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for case in range(12):
+        if case % 2:
+            # the last design has one arm a million times as variable as the
+            # others, so two comparisons correlate to 1 - 5e-7: steep lines
+            b = _k3_factor([1e6, 1.0, 1.0] if case == 11 else rng.uniform(0.3, 3.0, 3))
+        else:
+            b = rng.standard_normal((2, 2))
+        b /= np.linalg.norm(b, axis=1)[:, None]
+        dim = b.shape[0]
+        c = rng.uniform(0.5, 2.8, dim)
+        if case % 4 < 2:
+            lo, hi = -c, c.copy()  # two-sided, with an open side now and then
+            hi[rng.random(dim) < 0.25] = np.inf
+        else:
+            lo, hi = np.full(dim, -np.inf), c  # one-sided
+        cases.append((rng.uniform(-0.8, 0.8, dim), b, lo, hi))
+    return cases
+
+
+def test_rank2_matches_nested_quad():
+    for mean, b, lo, hi in _rank2_cases():
+        res = mvn_rect(mean, b @ b.T, Rectangle(lo, hi), seed=0)
+        assert 36 <= res.n_points and res.err_est < 1e-12
+        assert abs(res.value - _nested_quad(mean, b, lo, hi)) <= 1e-10
+
+
 def test_coordinate_unbounded_on_both_sides_is_dropped():
     corr = np.array([[1.0, 0.5, -0.3, 0.1], [0.5, 1.0, 0.2, 0.4],
                      [-0.3, 0.2, 1.0, 0.3], [0.1, 0.4, 0.3, 1.0]])
@@ -473,8 +569,8 @@ def _honesty_cases():
     walk = TrialConfig.single_stage(2, 1.0, 10).with_stage_n(
         tuple((10 * q,) * 2 for q in range(1, 7)))
     return {
-        "k3-full-set": (pairwise_corr(3), Rectangle.centered(2.3437, 3), 5e-6,
-                        studentized_range.cdf(2.3437 * np.sqrt(2), 3, np.inf)),
+        "k4-fine": (pairwise_corr(4), Rectangle.centered(2.569, 6), 1e-5,
+                    studentized_range.cdf(2.569 * np.sqrt(2), 4, np.inf)),
         "k4-full-set": (pairwise_corr(4), Rectangle.centered(2.569, 6), 5e-5,
                         studentized_range.cdf(2.569 * np.sqrt(2), 4, np.inf)),
         "orthant": (orthant, Rectangle.below(0.0, 3), 5e-6, orthant_truth),
@@ -486,7 +582,7 @@ def _honesty_cases():
 
 
 @pytest.mark.parametrize(
-    "case", ["k3-full-set", "k4-full-set", "orthant", "k4-coarse", "staged-5d"])
+    "case", ["k4-fine", "k4-full-set", "orthant", "k4-coarse", "staged-5d"])
 def test_error_estimate_is_honest(case, monkeypatch):
     corr, rect, accuracy, truth = _honesty_cases()[case]
     evaluated = []
@@ -566,11 +662,13 @@ def _equicorrelated(dim, rho=0.5):
 
 def test_results_do_not_depend_on_call_history():
     # (corr, rect, accuracy, seed); the kernel keeps the shifts and points of
-    # its last two (seed, dimension) keys, so a warm call must give the bits
-    # of a cold one, also for a key evicted and drawn again
+    # its last (seed, dimension) key, so a warm call must give the bits of a
+    # cold one, also for a key evicted and drawn again
+    orthant = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.4], [-0.2, 0.4, 1.0]])
     cases = [
-        # integrates in one dimension; 1e-7 runs past the kept points
-        (pairwise_corr(3), Rectangle.centered(2.3437, 3), 1e-7, 0),
+        # integrates in two dimensions; 1e-7 runs past the kept points
+        (orthant, Rectangle.below(0.0, 3), 1e-7, 0),
+        # rank 2: Gauss-Legendre, between lattice calls
         (pairwise_corr(3), Rectangle.centered(2.2, 3), 1e-5, 7),
         (pairwise_corr(4), Rectangle.centered(2.569, 6), 1e-5, 0),
         # the key of the case before, another integrand
@@ -643,9 +741,9 @@ def test_kept_points_stay_under_their_bound():
         res = mvn_rect(0.0, _equicorrelated(dim + 1), Rectangle.below(2.0, dim + 1),
                        accuracy=1e-5, seed=seed)
         assert res.n_points > 12 * mvn._KEPT_POINTS
-    assert len(mvn._POINT_SETS) == mvn._KEPT_KEYS == 2
+    assert len(mvn._POINT_SETS) == mvn._KEPT_KEYS == 1
     kept = sum(array.nbytes for points in mvn._POINT_SETS.values()
                for array in (points.shifts, *points.chunks.values()))
-    # at most 2 x 12 x 4,097 x dim doubles, 4.7 MB at six dimensions
+    # at most 12 x 4,097 x dim doubles, 2.4 MB at six dimensions
     assert mvn._KEPT_POINTS == 4096
-    assert kept <= 2 * 12 * 4097 * dim * 8 < 4.8e6
+    assert kept <= 12 * 4097 * dim * 8 < 2.4e6

@@ -43,11 +43,11 @@ TWO_LOOKS = (0.5, 1.0)
 # default accuracy), one vector per class, and of one generalised vector.  A
 # refactor of the cache or the root finder that moves a single bit fails.
 K3_STAGE_BOUNDS_BITS = {
-    1: (2.2414027276049446, 2.1251010799876857),
-    2: (2.4774919740403196, 2.375933496245335),
-    3: (2.603768799620663, 2.506359402835757),
+    1: (2.2414027276049446, 2.1251187897555814),
+    2: (2.477502443696933, 2.3759258413970805),
+    3: (2.6037565009996495, 2.506368472505838),
 }
-GENERALISED_OBF_BITS = (3.0979884702268934, 2.358737094933715)
+GENERALISED_OBF_BITS = (3.095615036318835, 2.3589110827033504)
 # batch_gs_test on _pinned_batch() against gs_k3_q2: per row, the analysis at
 # which each comparison's rejection completed (0 = not rejected)
 BATCH_GS_STOPPED = [

@@ -538,11 +538,11 @@ PINNED_K3_Q2 = {
         (0.11833333333333333, 0.295, 0.49166666666666664, 0.095), 296.5
     ),
     "dunnett-gs-generalised": (
-        (0.11833333333333333, 0.37833333333333335, 0.48333333333333334, 0.02),
+        (0.11833333333333333, 0.37666666666666665, 0.485, 0.02),
         297.25,
     ),
     "combination": (
-        (0.195, 0.34, 0.4116666666666667, 0.05333333333333334),
+        (0.19666666666666666, 0.3383333333333333, 0.4116666666666667, 0.05333333333333334),
         None,
     ),
 }
