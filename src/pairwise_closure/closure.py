@@ -24,7 +24,9 @@ Subsets whose correlation matrices coincide up to relabelling share one
 critical value.  Equivalence is decided by canonicalizing the subset's
 comparison graph (arms as vertices weighted by sigma^2/n, comparisons as
 edges), which keeps the number of quantile solves far below the 2^m - 1
-subset count.
+subset count.  The canonical form is the lexicographically smallest
+relabelled graph; every relabelling of the subset's arms is scored in one
+array pass over a cached table of all of them.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ __all__ = [
 
 # Full-lattice enumeration is reserved for family sizes where 2^m stays small.
 _LATTICE_LIMIT = 12
-# Class keys try every relabelling of a subset's arms: 40,320 for eight arms,
-# nine times that for nine.
+# Class keys score every relabelling of a subset's arms in one array: 40,320
+# rows for eight arms, but 362,880 rows of up to 36 edge codes for nine.
 _KEY_ARM_LIMIT = 8
 # The step-down encodes tail sets as int64 bitmasks, one bit per comparison.
 _MASK_LIMIT = 62
@@ -95,37 +97,58 @@ def _check_subset(m: int, members: Iterable[int]) -> frozenset:
     return subset
 
 
+@functools.lru_cache(maxsize=None)
+def _relabellings(n: int, directed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every relabelling of ``n`` arms, one per row, as three read-only tables.
+
+    ``labels[r, a]`` is the new label of arm a, ``codes[r, a * n + b]`` the
+    code ``a' * n + b'`` of edge (a, b) relabelled to (a', b') (with a' < b'
+    unless ``directed``), and ``arm_at[r, l]`` the arm given label l.  Codes
+    order like the edge tuples they stand for, because every label is below n.
+    """
+    labels = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    a, b = labels[:, :, None], labels[:, None, :]
+    if not directed:
+        a, b = np.minimum(a, b), np.maximum(a, b)
+    codes = (a * n + b).reshape(len(labels), n * n)
+    arm_at = np.argsort(labels, axis=1).astype(np.int8)
+    labels.flags.writeable = codes.flags.writeable = arm_at.flags.writeable = False
+    return labels, codes, arm_at
+
+
 def _class_key(config: TrialConfig, members: tuple[int, ...]):
     """Canonical form of the subset's vertex-weighted comparison graph.
 
     Two subsets share a key exactly when some relabelling of arms carries one
     onto the other while preserving sigma_a^2 / n_a, which makes their
-    correlation matrices permutation-identical.  Every relabelling is tried,
-    so a subset spanning more than eight arms raises ``ValueError``.
+    correlation matrices permutation-identical.  The key is the smallest
+    ``(edges, weights)`` over every relabelling: the sorted relabelled edges,
+    then the vertex weights in label order.  All relabellings are scored at
+    once, each as a row of sorted edge codes followed by its weights, and the
+    key is built from the row that sorts first; tied rows give the same key.
+    A subset spanning more than eight arms raises ``ValueError``.
     """
     ii, jj = _pair_arms(config.n_arms, config.sided)
     cols = [k - 1 for k in members]
     pairs = list(zip(ii[cols].tolist(), jj[cols].tolist()))
     arms = sorted({a for pair in pairs for a in pair})
-    if len(arms) > _KEY_ARM_LIMIT:
-        raise ValueError(f"subsets spanning {len(arms)} arms are not supported "
+    if (n := len(arms)) > _KEY_ARM_LIMIT:
+        raise ValueError(f"subsets spanning {n} arms are not supported "
                          f"(at most {_KEY_ARM_LIMIT}): keying tries every relabelling")
-    v = config.arm_variances(1)
-    scale = max(v[a] for a in arms)
-    weights = {a: round(v[a] / scale, 12) for a in arms}
+    v = config.arm_variances(1)[arms]
+    weights = np.round(v / v.max(), 12)
+    index = {arm: idx for idx, arm in enumerate(arms)}
     directed = config.sided == ONE_SIDED
-    best = None
-    for perm in itertools.permutations(range(len(arms))):
-        relabel = {arm: perm[idx] for idx, arm in enumerate(arms)}
-        if directed:
-            edges = sorted((relabel[i], relabel[j]) for i, j in pairs)
-        else:
-            edges = sorted(tuple(sorted((relabel[i], relabel[j]))) for i, j in pairs)
-        w = tuple(weights[arm] for arm in sorted(arms, key=lambda a: relabel[a]))
-        cand = (tuple(edges), w)
-        if best is None or cand < best:
-            best = cand
-    return (config.sided, best)
+    labels, codes, arm_at = _relabellings(n, directed)
+    edge_codes = np.sort(codes[:, [index[i] * n + index[j] for i, j in pairs]], axis=1)
+    best = np.lexsort((*weights[arm_at].T[::-1], *edge_codes.T[::-1]))[0]
+    relabel = dict(zip(arms, labels[best].tolist()))
+    if directed:
+        edges = sorted((relabel[i], relabel[j]) for i, j in pairs)
+    else:
+        edges = sorted(tuple(sorted((relabel[i], relabel[j]))) for i, j in pairs)
+    w = tuple(weights[index[arm]] for arm in sorted(arms, key=lambda a: relabel[a]))
+    return (config.sided, (tuple(edges), w))
 
 
 def _key_correlation(key) -> CorrelationModel:

@@ -22,7 +22,7 @@ from pairwise_closure.closure import (
     tukey_global_test,
     unadjusted_test,
 )
-from pairwise_closure.model import TrialConfig, correlation
+from pairwise_closure.model import TrialConfig, _pair_arms, correlation
 
 # Frozen reference values (seed=1): one row per correlation-equivalence
 # class of the 63 subsets at K=4, equal allocation.  Columns: subset size,
@@ -41,6 +41,44 @@ K4_CLASSES = [
     (5, (1, 2, 3, 4, 5), 6, 2.515259),
     (6, (1, 2, 3, 4, 5, 6), 1, 2.569051),
 ]
+
+
+def _reference_key(config, members):
+    """The class key by brute force: build every relabelled graph as tuples
+    and keep the smallest.  The array keyer must return this exact tuple."""
+    ii, jj = _pair_arms(config.n_arms, config.sided)
+    cols = [k - 1 for k in members]
+    pairs = list(zip(ii[cols].tolist(), jj[cols].tolist()))
+    arms = sorted({a for pair in pairs for a in pair})
+    v = config.arm_variances(1)
+    scale = max(v[a] for a in arms)
+    weights = {a: round(v[a] / scale, 12) for a in arms}
+    best = None
+    for perm in itertools.permutations(range(len(arms))):
+        relabel = {arm: perm[idx] for idx, arm in enumerate(arms)}
+        if config.sided == "one-sided":
+            edges = sorted((relabel[i], relabel[j]) for i, j in pairs)
+        else:
+            edges = sorted(tuple(sorted((relabel[i], relabel[j]))) for i, j in pairs)
+        w = tuple(weights[arm] for arm in sorted(arms, key=lambda a: relabel[a]))
+        cand = (tuple(edges), w)
+        if best is None or cand < best:
+            best = cand
+    return (config.sided, best)
+
+
+def _assert_same_key(config, members):
+    key, expect = closure._class_key(config, members), _reference_key(config, members)
+    assert key == expect and repr(key) == repr(expect), members
+
+
+# sigma^2 and n per arm (first K entries): every sigma^2/n equal, partly tied
+# (arms 1-2 and 3-4 share one), and all distinct
+VARIANCE_PATTERNS = {
+    "equal": ((1.0,) * 5, (100,) * 5),
+    "partly-tied": ((1.0, 1.0, 2.0, 1.0, 1.5), (100, 100, 100, 50, 100)),
+    "distinct": ((1.0, 1.3, 0.7, 2.0, 1.6), (100, 80, 120, 90, 60)),
+}
 
 
 class TestCriticalValueTable:
@@ -148,6 +186,74 @@ class TestCriticalValueTable:
         assert repr(key) == ("('two-sided', (((0, 1), (0, 2), (1, 2)), "
                              "(np.float64(1.0), np.float64(1.0), np.float64(1.0))))")
         assert closure._derived_seed(0, key) == 1478717990
+
+    @pytest.mark.parametrize("sided, members, expect, seed", [
+        ("two-sided", (1, 3, 6, 8, 10),
+         "('two-sided', (((0, 1), (0, 2), (0, 3), (0, 4), (1, 2)), "
+         "(np.float64(0.36), np.float64(0.3), np.float64(0.5625), np.float64(0.2), "
+         "np.float64(1.0))))", 3457251618),
+        ("one-sided", (2, 5, 9, 13, 17, 20),
+         "('one-sided', (((0, 1), (0, 2), (1, 3), (2, 4), (3, 0), (4, 3)), "
+         "(np.float64(1.0), np.float64(0.5625), np.float64(0.36), np.float64(0.2), "
+         "np.float64(0.3))))", 372817304),
+    ])
+    def test_derived_seed_of_an_unequal_five_arm_subset_is_pinned(self, sided, members,
+                                                                  expect, seed):
+        cfg = TrialConfig.single_stage(5, [1.0, 1.5, 0.8, 1.2, 2.0], [100, 80, 120, 100, 60],
+                                       sided=sided)
+        key = closure._class_key(cfg, members)
+        assert repr(key) == expect
+        assert closure._derived_seed(0, key) == seed
+
+    @pytest.mark.parametrize("pattern", sorted(VARIANCE_PATTERNS))
+    @pytest.mark.parametrize("n_arms, sided", [
+        *[(k, "two-sided") for k in (2, 3, 4, 5)], *[(k, "one-sided") for k in (2, 3, 4)],
+    ])
+    def test_class_key_matches_brute_force_on_every_subset(self, n_arms, sided, pattern):
+        sigma2, n = (values[:n_arms] for values in VARIANCE_PATTERNS[pattern])
+        cfg = TrialConfig.single_stage(n_arms, sigma2, n, sided=sided)
+        for size in range(1, cfg.n_comparisons + 1):
+            for members in itertools.combinations(range(1, cfg.n_comparisons + 1), size):
+                _assert_same_key(cfg, members)
+
+    @pytest.mark.parametrize("sided", ["two-sided", "one-sided"])
+    def test_class_key_matches_brute_force_on_random_large_subsets(self, sided):
+        rng = np.random.default_rng(7)
+        # (arms in the design, arms the subset may use, subsets drawn)
+        for n_arms, n_used, count in ((6, 6, 6), (7, 7, 3), (8, 8, 1), (9, 8, 1), (9, 7, 2)):
+            sigma2 = rng.choice([0.8, 1.0, 1.5], n_arms)
+            cfg = TrialConfig.single_stage(n_arms, sigma2, rng.choice([50, 100], n_arms),
+                                           sided=sided)
+            ii, jj = _pair_arms(n_arms, sided)
+            for _ in range(count):
+                used = rng.choice(n_arms, n_used, replace=False)
+                pool = np.flatnonzero(np.isin(ii, used) & np.isin(jj, used)) + 1
+                size = rng.integers(n_used - 1, len(pool) + 1)
+                members = tuple(sorted(rng.choice(pool, size, replace=False).tolist()))
+                _assert_same_key(cfg, members)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_arms=st.integers(2, 6), sided=st.sampled_from(["two-sided", "one-sided"]),
+           data=st.data())
+    def test_class_key_is_invariant_under_arm_relabelling(self, n_arms, sided, data):
+        sigma2 = data.draw(st.lists(st.sampled_from([0.5, 1.0]) | st.floats(0.5, 2.0),
+                                    min_size=n_arms, max_size=n_arms))
+        n = data.draw(st.lists(st.sampled_from([50, 100]), min_size=n_arms, max_size=n_arms))
+        cfg = TrialConfig.single_stage(n_arms, sigma2, n, sided=sided)
+        members = data.draw(st.sets(st.integers(1, cfg.n_comparisons), min_size=1))
+        # arm a becomes arm perm[a], carrying its sigma^2 and n along
+        perm = data.draw(st.permutations(range(n_arms)))
+        moved = TrialConfig.single_stage(
+            n_arms, [sigma2[perm.index(a)] for a in range(n_arms)],
+            [n[perm.index(a)] for a in range(n_arms)], sided=sided)
+        ii, jj = _pair_arms(n_arms, sided)
+        index = {(i, j): k for k, (i, j) in enumerate(zip(ii.tolist(), jj.tolist()), 1)}
+        moved_members = []
+        for k in members:
+            i, j = perm[ii[k - 1]], perm[jj[k - 1]]
+            moved_members.append(index[(i, j) if sided == "one-sided" else (min(i, j), max(i, j))])
+        key = closure._class_key(cfg, tuple(sorted(members)))
+        assert closure._class_key(moved, tuple(sorted(moved_members))) == key
 
     @settings(max_examples=100, deadline=None)
     @given(n_arms=st.integers(2, 5), sided=st.sampled_from(["two-sided", "one-sided"]),
