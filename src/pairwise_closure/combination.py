@@ -133,6 +133,7 @@ def stage_pvalue(
     correlation stays inside the corresponding rectangle.  Uniform under the
     intersection null whatever sample size this stage used.
     """
+    stage = config._check_stage(stage)
     subset = tuple(sorted(_check_subset(config.n_comparisons, members)))
     cols = [k - 1 for k in subset]
     z_obs = float(_observed_max(config, z_row, cols))
@@ -143,7 +144,7 @@ def stage_pvalue(
         rect = _max_rect(z_obs, len(subset), config.central)
         run_seed = _derived_seed(seed, ("stage-p", _class_key(config, subset)))
         p = 1.0 - mvn_rect(0.0, corr, rect, accuracy=accuracy, seed=run_seed).value
-    return StagePValue(frozenset(subset), int(stage), float(min(max(p, 0.0), 1.0)))
+    return StagePValue(frozenset(subset), stage, float(p))
 
 
 def _coerce_weights(weights, n_stages: int) -> CombinationWeights:
@@ -366,8 +367,7 @@ class TailProbabilityTable(_ClassCache):
             vals[idx] = mvn_rect(
                 0.0, corr, rect, accuracy=self.accuracy, seed=run_seed
             ).value
-        vals = np.clip(np.maximum.accumulate(vals), 0.0, 1.0)
-        return _MonotoneCubic(grid, vals)
+        return _MonotoneCubic(grid, np.maximum.accumulate(vals))
 
     def pvalue(self, members: Iterable[int], z_obs):
         """p-values for observed subset maxima; ``z_obs`` may be an array."""

@@ -356,7 +356,7 @@ class TrialConfig:
 
     def arm_variances(self, stage: int = 1) -> np.ndarray:
         """Per-arm variance of the cumulative mean at ``stage``: sigma_i^2 / n_i."""
-        self._check_stage(stage)
+        stage = self._check_stage(stage)
         n = np.asarray(self.stage_n[stage - 1], dtype=float)
         return np.asarray(self.sigma2) / n
 
@@ -382,9 +382,11 @@ class TrialConfig:
         analysis; its allocation fractions become those of the first row."""
         return TrialConfig(self.n_arms, self.sigma2, stage_n, sided=self.sided)
 
-    def _check_stage(self, stage: int) -> None:
+    def _check_stage(self, stage: int) -> int:
+        stage = _whole(stage, "stage")
         if not (1 <= stage <= self.n_stages):
             raise ValueError(f"stage must lie in 1..{self.n_stages}, got {stage}")
+        return stage
 
     def to_dict(self) -> dict:
         return {
@@ -484,7 +486,7 @@ def z_statistics(
     list of ComparisonStats
         One entry per comparison index; z_k = (mean_i - mean_j) / sigma_p,k.
     """
-    config._check_stage(stage)
+    stage = config._check_stage(stage)
     mu = _arm_means(means, config.n_arms)
     ii, jj = _pair_arms(config.n_arms, config.sided)
     theta = mu[ii] - mu[jj]

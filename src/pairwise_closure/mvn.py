@@ -61,16 +61,14 @@ result depends on no seed.
 A root solve or a tail-table grid calls the kernel many times with one seed
 and one dimension.  So the shifts, and the shifted, tent-folded points of
 the first 4,096 lattice points, of the last ``(seed, dimension)`` key are
-kept (``_point_set``): at most 12 x 4,097 x dim doubles, 2.4 MB at six
-dimensions.  A call with a kept key reads them instead of drawing the
-shifts and building the points again, and rounds past the kept points build
-theirs as before.  One key is enough once rank-2 calls no longer use the
-lattice; a second, kept across a table build, pins a larger heap under the
-batch temporaries of a simulation.  Every integrand evaluation still runs,
-so a result does not depend on the calls before it.  Module state is safe
-here: the package runs in one process and starts no threads; for a caller
-that does, the keys change under a lock, and a kept chunk is complete
-before it is stored and never written afterwards.
+kept by a one-entry ``functools.lru_cache`` (``_point_set``): at most
+12 x 4,097 x dim doubles, 2.4 MB at six dimensions.  A call with the kept
+key reads them instead of drawing the shifts and building the points again,
+and rounds past the kept points build theirs as before.  Every integrand
+evaluation still runs, so a result does not depend on the calls before it.
+Concurrent callers need no lock: the cache stays coherent under threads,
+and when it builds one key's set twice the two sets are equal; a kept chunk
+is complete before it is stored and never written afterwards.
 
 A coordinate whose limits are both infinite is dropped, with its row and
 column, before the factorization, since its marginal probability is 1; a
@@ -96,7 +94,6 @@ usual case.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -204,10 +201,9 @@ _N_SHIFTS = 12
 _CHUNK = 1 << 10
 # lattice points of a call's first round
 _FIRST_ROUND = 1 << 6
-# lattice points, from the first, whose folded points are kept per key, and
-# the (seed, dimension) keys kept (see the module text)
+# lattice points, from the first, whose folded points are kept (see the
+# module text)
 _KEPT_POINTS = 1 << 12
-_KEPT_KEYS = 1
 # generating vector of the embedded rank-1 lattice, the first components of
 # tools/cbc_lattice.py; past six dimensions the lattice spent more points
 # than the Kronecker directions
@@ -463,23 +459,10 @@ class _PointSet:
         self.chunks: dict[tuple[int, int], np.ndarray] = {}
 
 
-# the point sets of the last _KEPT_KEYS (seed, dimension) keys, least
-# recently used first; the lock makes each lookup and eviction one step
-_POINT_SETS: dict[tuple, _PointSet] = {}
-_POINT_SETS_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=1)
 def _point_set(seed: int, dim: int) -> _PointSet:
-    """The point set of ``(seed, dim)``, kept or drawn afresh."""
-    key = (seed, dim)
-    with _POINT_SETS_LOCK:
-        points = _POINT_SETS.pop(key, None)
-        if points is None:
-            points = _PointSet(seed, dim)
-            if len(_POINT_SETS) >= _KEPT_KEYS:
-                del _POINT_SETS[next(iter(_POINT_SETS))]
-        _POINT_SETS[key] = points
-    return points
+    """The point set of ``(seed, dim)``, kept for the last key only."""
+    return _PointSet(seed, dim)
 
 
 def _round_sums(steps, rank, gen, start, stop, points: _PointSet) -> np.ndarray:
@@ -516,8 +499,9 @@ def _qmc_estimate(steps, rank, accuracy, seed, max_points):
 
     One block of ``_N_SHIFTS`` random shifts serves the whole call, and
     every call with the same seed and dimension: the shifts, and the folded
-    points of the first ``_KEPT_POINTS`` lattice points, of the last
-    ``_KEPT_KEYS`` such keys are kept (``_point_set``).  The first round has
+    points of the first ``_KEPT_POINTS`` lattice points, of the last such
+    key are kept (``_point_set``, a one-entry cache that needs no lock: two
+    sets built at once for one key are equal).  The first round has
     ``_FIRST_ROUND`` lattice points, and the lattice is extensible, so the
     points of a round contain those of the round before: each doubling
     evaluates only its new points and adds them to every shift's running

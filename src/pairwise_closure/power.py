@@ -25,6 +25,7 @@ from .model import (
     _check_alpha,
     _max_statistic,
     _real,
+    _whole,
     correlation,
     standardized_means,
 )
@@ -64,6 +65,7 @@ def lfc(n_arms: int, delta: float) -> MeanConfig:
     delta (and equal variance per arm), this one minimizes the probability
     of rejecting anything.
     """
+    n_arms = _whole(n_arms, "n_arms")
     if n_arms < 2:
         raise ValueError("need at least two arms")
     delta = _real(delta, "delta")

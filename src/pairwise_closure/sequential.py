@@ -153,7 +153,7 @@ class SpendingSchedule:
         """Kim-DeMets power spend alpha * tau^rho."""
         _check_alpha(alpha)
         rho = _real(rho, "rho")
-        if rho <= 0:
+        if not rho > 0:
             raise ValueError("rho must be positive")
         return cls.from_function(
             lambda t: alpha * t**rho, info_times, name=f"power({rho:g})"

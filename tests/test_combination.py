@@ -155,6 +155,11 @@ class TestStagePValue:
             stage_pvalue(cfg_k3_q2, [1], [0.0, 0.0])
         with pytest.raises(ValueError):
             stage_pvalue(cfg_k3_q2, [1], [np.inf, 0.0, 0.0])
+        for stage in (2.5, 0, -3, 3, True):
+            with pytest.raises(ValueError, match="stage must"):
+                stage_pvalue(cfg_k3_q2, [1, 2], [0.0, 0.0, 0.0], stage=stage)
+        assert stage_pvalue(cfg_k3_q2, [1], [1.0, 0.0, 0.0], stage=2.0) == stage_pvalue(
+            cfg_k3_q2, [1], [1.0, 0.0, 0.0], stage=2)
 
 
 class TestCombine:

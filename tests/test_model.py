@@ -322,6 +322,16 @@ def test_z_statistics_rejects_bad_input():
         z_statistics(config, [np.nan, 0.0])
     with pytest.raises(ValueError):
         z_statistics(config, [0.1, 0.2], stage=2)
+    for stage in (True, 1.5, "1", None):
+        with pytest.raises(ValueError, match="stage must be a whole number"):
+            z_statistics(config, [0.1, 0.2], stage=stage)
+        with pytest.raises(ValueError, match="stage must be a whole number"):
+            config.arm_variances(stage)
+    # a whole float reads as its int
+    staged = TrialConfig(2, (1.0, 1.0), ((50, 50), (100, 100)))
+    assert z_statistics(staged, [0.1, 0.2], stage=2.0) == z_statistics(staged, [0.1, 0.2], stage=2)
+    assert z_statistics(staged, [0.1, 0.2], stage=2.0)[0].stage == 2
+    assert staged.arm_variances(2.0).tobytes() == staged.arm_variances(2).tobytes()
 
 
 def test_correlation_equal_allocation_signs():

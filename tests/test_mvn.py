@@ -680,7 +680,7 @@ def test_results_do_not_depend_on_call_history():
     ]
     cold = []
     for corr, rect, accuracy, seed in cases:
-        mvn._POINT_SETS.clear()
+        mvn._point_set.cache_clear()
         cold.append(mvn_rect(0.0, corr, rect, accuracy=accuracy, seed=seed))
     assert cold[0].n_points > 12 * mvn._KEPT_POINTS
     order = np.random.default_rng(5).permutation(np.repeat(np.arange(len(cases)), 3))
@@ -697,7 +697,7 @@ def test_threads_sharing_the_kept_points_get_cold_results():
               seed) for n_arms in (3, 4, 5) for seed in (0, 1)]
     cold = []
     for corr, rect, seed in cases:
-        mvn._POINT_SETS.clear()
+        mvn._point_set.cache_clear()
         cold.append(mvn_rect(0.0, corr, rect, accuracy=1e-4, seed=seed))
     failures = []
 
@@ -731,19 +731,19 @@ def test_threads_sharing_the_kept_points_get_cold_results():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert len(mvn._POINT_SETS) <= mvn._KEPT_KEYS
+    assert mvn._point_set.cache_info().currsize <= 1
 
 
 def test_kept_points_stay_under_their_bound():
-    mvn._POINT_SETS.clear()
+    mvn._point_set.cache_clear()
     dim = 6
     for seed in range(3):
         res = mvn_rect(0.0, _equicorrelated(dim + 1), Rectangle.below(2.0, dim + 1),
                        accuracy=1e-5, seed=seed)
         assert res.n_points > 12 * mvn._KEPT_POINTS
-    assert len(mvn._POINT_SETS) == mvn._KEPT_KEYS == 1
-    kept = sum(array.nbytes for points in mvn._POINT_SETS.values()
-               for array in (points.shifts, *points.chunks.values()))
+    assert mvn._point_set.cache_info().currsize == 1
+    points = mvn._point_set(2, dim)
+    kept = sum(array.nbytes for array in (points.shifts, *points.chunks.values()))
     # at most 12 x 4,097 x dim doubles, 2.4 MB at six dimensions
     assert mvn._KEPT_POINTS == 4096
     assert kept <= 12 * 4097 * dim * 8 < 2.4e6

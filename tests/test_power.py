@@ -45,6 +45,10 @@ class TestLfc:
             lfc(1, 1.0)
         with pytest.raises(ValueError):
             lfc(3, 0.0)
+        for n_arms in (3.5, True, "3"):
+            with pytest.raises(ValueError, match="n_arms must be a whole number"):
+                lfc(n_arms, 0.5)
+        assert lfc(3.0, 0.5) == lfc(3, 0.5)
         with pytest.raises(ValueError):
             MeanConfig((1.0, float("nan")))
 

@@ -118,6 +118,11 @@ class TestSpendingSchedule:
         with pytest.raises(ValueError, match="rho must be a real number"):
             SpendingSchedule.power_family(0.05, TWO_LOOKS, rho=rho)
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+    def test_power_family_rho_must_be_positive(self, rho):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            SpendingSchedule.power_family(0.05, TWO_LOOKS, rho=rho)
+
     @pytest.mark.parametrize("times", [("0.5", 1.0), (0.5, True)], ids=["string", "boolean"])
     def test_information_times_must_be_real_numbers(self, times):
         with pytest.raises(ValueError, match="an information time must be a real number"):
