@@ -52,6 +52,7 @@ from .model import (
     _normal_tails,
     _pair_arms,
     _pair_correlation,
+    _whole,
     correlation,  # noqa: F401  perfbench/spans.py wraps closure.correlation
 )
 from .mvn import (
@@ -88,8 +89,9 @@ _BLOCK_ROWS = 32_768
 
 
 def _check_subset(m: int, members: Iterable[int]) -> frozenset:
-    """A nonempty subset of the comparison indices 1..m."""
-    subset = frozenset(int(k) for k in members)
+    """A nonempty subset of the comparison indices 1..m, each a whole
+    number read through ``_whole``."""
+    subset = frozenset(_whole(k, "a comparison index") for k in members)
     if not subset:
         raise ValueError("a comparison set must not be empty")
     if min(subset) < 1 or max(subset) > m:
@@ -680,7 +682,7 @@ def gatekeeping_test(
     if order is None:
         order = list(range(1, m + 1))
     else:
-        order = [int(k) for k in order]
+        order = [_whole(k, "an order entry") for k in order]
         if sorted(order) != list(range(1, m + 1)):
             raise ValueError("order must be a permutation of 1..m")
     cut = _normal_cut(alpha, 1, TWO_SIDED)

@@ -550,13 +550,14 @@ def correlation(config: TrialConfig, subset: Iterable[int]) -> CorrelationModel:
     ----------
     config : TrialConfig
     subset : iterable of int
-        Comparison indices (1-based, ordering preserved).
+        Comparison indices (1-based, ordering preserved), each a whole
+        number read through ``_whole``.
 
     Returns
     -------
     CorrelationModel
     """
-    members = np.array([int(k) for k in subset], dtype=int)
+    members = np.array([_whole(k, "a comparison index") for k in subset], dtype=int)
     if not members.size:
         raise ValueError("subset must contain at least one comparison")
     m = config.n_comparisons

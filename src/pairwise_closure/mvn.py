@@ -70,6 +70,26 @@ Concurrent callers need no lock: the cache stays coherent under threads,
 and when it builds one key's set twice the two sets are equal; a kept chunk
 is complete before it is stored and never written afterwards.
 
+Such a solve also factors one matrix again and again, changing only the
+limits.  On a symmetric box, lower == -upper after the mean is subtracted
+and the doubly infinite coordinates are dropped, every conditional offset
+of the ordered factorization is exactly zero, so the elimination does not
+depend on the limits; only the pivot picks do, through ties in each
+candidate's conditional mass, and so do the limits of the factor's rows.
+So the last factorization of the last matrix met with symmetric limits is
+kept, by a second one-entry ``functools.lru_cache`` keyed by the matrix's
+bytes and shape (``_kept_plan``): its folded rows, each step's candidates
+with their conditional standard deviations and pick, and each pivot's scale
+as computed (``_PivotPlan``).  A symmetric call scores every recorded
+candidate at its own limits in one vectorized pass and uses the plan only
+when each step's first strict minimum is the recorded pick; otherwise it
+factors the matrix as before and keeps the new plan.  Other boxes, such
+as one-sided ones and those of a power calculation, factor at every call.
+Either way a result has the bits of a fresh factorization.  No lock is
+needed: a plan is complete before it is stored and never written
+afterwards, a call reads the kept plan once, and a plan another thread
+stored in between is one of the same matrix, checked the same way.
+
 A coordinate whose limits are both infinite is dropped, with its row and
 column, before the factorization, since its marginal probability is 1; a
 group-sequential rectangle marks an analysis with nothing to spend that way.
@@ -139,9 +159,10 @@ class Rectangle:
         object.__setattr__(self, "upper", hi)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError("lower and upper must be 1-d arrays of equal length")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise ValueError("rectangle limits must not be NaN")
-        if np.any(lo > hi):
+        # one comparison on the valid path; a NaN limit fails it too
+        if not (lo <= hi).all():
+            if np.isnan(lo).any() or np.isnan(hi).any():
+                raise ValueError("rectangle limits must not be NaN")
             raise ValueError("each lower limit must not exceed its upper limit")
 
     @property
@@ -279,10 +300,14 @@ def _ordered_cholesky(corr: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     they carry exact linear constraints on the leading coordinates instead of
     integration variables.
 
-    Returns ``(cho, lo, hi, rank)``.  Rows ``0..rank-1`` are scaled so the
-    conditional standard deviation is one; rows ``rank..n-1`` hold regression
-    coefficients of the dependent coordinates on the unit innovations, with
-    unscaled limits.
+    Returns ``(cho, lo, hi, rank, pivots)``.  Rows ``0..rank-1`` are scaled
+    so the conditional standard deviation is one; rows ``rank..n-1`` hold
+    regression coefficients of the dependent coordinates on the unit
+    innovations, with unscaled limits.  ``pivots`` records how the rows were
+    chosen, for :class:`_PivotPlan`: per step the input coordinates scored
+    with their conditional standard deviations (the pick's is its scale
+    ``ck``), the position of the pick among them, and the input coordinate
+    of every row.
     """
     n = corr.shape[0]
     cho = np.array(corr, dtype=float)
@@ -291,11 +316,15 @@ def _ordered_cholesky(corr: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     y = np.zeros(n)
     sqrt_2pi = math.sqrt(2.0 * math.pi)
     rank = n
+    perm = np.arange(n)
+    scored: list[list[tuple[int, float]]] = []
+    picks: list[int] = []
     for k in range(n):
         best = -1
         best_mass = 2.0
         best_sd = 0.0
         best_lim = (0.0, 0.0)
+        step: list[tuple[int, float]] = []
         for i in range(k, n):
             if cho[i, i] <= _CHOL_TOL:
                 continue
@@ -306,9 +335,13 @@ def _ordered_cholesky(corr: np.ndarray, lower: np.ndarray, upper: np.ndarray):
             mass = ndtr(b) - ndtr(a)
             if mass < best_mass:
                 best, best_mass, best_sd, best_lim = i, mass, sd, (a, b)
+                pick = len(step)
+            step.append((int(perm[i]), sd))
         if best < 0:
             rank = k
             break
+        scored.append(step)
+        picks.append(pick)
         if best != k:
             # symmetric permutation restricted to the live lower triangle;
             # the upper triangle holds stale entries and must not leak in
@@ -318,6 +351,7 @@ def _ordered_cholesky(corr: np.ndarray, lower: np.ndarray, upper: np.ndarray):
             _swap(cho, np.s_[k + 1 : best, k], np.s_[best, k + 1 : best])
             _swap(lo, best, k)
             _swap(hi, best, k)
+            _swap(perm, best, k)
         ck = best_sd
         cho[k, k] = ck
         cho[k, k + 1 :] = 0.0
@@ -338,7 +372,7 @@ def _ordered_cholesky(corr: np.ndarray, lower: np.ndarray, upper: np.ndarray):
         hi[k] /= ck
     for k in range(rank, n):
         cho[k, rank:] = 0.0
-    return cho, lo, hi, rank
+    return cho, lo, hi, rank, (scored, picks, perm)
 
 
 def _swap(x, slc1, slc2):
@@ -351,7 +385,7 @@ class _ZeroProbability(Exception):
     """A deterministic coordinate's limits exclude its fixed value."""
 
 
-def _integration_plan(cho, lo, hi, rank):
+def _integration_plan(cho, rank):
     """Group constraints by the integration variable at which they resolve.
 
     Each pivot row t constrains its own innovation y_t directly.  A dependent
@@ -360,22 +394,92 @@ def _integration_plan(cho, lo, hi, rank):
     constraint on that final variable, so it is folded there.  The integrand
     factor for variable t is then the conditional mass of the intersection of
     every interval assigned to t.
+
+    Returns ``(folded, zero)``: per variable its constraints as ``(prefix,
+    coef, row)``, and the dependent rows that are deterministically zero.
+    :func:`_constraints` gives them their limits.
     """
-    n = lo.shape[0]
-    steps: list[list[tuple[np.ndarray, float, float, float]]] = [[] for _ in range(rank)]
-    for t in range(rank):
-        steps[t].append((cho[t, :t].copy(), 1.0, lo[t], hi[t]))
-    for d in range(rank, n):
+    folded: list[list[tuple[np.ndarray, float, int]]] = [
+        [(cho[t, :t].copy(), 1.0, t)] for t in range(rank)]
+    zero = []
+    for d in range(rank, cho.shape[0]):
         coefs = cho[d, :rank]
         nonzero = np.flatnonzero(np.abs(coefs) > _COEF_TOL)
         if nonzero.size == 0:
-            # coordinate is deterministically zero
-            if lo[d] > 0.0 or hi[d] < 0.0:
-                raise _ZeroProbability
+            zero.append(d)
             continue
         t = int(nonzero[-1])
-        steps[t].append((coefs[:t].copy(), float(coefs[t]), lo[d], hi[d]))
-    return steps
+        folded[t].append((coefs[:t].copy(), float(coefs[t]), d))
+    return folded, zero
+
+
+def _constraints(folded, zero, lo, hi):
+    """The constraints of :func:`_integration_plan` with the limits of their
+    rows: per variable a list of ``(prefix, coef, lo, hi)``."""
+    for d in zero:
+        if lo[d] > 0.0 or hi[d] < 0.0:
+            raise _ZeroProbability
+    return [[(prefix, coef, lo[row], hi[row]) for prefix, coef, row in step]
+            for step in folded]
+
+
+class _PivotPlan:
+    """One factorization of a correlation matrix whose limits are symmetric,
+    ``lo == -hi`` after the doubly infinite drop, with how its pivots were
+    picked.
+
+    On such a box every conditional offset of :func:`_ordered_cholesky` is
+    exactly zero, so the elimination does not depend on the limits: only
+    the picks do, through ties, and the plan's limits, ``lo / ck`` and
+    ``hi / ck`` on pivot rows and ``lo``, ``hi`` on dependent ones.
+    ``limits`` scores every recorded candidate at new symmetric limits in
+    one pass and returns the factorization's limits when each step's first
+    strict argmin is its recorded pick.  ``ck`` is kept as computed; any
+    value derived from it again may differ in the last bit.
+    """
+
+    __slots__ = ("folded", "zero", "rank", "perm", "ck", "cand", "sd", "ref", "before")
+
+    def __init__(self, folded, zero, rank, pivots) -> None:
+        scored, picks, perm = pivots
+        self.folded, self.zero, self.rank, self.perm = folded, zero, rank, perm
+        self.ck = np.array([step[pick][1] for step, pick in zip(scored, picks)])
+        flat = [scores for step in scored for scores in step]
+        self.cand = np.array([coord for coord, _ in flat], dtype=np.intp)
+        self.sd = np.array([sd for _, sd in flat])
+        # per candidate, the index of its step's pick; and the candidates
+        # scored before their step's pick, which must score strictly more
+        starts = np.cumsum([0] + [len(step) for step in scored])
+        self.ref = np.repeat(starts[:-1] + picks, np.diff(starts))
+        self.before = np.flatnonzero(np.arange(starts[-1]) < self.ref)
+
+    def limits(self, lo, hi):
+        """``(lo, hi)`` of the factorization at these symmetric limits, or
+        None when a fresh one would pick other pivots."""
+        mass = ndtr(hi[self.cand] / self.sd) - ndtr(lo[self.cand] / self.sd)
+        picked = mass[self.ref]
+        if not ((mass >= picked).all() and (mass[self.before] > picked[self.before]).all()):
+            return None
+        lo, hi = lo[self.perm], hi[self.perm]
+        lo[: self.rank] /= self.ck
+        hi[: self.rank] /= self.ck
+        return lo, hi
+
+
+class _KeptPlan:
+    """The last :class:`_PivotPlan` of one matrix, replaced by every call
+    that factors it again."""
+
+    __slots__ = ("plan",)
+
+    def __init__(self) -> None:
+        self.plan: _PivotPlan | None = None
+
+
+@lru_cache(maxsize=1)
+def _kept_plan(matrix_bytes: bytes, shape: tuple[int, int]) -> _KeptPlan:
+    """The plan slot of a matrix, kept for the last matrix only."""
+    return _KeptPlan()
 
 
 def _first_interval(constraints) -> tuple[float, float]:
@@ -398,7 +502,7 @@ def _first_factor(constraints) -> tuple[float, float]:
     """``(ndtr(a), mass)`` of variable 0 on its interval (a, b)."""
     a, b = _first_interval(constraints)
     ca = ndtr(a)
-    return ca, float(np.clip(ndtr(b) - ca, 0.0, 1.0))
+    return ca, float(min(max(ndtr(b) - ca, 0.0), 1.0))
 
 
 def _evaluate(steps, rank: int, x: np.ndarray) -> np.ndarray:
@@ -547,20 +651,32 @@ def _rank2_estimate(steps):
     a0, b0 = max(a0, -_Y_MAX), min(b0, _Y_MAX)
     if not a0 < b0:
         return 0.0, 1e-16, 0
-    slope, lower, upper = np.array(
-        [(-p[0] / c, (lo if c > 0 else hi) / c, (hi if c > 0 else lo) / c)
-         for p, c, lo, hi in steps[1]]).T
+    slope, lower, upper = np.empty((3, len(steps[1])))
+    for j, (p, c, lo, hi) in enumerate(steps[1]):
+        slope[j] = -p[0] / c
+        lower[j] = (lo if c > 0 else hi) / c
+        upper[j] = (hi if c > 0 else lo) / c
     alpha, beta = np.concatenate((lower, upper)), np.concatenate((slope, slope))
     with np.errstate(divide="ignore", invalid="ignore"):
         cuts = np.concatenate((_GRID, ((_GRID[:, None] - alpha) / beta).ravel(),
                                ((alpha - alpha[:, None]) / (beta[:, None] - beta)).ravel()))
     # NaN and infinite cuts, from parallel or infinite lines, fall out here
-    cuts = np.unique(np.concatenate(((a0, b0), cuts[(cuts > a0) & (cuts < b0)])))
+    cuts = np.concatenate(((a0, b0), cuts[(cuts > a0) & (cuts < b0)]))
+    cuts.sort()
+    cuts = cuts[np.concatenate(((True,), cuts[1:] != cuts[:-1]))]
     half = 0.5 * np.diff(cuts)
     y = (cuts[:-1] + half)[:, None] + half[:, None] * _GL_NODES
-    lo_v = (lower[:, None, None] + slope[:, None, None] * y).max(axis=0)
-    hi_v = (upper[:, None, None] + slope[:, None, None] * y).min(axis=0)
-    f = np.exp(-0.5 * y * y) * np.maximum(ndtr(hi_v) - ndtr(lo_v), 0.0)
+    # the largest lower line and the smallest upper one, a line at a time
+    line = slope[0] * y
+    lo_v, hi_v = line + lower[0], line + upper[0]
+    for j in range(1, slope.size):
+        np.multiply(slope[j], y, out=line)
+        np.maximum(lo_v, line + lower[j], out=lo_v)
+        np.minimum(hi_v, line + upper[j], out=hi_v)
+    mass = ndtr(hi_v, out=hi_v)
+    mass -= ndtr(lo_v, out=lo_v)
+    f = np.exp(-0.5 * y * y)
+    f *= np.maximum(mass, 0.0, out=mass)
     sums = half @ f / math.sqrt(2.0 * math.pi)
     n = _GL_SIZES[0]
     value = float(sums[:n] @ _GL_WEIGHTS[:n])
@@ -633,8 +749,13 @@ def mvn_rect(
     dim = model.dim
     if rect.dim != dim:
         raise ValueError(f"rectangle dimension {rect.dim} does not match matrix {dim}")
-    mu = np.broadcast_to(np.asarray(mean, dtype=float), (dim,))
-    if not np.all(np.isfinite(mu)):
+    if isinstance(mean, (int, float)):
+        mu = float(mean)
+        finite = math.isfinite(mu)
+    else:
+        mu = np.broadcast_to(np.asarray(mean, dtype=float), (dim,))
+        finite = np.isfinite(mu).all()
+    if not finite:
         raise ValueError("mean must be finite")
     lo = rect.lower - mu
     hi = rect.upper - mu
@@ -644,12 +765,24 @@ def mvn_rect(
     if keep.size == 0:
         return ProbResult(1.0, 0.0, 0)
     if keep.size == 1:
-        value = float(np.clip(ndtr(hi[0]) - ndtr(lo[0]), 0.0, 1.0))
+        value = float(min(max(ndtr(hi[0]) - ndtr(lo[0]), 0.0), 1.0))
         return ProbResult(value, 1e-15, 0)
     matrix = model.matrix if keep.size == dim else model.matrix[np.ix_(keep, keep)]
-    cho, tlo, thi, rank = _ordered_cholesky(matrix, lo, hi)
+    # a symmetric box, finite after the drop, may reuse the matrix's last
+    # plan (see the module text)
+    kept = _kept_plan(matrix.tobytes(), matrix.shape) if (lo == -hi).all() else None
+    plan = kept.plan if kept is not None else None
+    limits = plan.limits(lo, hi) if plan is not None else None
+    if limits is None:
+        cho, tlo, thi, rank, pivots = _ordered_cholesky(matrix, lo, hi)
+        folded, zero = _integration_plan(cho, rank)
+        if kept is not None:
+            kept.plan = _PivotPlan(folded, zero, rank, pivots)
+    else:
+        tlo, thi = limits
+        folded, zero, rank = plan.folded, plan.zero, plan.rank
     try:
-        steps = _integration_plan(cho, tlo, thi, rank)
+        steps = _constraints(folded, zero, tlo, thi)
     except _ZeroProbability:
         return ProbResult(0.0, 0.0, 0)
     if rank == 2:
@@ -659,7 +792,7 @@ def mvn_rect(
                                 f"Gauss-Legendre rules (error estimate {err:.2e})")
     else:
         value, err, spent = _qmc_estimate(steps, rank, accuracy, seed, max_points)
-    return ProbResult(float(np.clip(value, 0.0, 1.0)), err, spent)
+    return ProbResult(float(min(max(value, 0.0), 1.0)), err, spent)
 
 
 def equicoord_quantile(

@@ -146,6 +146,16 @@ class TestCriticalValueTable:
         with pytest.raises(ValueError):
             table_k4.value([7])
 
+    @pytest.mark.parametrize("members", [["2", 1], [1.7, 2], [True, 2], [1, None]],
+                             ids=["string", "fraction", "boolean", "none"])
+    def test_comparison_indices_must_be_whole_numbers(self, table_k4, members):
+        with pytest.raises(ValueError, match="^a comparison index must be a whole number, got "):
+            table_k4.value(members)
+
+    def test_whole_float_and_numpy_indices_read_as_ints(self, table_k4):
+        value = table_k4.value([1, 2])
+        assert table_k4.value([2.0, 1.0]) == table_k4.value([np.int64(2), 1]) == value
+
     def test_alpha_validation(self, cfg_k4):
         with pytest.raises(ValueError):
             critical_values(cfg_k4, 0.0)
@@ -710,6 +720,17 @@ class TestComparators:
     def test_gatekeeping_rejects_order_that_is_not_a_permutation(self):
         with pytest.raises(ValueError):
             gatekeeping_test([1.0, 2.0], 0.05, order=[1, 1])
+
+    @pytest.mark.parametrize("order", [[1, 2.5, 3], ["3", 1, 2], [3, True, 2]],
+                             ids=["fraction", "string", "boolean"])
+    def test_gatekeeping_order_entries_must_be_whole_numbers(self, order):
+        with pytest.raises(ValueError, match="^an order entry must be a whole number, got "):
+            gatekeeping_test([3.0, 0.1, 4.0], 0.05, order=order)
+
+    def test_gatekeeping_whole_float_order_reads_as_ints(self):
+        decision = gatekeeping_test([3.0, 0.1, 4.0], 0.05, order=[3.0, np.int64(1), 2])
+        assert decision == gatekeeping_test([3.0, 0.1, 4.0], 0.05, order=[3, 1, 2])
+        assert decision.meta["order"] == [3, 1, 2]
 
     def test_comparator_local_covers_every_subset(self, cfg_k4, table_k4):
         rng = np.random.default_rng(34)

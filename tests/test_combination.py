@@ -133,6 +133,18 @@ class TestStagePValue:
         both = stage_pvalue(cfg, [1, 2], [1.5, -1.5])
         assert both.p == pytest.approx(2.0 * (1.0 - ndtr(1.5)), abs=2e-4)
 
+    @pytest.mark.parametrize("members", [["2", 1.7, True], [1, 2.5], [True, 2]],
+                             ids=["mixed", "fraction", "boolean"])
+    def test_comparison_indices_must_be_whole_numbers(self, cfg_k3_q2, members):
+        with pytest.raises(ValueError, match="^a comparison index must be a whole number, got "):
+            stage_pvalue(cfg_k3_q2, members, [0.5, 1.0, 2.0])
+
+    def test_whole_float_and_numpy_indices_read_as_ints(self, cfg_k3_q2):
+        z = [0.5, 1.0, 2.0]
+        got = stage_pvalue(cfg_k3_q2, [1, 2], z)
+        assert stage_pvalue(cfg_k3_q2, [2.0, 1.0], z) == got
+        assert stage_pvalue(cfg_k3_q2, [np.int64(2), 1], z) == got
+
     def test_zero_statistic_gives_p_one(self, cfg_k3_q2):
         assert stage_pvalue(cfg_k3_q2, [1, 2, 3], [0.0, 0.0, 0.0]).p == 1.0
 

@@ -342,6 +342,21 @@ def test_correlation_equal_allocation_signs():
     assert correlation(config, [1, 3]).matrix[0, 1] == pytest.approx(-0.5)
 
 
+@pytest.mark.parametrize("subset", [["3", 2], [3, 2.9], [True, 3]],
+                         ids=["string", "fraction", "boolean"])
+def test_correlation_indices_must_be_whole_numbers(subset):
+    config = TrialConfig.single_stage(3, 1.0, 30)
+    with pytest.raises(ValueError, match="^a comparison index must be a whole number, got "):
+        correlation(config, subset)
+
+
+def test_correlation_reads_whole_float_and_numpy_indices_as_ints():
+    config = TrialConfig.single_stage(3, (1.0, 2.0, 3.0), (10, 20, 30))
+    matrix = correlation(config, [3, 2]).matrix
+    for subset in ([3.0, 2.0], [np.int64(3), 2]):
+        assert correlation(config, subset).matrix.tobytes() == matrix.tobytes()
+
+
 def test_correlation_disjoint_pairs():
     config = TrialConfig.single_stage(4, 1.0, 30)
     # (1,2) vs (3,4) share no arm

@@ -660,10 +660,18 @@ def _equicorrelated(dim, rho=0.5):
     return np.full((dim, dim), rho) + (1.0 - rho) * np.eye(dim)
 
 
+def _cold(corr, rect, accuracy, seed):
+    # a call that finds neither kept points nor a kept pivot plan
+    mvn._point_set.cache_clear()
+    mvn._kept_plan.cache_clear()
+    return mvn_rect(0.0, corr, rect, accuracy=accuracy, seed=seed)
+
+
 def test_results_do_not_depend_on_call_history():
     # (corr, rect, accuracy, seed); the kernel keeps the shifts and points of
-    # its last (seed, dimension) key, so a warm call must give the bits of a
-    # cold one, also for a key evicted and drawn again
+    # its last (seed, dimension) key and the pivot plan of its last matrix,
+    # so a warm call must give the bits of a cold one, also for a key
+    # evicted and drawn again
     orthant = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.4], [-0.2, 0.4, 1.0]])
     cases = [
         # integrates in two dimensions; 1e-7 runs past the kept points
@@ -678,10 +686,7 @@ def test_results_do_not_depend_on_call_history():
         # seven dimensions: Kronecker directions
         (_equicorrelated(8), Rectangle.centered(2.6, 8), 1e-4, 3),
     ]
-    cold = []
-    for corr, rect, accuracy, seed in cases:
-        mvn._point_set.cache_clear()
-        cold.append(mvn_rect(0.0, corr, rect, accuracy=accuracy, seed=seed))
+    cold = [_cold(corr, rect, accuracy, seed) for corr, rect, accuracy, seed in cases]
     assert cold[0].n_points > 12 * mvn._KEPT_POINTS
     order = np.random.default_rng(5).permutation(np.repeat(np.arange(len(cases)), 3))
     for i in order:
@@ -695,10 +700,7 @@ def test_threads_sharing_the_kept_points_get_cold_results():
     # would raise or change a result
     cases = [(pairwise_corr(n_arms), Rectangle.centered(2.4, n_arms * (n_arms - 1) // 2),
               seed) for n_arms in (3, 4, 5) for seed in (0, 1)]
-    cold = []
-    for corr, rect, seed in cases:
-        mvn._point_set.cache_clear()
-        cold.append(mvn_rect(0.0, corr, rect, accuracy=1e-4, seed=seed))
+    cold = [_cold(corr, rect, 1e-4, seed) for corr, rect, seed in cases]
     failures = []
 
     keys = [(seed, dim) for seed in range(3) for dim in (1, 2)]
@@ -732,6 +734,7 @@ def test_threads_sharing_the_kept_points_get_cold_results():
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     assert mvn._point_set.cache_info().currsize <= 1
+    assert mvn._kept_plan.cache_info().currsize <= 1
 
 
 def test_kept_points_stay_under_their_bound():
@@ -747,3 +750,74 @@ def test_kept_points_stay_under_their_bound():
     # at most 12 x 4,097 x dim doubles, 2.4 MB at six dimensions
     assert mvn._KEPT_POINTS == 4096
     assert kept <= 12 * 4097 * dim * 8 < 2.4e6
+
+
+def _reference_boxes():
+    """(name, corr, half-widths per call): seeded subsets of 2..m comparisons
+    at K = 3, 4 and 5, with equal and unequal sigma^2 / n, and a staged
+    matrix with its own half-width per look, swept in c."""
+    rng = np.random.default_rng(24)
+    sweep = [0.0, 8.0, 1.3, 2.2, 0.0, 2.9, 3.6, 8.0, 0.4]
+    configs = [TrialConfig.single_stage(3, 1.0, 50),
+               TrialConfig.single_stage(3, (1.0, 1.7, 0.8), (40, 60, 50)),
+               TrialConfig.single_stage(4, 1.0, 40),
+               TrialConfig.single_stage(4, (1.2, 0.6, 2.0, 1.0), (50, 30, 70, 40)),
+               TrialConfig.single_stage(5, 1.0, 60),
+               TrialConfig.single_stage(5, (1.0, 2.0, 0.5, 1.3, 0.9), (30, 60, 50, 45, 70))]
+    for config in configs:
+        m = config.n_comparisons
+        for size in range(2, m + 1):
+            members = rng.choice(np.arange(1, m + 1), size, replace=False)
+            yield (f"K{config.n_arms}-{sorted(members.tolist())}", correlation(config, members),
+                   [np.full(size, c) for c in sweep])
+    staged = TrialConfig.single_stage(3, (1.0, 1.7, 0.8), (40, 60, 50)).with_stage_n(
+        ((40, 60, 50), (80, 120, 100)))
+    yield ("staged", joint_covariance(staged),
+           [np.repeat([first, c], 3) for first in (2.6, np.inf) for c in sweep])
+
+
+def test_a_kept_pivot_plan_gives_the_bits_of_a_fresh_factorization(monkeypatch):
+    # every call runs warm, after the calls before it on the same matrix,
+    # and again cold; c = 0 ties every pick, so a plan kept from another c
+    # is refused there and the matrix is factored again
+    reused = []
+    limits = mvn._PivotPlan.limits
+
+    def counting(plan, lo, hi):
+        found = limits(plan, lo, hi)
+        reused.append(found is not None)
+        return found
+
+    monkeypatch.setattr(mvn._PivotPlan, "limits", counting)
+    warm, cases = [], []
+    mvn._kept_plan.cache_clear()
+    for name, corr, widths in _reference_boxes():
+        accuracy = 1e-4 if np.linalg.matrix_rank(corr) <= 3 else 1e-3
+        for upper in widths:
+            rect = Rectangle(-upper, upper)
+            warm.append(mvn_rect(0.0, corr, rect, accuracy=accuracy, seed=5))
+            cases.append((name, upper, corr, rect, accuracy))
+    assert any(reused) and not all(reused)
+    for res, (name, upper, corr, rect, accuracy) in zip(warm, cases):
+        cold = _cold(corr, rect, accuracy, 5)
+        assert (res.value, res.err_est, res.n_points) == (
+            cold.value, cold.err_est, cold.n_points), (name, upper)
+
+
+@pytest.mark.parametrize("config", [TrialConfig.single_stage(3, 1.0, 50),
+                                    TrialConfig.single_stage(3, (1.0, 1.7, 0.8), (40, 60, 50))],
+                         ids=["equal", "unequal"])
+def test_a_two_sided_solve_factors_its_matrix_at_most_twice(config, monkeypatch):
+    factored, calls = [], []
+    factor, rect = mvn._ordered_cholesky, mvn.mvn_rect
+    monkeypatch.setattr(mvn, "_ordered_cholesky",
+                        lambda *args: factored.append(1) or factor(*args))
+    monkeypatch.setattr(mvn, "mvn_rect", lambda *args, **kw: calls.append(1) or rect(*args, **kw))
+    mvn._kept_plan.cache_clear()
+    equicoord_quantile(correlation(config, [1, 2, 3]), 0.95, seed=1)
+    assert len(calls) > 10 and len(factored) <= 2
+    # a one-sided box keeps no plan: one factorization per evaluation
+    factored.clear()
+    calls.clear()
+    equicoord_quantile(correlation(config, [1, 2, 3]), 0.95, seed=1, tail="upper")
+    assert len(factored) == len(calls) > 10

@@ -4,6 +4,8 @@ Two checkouts whose outputs agree to the last bit print the same digest; a
 change that moves any covered value, even in its last bit, changes it.  It
 covers what the perfbench digests do not: ``lfc_check`` in its three modes,
 disjunctive power by quadrature and by simulation, ``tukey_global_test``,
+the critical values of every subset of a two-sided K=3 design with equal
+and with unequal variances,
 ``closed_test(method="lattice")`` with every local decision, ``sample_size``,
 the staged statistics, flexible and stage-wise p-values on a two-sided, a
 one-sided and a three-look unequal-variance design, the tail probability
@@ -163,6 +165,9 @@ def outputs() -> dict:
         for d in (closed_test(z, table_k4, method="lattice")
                   for z in ([0.4, -1.1, 0.2, 2.1, -0.3, 0.9], z_k4))
     ]
+    # every subset of a two-sided K=3 design, equal and unequal variances
+    out["critical_values"] = [critical_values(cfg, 0.05, seed=1, accuracy=acc).entries()
+                              for cfg in (k3, k3_unequal)]
     out["sample_size"] = [
         sample_size(k3, lfc(3, 0.5), seed=1, accuracy=acc),
         sample_size(k3_unequal, (0.4, 0.0, 0.2), power_target=0.8, seed=2, accuracy=acc),
