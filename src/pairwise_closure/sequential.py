@@ -438,14 +438,16 @@ def gs_closed_test(data: StageData, boundaries: BoundarySchedule) -> ClosureDeci
 
 
 def batch_gs_test(
-    z_cum: np.ndarray, boundaries: BoundarySchedule
+    z_cum: np.ndarray, boundaries: BoundarySchedule, *, _stat: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`gs_closed_test` over many replicates.
 
     ``z_cum`` has shape (replicates, analyses, comparisons) of cumulative
     statistics, which must be finite.  Returns ``(rejected, stopped)``: a
     boolean rejection matrix and an integer matrix of the analyses at which
-    each rejection completed (0 where not rejected).
+    each rejection completed (0 where not rejected).  ``_stat``, when given,
+    is ``z_cum``'s max-test statistics (|z| for two-sided families) already
+    formed by the caller, which the simulator shares between its rules.
     """
     z = np.asarray(z_cum, dtype=float)
     config = boundaries.config
@@ -456,7 +458,8 @@ def batch_gs_test(
         )
     if not 1 <= z.shape[1] <= config.n_stages:
         raise ValueError("number of analyses exceeds the planned schedule")
-    return _closure_rule(_max_statistic(z, config.sided), _first_crossings(boundaries, z.shape[1]))
+    stat = _max_statistic(z, config.sided) if _stat is None else _stat
+    return _closure_rule(stat, _first_crossings(boundaries, z.shape[1]))
 
 
 def drop_treatments(decision: ClosureDecision, config: TrialConfig) -> set[int]:

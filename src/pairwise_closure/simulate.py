@@ -41,17 +41,9 @@ from .model import (
 from .mvn import DEFAULT_ACCURACY, NumericsError
 from .sequential import SpendingSchedule, _first_crossing, batch_gs_test, gs_boundaries
 
-PROCEDURES = (
-    "dunnett",
-    "global",
-    "bonferroni",
-    "unadjusted",
-    "gatekeeping",
-    "dunnett-gs",
-    "dunnett-gs-generalised",
-    "combination",
-)
+_SINGLE_STAGE = ("dunnett", "global", "bonferroni", "unadjusted", "gatekeeping")
 _STAGED = ("dunnett-gs", "dunnett-gs-generalised")
+PROCEDURES = (*_SINGLE_STAGE, *_STAGED, "combination")
 _CHUNK = 200_000
 # a schedule's total spend may miss alpha by this much: the O'Brien-Fleming
 # spend at alpha 0.05 totals 0.050000000000000044
@@ -65,8 +57,10 @@ class SimScenario:
     ``accuracy`` is the quadrature accuracy of the closure table and the
     boundary solves.  The ``combination`` rule's tail probability table keeps
     its own default of 1e-4: each class of that table takes 161 grid solves
-    (321 one-sided), and at the simulation default of 1e-5 they cost several
-    times more (4.6x for the two-sided full set at K=4, 6.5x at K=5).
+    (321 one-sided).  At K=3 every class has rank 2 and is integrated
+    exactly, so the accuracy costs nothing there, but from K=4 the solves
+    cost several times more at the simulation default of 1e-5 (two-look
+    full set: 0.13 s at K=4 against 0.72 s).
     """
 
     config: TrialConfig
@@ -205,16 +199,18 @@ def _build_resources(scenario: SimScenario) -> dict[str, Callable]:
 
     Each procedure's table, boundaries or cut is built here once and shared
     by every replicate; the two Dunnett-type single-stage procedures share
-    one table, and the two staged procedures one boundary schedule; the
-    single-stage rules share one array of final statistics per chunk.
+    one table, and the two staged procedures one boundary schedule; per
+    chunk, the single-stage rules share one array of final statistics and
+    the staged rules one array of cumulative ones.
     ``rule(z_cum, z_stage)`` returns the (replicates, m) rejection matrix
     and, for staged procedures, the stopping stages (None otherwise).  The
     comparator cuts and the fixed-sequence rule are those of the
     single-trial tests in ``closure``.  ``scenario.accuracy`` sets the
     closure table and the boundary solves; the ``combination`` rule's
     :class:`~pairwise_closure.combination.TailProbabilityTable` is solved at
-    its own 1e-4, since its 161 grid solves per class (321 one-sided) would
-    cost several times more at the simulation default of 1e-5.
+    its own 1e-4, since from K=4 its 161 grid solves per class (321
+    one-sided) would cost several times more at the simulation default of
+    1e-5; at K=3 they are exact at any accuracy.
 
     ``global`` and ``dunnett-gs-generalised`` read one full-set cut for
     every subset.  A superset's maximum is never below a member's
@@ -229,16 +225,30 @@ def _build_resources(scenario: SimScenario) -> dict[str, Callable]:
     tags = scenario.procedures
     solve = {"seed": scenario.seed, "accuracy": scenario.accuracy}
 
-    final: dict = {}
+    def per_chunk(form, readers):
+        # form(z_cum) once for each z_cum handed to the rules that read it;
+        # the last of those lets it go, so it does not sit beside the
+        # temporaries of the rules that follow
+        kept: dict = {}
+
+        def formed(z_cum):
+            if kept.get("z_cum") is not z_cum:
+                kept.update(z_cum=z_cum, value=form(z_cum), left=readers)
+            kept["left"] -= 1
+            value = kept["value"]
+            if not kept["left"]:
+                kept.clear()
+            return value
+        return formed
+
+    final_stat = per_chunk(lambda z_cum: _max_statistic(z_cum[:, -1, :], sided),
+                           sum(tag in tags for tag in _SINGLE_STAGE))
+    staged_stat = per_chunk(lambda z_cum: _max_statistic(z_cum, sided),
+                            sum(tag in tags for tag in _STAGED))
 
     def single(decide):
-        # single-analysis rules read the final statistics, formed once for
-        # each z_cum they are handed
-        def rule(z_cum, z_stage):
-            if final.get("z_cum") is not z_cum:
-                final.update(z_cum=z_cum, stat=_max_statistic(z_cum[:, -1, :], sided))
-            return decide(final["stat"]), None
-        return rule
+        # single-analysis rules read the final statistics
+        return lambda z_cum, z_stage: (decide(final_stat(z_cum)), None)
 
     cut_one = _normal_cut(alpha, 1, sided)
     cut_all = _normal_cut(alpha, m, sided)
@@ -258,13 +268,14 @@ def _build_resources(scenario: SimScenario) -> dict[str, Callable]:
         bounds = gs_boundaries(cfg, scenario.spending, **solve)
     if "dunnett-gs" in tags:
         bounds.entries()
-        rules["dunnett-gs"] = lambda z_cum, z_stage: batch_gs_test(z_cum, bounds)
+        rules["dunnett-gs"] = lambda z_cum, z_stage: batch_gs_test(
+            z_cum, bounds, _stat=staged_stat(z_cum))
     if "dunnett-gs-generalised" in tags:
         full_bounds = bounds.value(bounds.full_set())
 
         def generalised(z_cum, z_stage):
             # (replicates, m, analyses): each comparison's own statistic
-            own = np.swapaxes(_max_statistic(z_cum, sided), 1, 2)
+            own = np.swapaxes(staged_stat(z_cum), 1, 2)
             first = _first_crossing(own, full_bounds)
             return first > 0, first
 

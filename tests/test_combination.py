@@ -11,19 +11,22 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
-from pairwise_closure.closure import _all_subsets, closed_test
+from pairwise_closure.closure import _all_subsets, _closure_rule, closed_test
 from pairwise_closure.combination import (
     CombinationWeights,
     StagePValue,
     TailProbabilityTable,
     _MonotoneCubic,
+    _score,
+    _singleton_p,
     batch_flexible_test,
     combine,
     flexible_closed_test,
     stage_pvalue,
 )
-from pairwise_closure.model import TrialConfig
+from pairwise_closure.model import TrialConfig, _max_statistic
 from pairwise_closure.sequential import StageData
+from pairwise_closure.simulate import simulate_statistics
 
 # Empirical tail oracle: P(max |Z| > 2.0) for the three pairwise statistics
 # of three equally sized arms, from 10^7 draws (seed 20260814); the standard
@@ -36,14 +39,15 @@ COMBINED_05_05 = 0.010004627
 
 # Exact bits of the combination layer: a refactor that moves any of them
 # fails here.
-# tail_table.pvalue over np.linspace(0.5, 3.5, 7), for {1, 2, 3} and {1, 3}
+# tail_table.pvalue over np.linspace(0.5, 3.5, 7), for {1, 2, 3} and {1, 3}:
+# grid nodes, where Phi(-h) round-trips the exact 1 - G to within 6e-17
 TAIL_PVALUE_BITS = {
     (1, 2, 3): [0.8713081045015412, 0.5768469553307594, 0.29090495566052443,
-                0.11218311427809713, 0.033241803469498676, 0.007608050218787188,
-                0.0013515137632374996],
+                0.11218311427809718, 0.03324180346949865, 0.007608050218787195,
+                0.0013515137632375005],
     (1, 3): [0.8349147393086678, 0.502028222160792, 0.23023811187115584,
-             0.08288814738035732, 0.023499883060959736, 0.005235812659905803,
-             0.000915762745655857],
+             0.08288814738035738, 0.023499883060959726, 0.005235812659905797,
+             0.0009157627456558573],
 }
 # flexible_closed_test combined p-values on PINNED_STAGE_Z (both stages)
 PINNED_STAGE_Z = np.array([[2.4, -0.3, 1.1], [2.0, 0.8, -1.6]])
@@ -380,6 +384,21 @@ class TestTailProbabilityTable:
             tail_table.pvalue([9], 1.0)
 
 
+    @pytest.mark.parametrize("sided, members", [("two-sided", [1, 2]),
+                                                ("two-sided", [1, 2, 3]),
+                                                ("one-sided", [1, 4])])
+    def test_scores_where_g_rises_from_zero(self, sided, members):
+        # G is zero up to c = 0, and the score climbs from -inf over the
+        # next intervals; {1, 4} holds both directions of the first pair
+        cfg = TrialConfig.single_stage(3, 1.0, 50, sided=sided)
+        table = TailProbabilityTable(cfg, seed=5)
+        z = np.linspace(0.002, 0.2, 34)
+        exact = [_score(stage_pvalue(cfg, members, np.full(cfg.n_comparisons, v)).p)
+                 for v in z]
+        assert np.abs(table.score(members, z) - exact).max() < 5e-3
+        if sided == "one-sided":
+            assert table.pvalue(members, -0.5) == 1.0 - 1e-16
+
     def test_pvalue_bits_are_pinned(self, tail_table):
         z = np.linspace(0.5, 3.5, 7)
         for members, expect in TAIL_PVALUE_BITS.items():
@@ -549,6 +568,60 @@ class TestBatchFlexibleTest:
             batch_flexible_test(
                 np.zeros((5, 2, 3)), cfg_k3_q2, alpha=1.5, table=tail_table
             )
+
+
+class TestScoreScaleRule:
+    """The batch rule sums tabulated scores h = -Phi^{-1}(1 - G) against
+    Phi^{-1}(1 - alpha).  The rule it replaced interpolated G itself and
+    combined 1 - G through :func:`combine`; both are rebuilt here from the
+    same grid solves.  Where they differ, the new decision is the exact one
+    (from :func:`stage_pvalue`), or some subset's exact combined score lies
+    within EPS of the cut."""
+
+    EPS = 1e-3
+    MOVED_AT_MOST = 2
+
+    @pytest.mark.parametrize("sided", ["two-sided", "one-sided"])
+    def test_decisions_move_only_at_the_cut(self, sided, monkeypatch):
+        cfg = TrialConfig.single_stage(3, 1.0, 50, sided=sided).with_stage_n(
+            ((50, 50, 50), (100, 100, 100)))
+        nodes = {}
+        probabilities = TailProbabilityTable._probabilities
+
+        def recording(table, key):
+            nodes[key] = probabilities(table, key)
+            return nodes[key]
+
+        monkeypatch.setattr(TailProbabilityTable, "_probabilities", recording)
+        table = TailProbabilityTable(cfg, seed=5)
+        weights = CombinationWeights.from_information(cfg)
+        alpha, cut = 0.05, -ndtri(0.05)
+        # strong effects, so that a stage far past the cut meets a stage
+        # whose statistics are near zero
+        _, z = simulate_statistics(cfg, (0.6, 0.0, 0.3), 20_000, seed=3)
+        new = batch_flexible_test(z, cfg, weights, alpha, table=table)
+        grid = table._grid()
+
+        def stage_ps(subset, top):
+            if len(subset) == 1:
+                return [_singleton_p(top[:, q], cfg.sided) for q in range(2)]
+            table.value(subset)
+            g = _MonotoneCubic(grid, nodes[table._key(frozenset(subset))])
+            return [np.clip(1.0 - g(np.clip(top[:, q], grid[0], grid[-1])), 0.0, 1.0)
+                    for q in range(2)]
+
+        old = _closure_rule(_max_statistic(z, cfg.sided),
+                            lambda s, top: combine(stage_ps(s, top), weights) < alpha)[0]
+        assert 0 < new.sum() < new.size
+        moved = np.flatnonzero((new != old).any(axis=1))
+        assert len(moved) <= self.MOVED_AT_MOST
+        for row in moved:
+            exact = flexible_closed_test(StageData(cfg, z[row], z[row]), weights)
+            scores = [sum(w * _score(stage_pvalue(cfg, s, z[row, q]).p)
+                          for q, w in enumerate(weights.weights))
+                      for s in _all_subsets(cfg.n_comparisons)]
+            assert (tuple(new[row]) == exact.rejected
+                    or min(abs(e - cut) for e in scores) <= self.EPS), row
 
 
 class TestPooledEquivalence:

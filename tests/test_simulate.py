@@ -15,12 +15,13 @@ from pairwise_closure.closure import (
     tukey_global_test,
     unadjusted_test,
 )
-from pairwise_closure import simulate
+from pairwise_closure import sequential, simulate
 from pairwise_closure.combination import CombinationWeights
 from pairwise_closure.model import (
     ONE_SIDED,
     TWO_SIDED,
     TrialConfig,
+    _max_statistic,
     _pair_arms,
     standardized_means,
 )
@@ -30,6 +31,7 @@ from pairwise_closure.sequential import (
     SpendingSchedule,
     batch_gs_test,
     generalised_boundaries,
+    gs_boundaries,
     stage_weights,
 )
 from pairwise_closure.simulate import (
@@ -419,6 +421,40 @@ def test_generalised_boundary_shares_the_full_set_solve(cfg_k3_q2, monkeypatch):
     got = decisions["dunnett-gs-generalised"]
     assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
     assert not np.array_equal(got[0], decisions["dunnett-gs"][0])
+
+
+@pytest.mark.parametrize("tags", [("dunnett-gs", "dunnett-gs-generalised"),
+                                  ("dunnett-gs-generalised", "dunnett-gs"),
+                                  ("dunnett-gs",)])
+def test_staged_rules_form_one_statistic_per_chunk(cfg_k3_q2, monkeypatch, tags):
+    scenario = SimScenario(
+        config=cfg_k3_q2,
+        means=MeanConfig((0.6, 0.0, 0.3)),
+        procedures=tags,
+        replicates=400,
+        seed=11,
+        accuracy=1e-3,
+        spending=SpendingSchedule.power_family(0.05, (0.5, 1.0)),
+    )
+    bounds = gs_boundaries(cfg_k3_q2, scenario.spending, seed=11, accuracy=1e-3)
+    chunks = [simulate_statistics(cfg_k3_q2, scenario.means, 400, seed=seed)
+              for seed in (11, 12)]
+    # the bits batch_gs_test gives when it forms the statistics itself
+    expect = [batch_gs_test(z_cum, bounds) for z_cum, _ in chunks]
+    formed = []
+
+    def counting(z, sided):
+        formed.append(z.shape)
+        return _max_statistic(z, sided)
+
+    monkeypatch.setattr(simulate, "_max_statistic", counting)
+    monkeypatch.setattr(sequential, "_max_statistic", counting)
+    rules = _build_resources(scenario)
+    for (z_cum, z_stage), bits in zip(chunks, expect):
+        formed.clear()
+        got = {tag: rules[tag](z_cum, z_stage) for tag in tags}
+        assert formed == [z_cum.shape]
+        assert all(np.array_equal(a, b) for a, b in zip(got["dunnett-gs"], bits))
 
 
 def test_accuracy_does_not_reach_the_tail_probability_table(cfg_k3_q2):

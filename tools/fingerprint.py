@@ -12,7 +12,9 @@ one-sided and a three-look unequal-variance design, the tail probability
 table (also at every grid node, one ulp either side of it and beyond both
 ends, on its own grid and on grids of two and three nodes) and its batch
 test, simulated statistics, ``batch_gs_test`` and
-``gs_closed_test`` with every local decision, ``run_scenario`` over every
+``gs_closed_test`` with every local decision, ``mvn_rect`` on symmetric
+boxes swept over many half-widths per matrix (the calls that reuse a
+matrix's kept pivot plan), ``run_scenario`` over every
 procedure on a two-sided staged design, over the five single-stage
 procedures at K=4 and over the staged procedures on a one-sided design,
 group-sequential and generalised boundary tables, the
@@ -87,6 +89,18 @@ def _message(call) -> str:
     return "no error"
 
 
+def _result(call):
+    """Value, error estimate and points of one ``mvn_rect`` call, or the
+    message of the numerical error it raised."""
+    from pairwise_closure.mvn import NumericsError
+
+    try:
+        res = call()
+    except NumericsError as err:
+        return str(err)
+    return res.value, res.err_est, res.n_points
+
+
 def _stdout(argv: list[str]) -> str:
     """Exit status and standard output of one command-line run."""
     from pairwise_closure import cli
@@ -115,7 +129,8 @@ def outputs() -> dict:
         flexible_closed_test,
         stage_pvalue,
     )
-    from pairwise_closure.model import TrialConfig
+    from pairwise_closure.model import TrialConfig, correlation
+    from pairwise_closure.mvn import Rectangle, mvn_rect
     from pairwise_closure.power import disjunctive_power, lfc, lfc_check, sample_size
     from pairwise_closure.sequential import (
         SpendingSchedule,
@@ -168,6 +183,17 @@ def outputs() -> dict:
     # every subset of a two-sided K=3 design, equal and unequal variances
     out["critical_values"] = [critical_values(cfg, 0.05, seed=1, accuracy=acc).entries()
                               for cfg in (k3, k3_unequal)]
+    # one matrix after another, each swept over half-widths in turn, so that
+    # most calls run on the plan the call before kept; every bit of the
+    # result is read, or the error raised, since a limit that moves by one
+    # ulp seldom reaches the value, while a zero width divides 0 by 0
+    widths = np.concatenate([[0.0, 8.0], np.linspace(0.1, 4.0, 40), [0.0]])
+    out["mvn_rect/sweep"] = [
+        [_result(lambda: mvn_rect(0.0, corr, Rectangle.centered(c, corr.dim),
+                                  accuracy=acc, seed=3)) for c in widths]
+        for corr in (correlation(k3, [1, 2, 3]), correlation(k3_unequal, [1, 2, 3]),
+                     correlation(k3_unequal, [1, 3]), correlation(k4, [1, 2, 3]),
+                     correlation(k4, [1, 2, 3, 4]), correlation(k4, [1, 2, 6]))]
     out["sample_size"] = [
         sample_size(k3, lfc(3, 0.5), seed=1, accuracy=acc),
         sample_size(k3_unequal, (0.4, 0.0, 0.2), power_target=0.8, seed=2, accuracy=acc),
