@@ -238,6 +238,11 @@ def flexible_closed_test(
     )
 
 
+# elements of a monotone cubic evaluated at once: their six gathered rows,
+# 1.5 MB, stay in cache, and a call's temporaries stay this small
+_CUBIC_BLOCK = 1 << 15
+
+
 class _MonotoneCubic:
     """Fritsch-Carlson monotone cubic (PCHIP) on a uniform grid.
 
@@ -275,10 +280,11 @@ class _MonotoneCubic:
         t = (d[:-1] + d[1:] - 2 * m) / h
         self.x = x
         self._step = (x[-1] - x[0]) / (len(x) - 1)
-        # right ends of the intervals, the last one open so x[-1] stays in it
-        self._upper = np.append(x[1:-1], np.inf)
-        # the Hermite form's power coefficients on each interval
-        self._coef = (y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)
+        # one column per interval: its ends, the right one open on the last
+        # interval so that x[-1] stays in it, then the Hermite form's power
+        # coefficients in the order the evaluation reads them (s, 1, s^2, s^3)
+        self._table = np.stack((x[:-1], np.append(x[1:-1], np.inf), d[:-1], y[:-1],
+                                (m - d[:-1]) / h - t, t / h))
 
     @staticmethod
     def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
@@ -300,42 +306,42 @@ class _MonotoneCubic:
         if z.size and not (z.min() >= x[0] and z.max() <= x[-1]):
             inside = (z >= x[0]) & (z <= x[-1])
             z = np.where(inside, z, x[0])
-        # fresh arrays of this length cost page faults comparable to the
-        # arithmetic, so four float buffers serve every step
-        a = np.subtract(z, x[0])
-        a /= self._step
-        i = a.astype(np.intp)
+        i = np.subtract(z, x[0])
+        i /= self._step
+        i = i.astype(np.intp)
         np.minimum(i, len(x) - 2, out=i)
-        # rounding can put an element one interval off, and only one: step
-        # it so that x[i] <= z < x[i + 1], with x[-1] in the last interval
-        x.take(i, out=a)
-        down = z < a
-        if down.any():
-            i -= down
-            x.take(i, out=a)
-        b = self._upper.take(i)
-        up = z >= b
-        if up.any():
-            i += up
-            x.take(i, out=a)
-        s = np.subtract(z, a, out=a)
-        # scipy's summation order: ((c3 + c2 s) + c1 s^2) + c0 s^3
-        c3, c2, c1, c0 = self._coef
-        out = c2.take(i, out=b)
-        out *= s
-        power = c3.take(i)
-        out += power
-        np.multiply(s, s, out=power)
-        term = c1.take(i)
-        term *= power
-        out += term
-        power *= s
-        c0.take(i, out=term)
-        term *= power
-        out += term
+        out = np.empty_like(z)
+        for lo in range(0, z.size, _CUBIC_BLOCK):
+            self._evaluate(z[lo:lo + _CUBIC_BLOCK], i[lo:lo + _CUBIC_BLOCK],
+                           out[lo:lo + _CUBIC_BLOCK])
         if inside is not None:
             out[~inside] = np.nan
         return out.reshape(shape)
+
+    def _evaluate(self, z: np.ndarray, i: np.ndarray, out: np.ndarray) -> None:
+        """The cubic at ``z``, inside the grid, into ``out``, from the first
+        guess ``i`` of each element's interval.
+
+        One gather of each element's interval and coefficients, whose rows
+        then serve as the buffers of every step.  Rounding can put an
+        element one interval off, and only one: it is stepped so that
+        x[i] <= z < x[i + 1], with x[-1] in the last interval, and gathered
+        again.
+        """
+        left, right, c2, c3, c1, c0 = self._table.take(i, axis=1)
+        down, up = z < left, z >= right
+        if down.any() or up.any():
+            left, right, c2, c3, c1, c0 = self._table.take(i + up - down, axis=1)
+        # scipy's summation order: ((c3 + c2 s) + c1 s^2) + c0 s^3
+        s = np.subtract(z, left, out=left)
+        np.multiply(c2, s, out=out)
+        out += c3
+        power = np.multiply(s, s, out=c3)
+        c1 *= power
+        out += c1
+        power *= s
+        c0 *= power
+        out += c0
 
 
 class _ScoreCubic(_MonotoneCubic):

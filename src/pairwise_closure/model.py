@@ -519,9 +519,16 @@ class CorrelationModel:
         object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("correlation matrix must be square")
-        if not np.allclose(mat, mat.T, atol=1e-12):
-            raise ValueError("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(mat), 1.0, atol=1e-12):
+        # the tests of np.allclose(a, b, atol=1e-12), |a - b| <= 1e-12 + 1e-5 |b|
+        # with b finite, or a == b, written out: its set-up cost more than
+        # the comparisons, and an exactly symmetric matrix needs only one
+        if not (mat == mat.T).all():
+            with np.errstate(invalid="ignore"):
+                close = ((np.abs(mat - mat.T) <= 1e-12 + 1e-5 * np.abs(mat.T))
+                         & np.isfinite(mat.T) | (mat == mat.T))
+            if not close.all():
+                raise ValueError("correlation matrix must be symmetric")
+        if not (np.abs(mat.diagonal() - 1.0) <= 1e-12 + 1e-5).all():
             raise ValueError("correlation matrix must have unit diagonal")
         if np.any(np.abs(mat) > 1 + 1e-12):
             raise ValueError("correlations must lie in [-1, 1]")

@@ -105,10 +105,21 @@ quantile takes the ``"central"`` or the ``"upper"`` tail
 (``_quantile_tail``).
 
 Equicoordinate quantiles, and the stage boundaries of the group-sequential
-module, are roots in one scalar of such probabilities.  ``_two_phase_root``
-finds them with cheap low-accuracy evaluations first, at the one accuracy
-``_coarse_accuracy`` sets for both, and only two full-accuracy ones in the
-usual case.
+module, are roots in one scalar of such probabilities.  At rank 2 the
+probability on the cube (-c, c)^d or the orthant (-inf, c)^d is exact, and
+every limit of a factorization scales with c: with y0 = c t each line is c
+times a fixed line in t, so every kink of the integrand sits at a fixed t.
+So ``_equicoord_root`` factors the matrix once, on the box of c = 1, and
+builds one partition in t (``_ScaledRank2``) that serves every c between
+one coordinate's quantile and Bonferroni's, which bracket the root; on it
+P(c) and its exact derivative cost one vectorized pass per c.  Newton from
+the Bonferroni point takes about four passes, and Illinois on the same P
+is its fallback.  This solves every rank-2 quantile and the first stage
+of every rank-2 boundary vector.  The others, of rank 3 and more or at a
+later stage, whose earlier limits do not scale with c, go to
+``_two_phase_root``, which finds them with cheap low-accuracy evaluations
+first, at the one accuracy ``_coarse_accuracy`` sets for both, and only
+two full-accuracy ones in the usual case.
 """
 
 from __future__ import annotations
@@ -244,6 +255,11 @@ _GL_NODES, _GL_WEIGHTS = map(
 _COARSE_XTOL = 5e-3
 # full-accuracy secant steps before the bracketed fallback
 _SECANT_STEPS = 3
+# rank-2 roots: Newton steps before the bracketed fallback, and the step
+# length after which the next iterate is taken as the root (quadratic
+# convergence leaves it within about |P''/P'| 1e-16 of the exact root)
+_NEWTON_STEPS = 8
+_NEWTON_XTOL = 1e-8
 
 
 @lru_cache(maxsize=None)
@@ -635,30 +651,37 @@ def _qmc_estimate(steps, rank, accuracy, seed, max_points):
         done, n = n, 2 * n
 
 
-def _rank2_estimate(steps):
-    """Gauss-Legendre estimate of a rank-2 integral: ``(value, err_est,
-    nodes)``.
+def _rank2_lines(steps):
+    """y0's interval and the lines that bound y1 in a rank-2 integral:
+    ``(a0, b0, slope, lower, upper)``.
 
-    The integrand is phi(y0) [Phi(U(y0)) - Phi(L(y0))]_+ on y0's interval,
-    cut to [-_Y_MAX, _Y_MAX]: each constraint of ``steps[1]`` bounds y1 by
-    two parallel lines in y0, L is the largest lower line and U the smallest
-    upper one.  The interval is cut where two lines cross and where y0, or
-    a line's y1, passes a point of ``_GRID``.  Each piece is analytic, and
-    gets both rules of ``_GL_SIZES``; the value is the larger rule's sum and
-    the error its gap to the smaller one's.
+    Each constraint of ``steps[1]`` bounds y1 by two parallel lines in y0,
+    ``slope * y0 + lower`` below and ``slope * y0 + upper`` above; an
+    infinite intercept is a side left open.
     """
     a0, b0 = _first_interval(steps[0])
-    a0, b0 = max(a0, -_Y_MAX), min(b0, _Y_MAX)
-    if not a0 < b0:
-        return 0.0, 1e-16, 0
     slope, lower, upper = np.empty((3, len(steps[1])))
     for j, (p, c, lo, hi) in enumerate(steps[1]):
         slope[j] = -p[0] / c
         lower[j] = (lo if c > 0 else hi) / c
         upper[j] = (hi if c > 0 else lo) / c
+    return a0, b0, slope, lower, upper
+
+
+def _rank2_pieces(a0, b0, slope, lower, upper, grid):
+    """Gauss-Legendre nodes of a rank-2 integral on (a0, b0):
+    ``(half, y, lo_v, hi_v)``.
+
+    The interval is cut where two lines of :func:`_rank2_lines` cross and
+    where y0, or a line's y1, passes a point of ``grid``, so each piece is
+    analytic.  ``half`` holds the pieces' half-widths and ``y`` their nodes,
+    one row per piece and one column per node of ``_GL_NODES``; ``lo_v``
+    and ``hi_v`` hold the largest lower line and the smallest upper one at
+    each node.
+    """
     alpha, beta = np.concatenate((lower, upper)), np.concatenate((slope, slope))
     with np.errstate(divide="ignore", invalid="ignore"):
-        cuts = np.concatenate((_GRID, ((_GRID[:, None] - alpha) / beta).ravel(),
+        cuts = np.concatenate((grid, ((grid[:, None] - alpha) / beta).ravel(),
                                ((alpha - alpha[:, None]) / (beta[:, None] - beta)).ravel()))
     # NaN and infinite cuts, from parallel or infinite lines, fall out here
     cuts = np.concatenate(((a0, b0), cuts[(cuts > a0) & (cuts < b0)]))
@@ -673,15 +696,134 @@ def _rank2_estimate(steps):
         np.multiply(slope[j], y, out=line)
         np.maximum(lo_v, line + lower[j], out=lo_v)
         np.minimum(hi_v, line + upper[j], out=hi_v)
+    return half, y, lo_v, hi_v
+
+
+def _gl_sums(half, f):
+    """Both Gauss-Legendre sums of ``f`` at the nodes of
+    :func:`_rank2_pieces`, times 1/sqrt(2 pi): the larger rule's sum, and
+    its gap to the smaller one's floored at 1e-16.  ``f`` may carry leading
+    axes, one sum per entry."""
+    sums = half @ f / math.sqrt(2.0 * math.pi)
+    n = _GL_SIZES[0]
+    value = sums[..., :n] @ _GL_WEIGHTS[:n]
+    return value, np.maximum(abs(value - sums[..., n:] @ _GL_WEIGHTS[n:]), 1e-16)
+
+
+def _rank2_estimate(steps):
+    """Gauss-Legendre estimate of a rank-2 integral: ``(value, err_est,
+    nodes)``.
+
+    The integrand is phi(y0) [Phi(U(y0)) - Phi(L(y0))]_+ on y0's interval,
+    cut to [-_Y_MAX, _Y_MAX], with L the largest lower line of
+    :func:`_rank2_lines` and U the smallest upper one.  Its pieces, cut at
+    ``_GRID`` (:func:`_rank2_pieces`), get both rules of ``_GL_SIZES``; the
+    value is the larger rule's sum and the error its gap to the smaller
+    one's.
+    """
+    a0, b0, slope, lower, upper = _rank2_lines(steps)
+    a0, b0 = max(a0, -_Y_MAX), min(b0, _Y_MAX)
+    if not a0 < b0:
+        return 0.0, 1e-16, 0
+    half, y, lo_v, hi_v = _rank2_pieces(a0, b0, slope, lower, upper, _GRID)
     mass = ndtr(hi_v, out=hi_v)
     mass -= ndtr(lo_v, out=lo_v)
     f = np.exp(-0.5 * y * y)
     f *= np.maximum(mass, 0.0, out=mass)
-    sums = half @ f / math.sqrt(2.0 * math.pi)
-    n = _GL_SIZES[0]
-    value = float(sums[:n] @ _GL_WEIGHTS[:n])
-    err = abs(value - float(sums[n:] @ _GL_WEIGHTS[n:]))
-    return value, max(err, 1e-16), y.size
+    value, err = _gl_sums(half, f)
+    return float(value), float(err), y.size
+
+
+def _scaled_grid(c_lo: float, c_hi: float) -> np.ndarray:
+    """Cuts in t = y0 / c that serve every c in [c_lo, c_hi] as ``_GRID``
+    serves one c.
+
+    ``_GRID / c_hi`` up to |t| = _Y_MAX / c_hi, then points |t| growing by
+    a factor 1 + 3 / _Y_MAX each, until past _Y_MAX / c_lo.  A piece
+    [t, t (1 + 3 / _Y_MAX)] spans 3 c |t| / _Y_MAX in y0, at most 3 for
+    every c that brings its near end inside |y0| <= _Y_MAX; at a larger c
+    it lies wholly outside.  On one c the grid is ``_GRID / c``.
+    """
+    step = _GRID[1] - _GRID[0]
+    n = math.ceil(math.log(c_hi / c_lo) / math.log1p(step / _Y_MAX))
+    outer = _Y_MAX / c_hi * (1.0 + step / _Y_MAX) ** np.arange(1, n + 1)
+    return np.concatenate((-outer[::-1], _GRID / c_hi, outer))
+
+
+class _ScaledRank2:
+    """P(c) and dP/dc on the boxes c * (lo, hi) of one rank-2 factorization,
+    for c in [c_lo, c_hi], on one partition.
+
+    ``steps`` are the factorization's constraints at c = 1.  Every limit
+    scales with c, so with y0 = c t each line of :func:`_rank2_lines` is
+    c times a line in t, and every kink of the integrand sits at a fixed t:
+
+        P(c) = int c phi(c t) [Phi(c U(t)) - Phi(c L(t))]_+ dt,
+
+    with U and L the lines at c = 1.  t is cut to |t| <= _Y_MAX / c_lo, so
+    that |y0| <= _Y_MAX is covered for every c >= c_lo, and, where t or a
+    line's value passes a point of the grid of :func:`_scaled_grid`, so
+    that for every c in the range each piece inside |y0| <= _Y_MAX spans at
+    most 3 in y0, and no line moves on it by more than 3 inside
+    |y1| <= _Y_MAX, as in :func:`_rank2_estimate`.  The pieces, nodes and
+    lines are built once; a call evaluates them at a vector of c, which
+    must be positive.  The derivative in c is exact on the same nodes, the
+    kinks being fixed:
+
+        dP/dc = int phi(c t) [(1 - c^2 t^2) M + c (phi(c U) U - phi(c L) L)] dt,
+
+    with M the bracket above and the phi terms only where U > L.
+    """
+
+    __slots__ = ("half", "t", "lo", "hi", "lo_term", "hi_term")
+
+    def __init__(self, steps, c_lo: float, c_hi: float) -> None:
+        a0, b0, slope, lower, upper = _rank2_lines(steps)
+        reach = _Y_MAX / c_lo
+        self.half, self.t, self.lo, self.hi = _rank2_pieces(
+            max(a0, -reach), min(b0, reach), slope, lower, upper, _scaled_grid(c_lo, c_hi))
+        # the lines where they bound a nonempty interval and are finite:
+        # elsewhere their density term is zero
+        live = self.hi > self.lo
+        self.lo_term = np.where(live & np.isfinite(self.lo), self.lo, 0.0)
+        self.hi_term = np.where(live & np.isfinite(self.hi), self.hi, 0.0)
+
+    def __call__(self, c):
+        """``(P, dP/dc, err)`` at each of the positive ``c``, with ``err``
+        the gap between the two rules' P."""
+        c = np.asarray(c, dtype=float)[:, None, None]
+        y = c * self.t
+        lo, hi = c * self.lo, c * self.hi
+        phi = np.exp(-0.5 * y * y)
+        mass = np.maximum(ndtr(hi) - ndtr(lo), 0.0)
+        lines = (np.exp(-0.5 * hi * hi) * self.hi_term
+                 - np.exp(-0.5 * lo * lo) * self.lo_term)
+        # P's integrand and its c-derivative, summed by one call
+        f = phi * np.stack((c * mass, (1.0 - y * y) * mass
+                            + c / math.sqrt(2.0 * math.pi) * lines))
+        (value, slope), (err, _) = _gl_sums(self.half, f)
+        return value, slope, err
+
+
+def _max_partition(model: CorrelationModel, central: bool, c_lo: float,
+                   c_hi: float) -> _ScaledRank2 | None:
+    """:class:`_ScaledRank2` of the event that the maximum statistic of
+    ``model`` stays below c, for c in [c_lo, c_hi]: the matrix factored
+    once, on the box of c = 1.  None when its rank is not 2."""
+    unit = _max_rect(1.0, model.dim, central)
+    cho, lo, hi, rank, _ = _ordered_cholesky(model.matrix, unit.lower, unit.upper)
+    if rank != 2:
+        return None
+    folded, zero = _integration_plan(cho, rank)
+    return _ScaledRank2(_constraints(folded, zero, lo, hi), c_lo, c_hi)
+
+
+def _check_rule_error(err: float, accuracy: float) -> None:
+    """Raise :class:`AccuracyError` when a Gauss-Legendre error estimate
+    misses ``accuracy``."""
+    if err > accuracy:
+        raise AccuracyError(f"accuracy {accuracy:g} not reached by the "
+                            f"Gauss-Legendre rules (error estimate {err:.2e})")
 
 
 def _check_accuracy(accuracy: float) -> None:
@@ -787,9 +929,7 @@ def mvn_rect(
         return ProbResult(0.0, 0.0, 0)
     if rank == 2:
         value, err, spent = _rank2_estimate(steps)
-        if err > accuracy:
-            raise AccuracyError(f"accuracy {accuracy:g} not reached by the "
-                                f"Gauss-Legendre rules (error estimate {err:.2e})")
+        _check_rule_error(err, accuracy)
     else:
         value, err, spent = _qmc_estimate(steps, rank, accuracy, seed, max_points)
     return ProbResult(float(min(max(value, 0.0), 1.0)), err, spent)
@@ -808,7 +948,15 @@ def equicoord_quantile(
     Solves for c such that P(all |Z_k| < c) = prob when ``tail`` is
     ``"central"``, or P(all Z_k < c) = prob when ``tail`` is ``"upper"``.
 
-    The root is bracketed on [0, 8] (``"central"``) or [-8, 8]
+    One coordinate has a closed form.  A matrix of rank 2 (every K=3
+    class, every class of two comparisons) is solved by
+    :func:`_equicoord_root`: the matrix is factored once, and Newton on the
+    exact P(c) and its exact slope, on one scaled Gauss-Legendre partition,
+    runs from the Bonferroni point inside the bracket that one coordinate's
+    quantile and Bonferroni's make, with Illinois on the same P as its
+    fallback; no seed enters.  That bracket must lie in (0, 8].
+
+    Otherwise the root is bracketed on [0, 8] (``"central"``) or [-8, 8]
     (``"upper"``) and found by :func:`_two_phase_root`: Illinois regula
     falsi on cheap low-accuracy probabilities locates it, then two
     full-accuracy evaluations, a Newton step and a secant step, polish it.
@@ -829,9 +977,12 @@ def equicoord_quantile(
         steps do not settle, a bracketed fallback returns a point within
         tol of a sign change of the full-accuracy objective.  The result
         can additionally be off by roughly ``accuracy`` divided by the
-        local density of the maximum statistic.
+        local density of the maximum statistic.  A rank-2 Newton solve
+        stops after a step of at most min(tol, 1e-8), within about 1e-15
+        of the exact root; its fallback returns a point within tol of it.
     accuracy : float
-        Accuracy of the inner rectangle probabilities.
+        Accuracy of the inner rectangle probabilities; at rank 2, the most
+        the gap between the two Gauss-Legendre rules may reach.
     tail : str
         ``"central"`` or ``"upper"``.
 
@@ -847,10 +998,10 @@ def equicoord_quantile(
     _check_tol(tol)
     model = corr if isinstance(corr, CorrelationModel) else CorrelationModel(corr)
     dim = model.dim
-    if dim == 1:
-        return float(ndtri(0.5 * (1.0 + prob)) if tail == "central" else ndtri(prob))
-
     central = tail == "central"
+    root = _equicoord_root(model, prob, central, tol, accuracy)
+    if root is not None:
+        return root
 
     def objective(c: float, acc: float) -> float:
         rect = _max_rect(c, dim, central)
@@ -858,6 +1009,68 @@ def equicoord_quantile(
 
     coarse = _coarse_accuracy(accuracy, 1.0 - prob)
     return _two_phase_root(objective, *_max_range(central), tol, accuracy, coarse)
+
+
+def _equicoord_root(model: CorrelationModel, prob: float, central: bool, tol: float,
+                    accuracy: float) -> float | None:
+    """The equicoordinate quantile of ``model`` at ``prob`` when its rank is
+    at most 2, or None.
+
+    One coordinate has the normal quantile in closed form.  At rank 2 the
+    root is bracketed by one coordinate's quantile, where P(c) is at most
+    ``prob``, and by Bonferroni's, Phi^{-1}(1 - alpha / (2 m)) or
+    Phi^{-1}(1 - alpha / m) with alpha = 1 - prob, where P(c) is at least
+    ``prob``.  The matrix is factored once, on the box at c = 1, and
+    :class:`_ScaledRank2` evaluates P and its exact slope on one partition
+    for the whole bracket.  Newton runs from the Bonferroni point; it keeps
+    the bracket of the signs seen, and once a step is at most
+    ``_NEWTON_XTOL`` (or ``tol``) the next iterate is the root.  An iterate
+    outside the bracket, a slope that is not positive or
+    ``_NEWTON_STEPS`` steps without settling hand the bracket to
+    :func:`_illinois` on the same P, which returns a point within ``tol``
+    of its sign change.  Every evaluation raises :class:`AccuracyError`
+    when the gap between its two rules exceeds ``accuracy``.
+
+    None, for the caller's general solve, when the rank is 3 or more, when
+    the bracket does not lie in (0, 8], or when the exact P contradicts a
+    bound in rounding.
+    """
+    dim = model.dim
+    if dim == 1:
+        return float(ndtri(0.5 * (1.0 + prob)) if central else ndtri(prob))
+    tails = (0.5 if central else 1.0) * (1.0 - prob)
+    c_lo, c_hi = float(-ndtri(tails)), float(-ndtri(tails / dim))
+    if not 0.0 < c_lo < c_hi <= _max_range(central)[1]:
+        return None
+    gauss = _max_partition(model, central, c_lo, c_hi)
+    if gauss is None:
+        return None
+
+    def excess(c):
+        """P - prob and dP/dc at each of ``c``."""
+        value, slope, err = gauss(c)
+        _check_rule_error(float(err.max()), accuracy)
+        return value - prob, slope
+
+    (fa, fb), (_, dx) = excess([c_lo, c_hi])
+    if fa > 0.0 or fb < 0.0:
+        return None
+    a, b, x, fx = c_lo, c_hi, c_hi, fb
+    for _ in range(_NEWTON_STEPS):
+        # a slope that is not positive gives NaN, outside every bracket, and
+        # an exact zero at x a step of 0, to x itself on the bracket's end
+        step = float(fx / dx) if dx > 0.0 else math.nan
+        if not a < x - step < b:
+            break
+        x -= step
+        if abs(step) <= min(_NEWTON_XTOL, tol):
+            return x
+        (fx,), (dx,) = excess([x])
+        if fx < 0.0:
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+    return float(_illinois(lambda c: float(excess([c])[0][0]), a, fa, b, fb, tol))
 
 
 def _coarse_accuracy(accuracy: float, level: float) -> float:
@@ -877,8 +1090,11 @@ def _check_tol(tol: float) -> None:
 def _two_phase_root(objective, lo, hi, tol, accuracy, coarse) -> float:
     """Root of a monotone ``objective(c, accuracy)`` that changes sign on [lo, hi].
 
-    Shared by the equicoordinate quantile and the group-sequential boundary
-    solves; the objective may increase or decrease.
+    Serves the equicoordinate quantiles of rank 3 and more, and the
+    group-sequential boundary solves except the first stage of a class of
+    rank at most 2 (:func:`_equicoord_root` solves those); a later stage's
+    limits at the earlier analyses stay fixed, so its probability does not
+    scale with c.  The objective may increase or decrease.
 
     * Coarse phase: Illinois regula falsi at the ``coarse`` accuracy finds
       c0 to a bracket of width 5e-3, and two more coarse evaluations at

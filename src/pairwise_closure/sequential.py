@@ -50,6 +50,7 @@ from .mvn import (
     DEFAULT_QUANTILE_TOL,
     _check_tol,
     _coarse_accuracy,
+    _equicoord_root,
     _max_range,
     _max_rect,
     _two_phase_root,
@@ -279,6 +280,13 @@ class BoundarySchedule(_ClassCache):
             prev = alpha_q
             # the stages so far: earlier boundaries, then the one solved for
             block = CorrelationModel(joint[: q * width, : q * width])
+            # the first stage alone is an equicoordinate quantile, solved in
+            # closed form or by Newton when its rank is at most 2
+            root = (_equicoord_root(block, 1.0 - alpha_q, central, self.tol, self.accuracy)
+                    if q == 1 else None)
+            if root is not None:
+                values.append(root)
+                continue
             upper = np.repeat(values + [math.nan], width)
 
             def objective(c: float, acc: float) -> float:

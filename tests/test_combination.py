@@ -443,6 +443,22 @@ class TestMonotoneCubic:
             expect = PchipInterpolator(x, y, extrapolate=False)(z)
         assert _MonotoneCubic(x, y)(z).tobytes() == expect.tobytes()
 
+    @pytest.mark.parametrize("lo", [0.0, -8.0])
+    def test_matches_pchip_on_many_points(self, lo):
+        # a tail table's grid and a G that rises from zero to one on it;
+        # every node, one ulp either side of it, both ends and beyond, NaN
+        from scipy.interpolate import PchipInterpolator
+
+        x = np.linspace(lo, 8.0, int(round((8.0 - lo) / 0.05)) + 1)
+        y = np.maximum(2.0 * ndtr(x) - 1.0, 0.0) ** 3
+        rng = np.random.default_rng(23)
+        z = np.concatenate([
+            rng.uniform(lo - 0.5, 8.5, 100_000), x, np.nextafter(x, -np.inf),
+            np.nextafter(x, np.inf), [-np.inf, np.inf, np.nan],
+        ])
+        expect = PchipInterpolator(x, y, extrapolate=False)(z)
+        assert _MonotoneCubic(x, y)(z).tobytes() == expect.tobytes()
+
     def test_keeps_the_input_shape(self):
         from scipy.interpolate import PchipInterpolator
 

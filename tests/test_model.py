@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -463,6 +465,52 @@ def test_correlation_model_rejects_invalid():
         CorrelationModel(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValueError):
         CorrelationModel(np.array([[2.0, 0.0], [0.0, 2.0]]))
+
+
+_SQUARE = "correlation matrix must be square"
+_SYMMETRIC = "correlation matrix must be symmetric"
+_DIAGONAL = "correlation matrix must have unit diagonal"
+_RANGE = "correlations must lie in [-1, 1]"
+_PSD = "correlation matrix must be positive semidefinite"
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.ones((2, 3)), _SQUARE),
+    (np.ones(3), _SQUARE),
+    ([[1.0, 0.2], [0.3, 1.0]], _SYMMETRIC),
+    # np.allclose's relative slack of 1e-5 on top of the absolute 1e-12
+    ([[1.0, 0.5], [0.5 + 4e-6, 1.0]], None),
+    ([[1.0, 0.5], [0.5 + 6e-6, 1.0]], _SYMMETRIC),
+    ([[1.0 + 9e-6, 0.0], [0.0, 1.0]], _RANGE),
+    ([[1.0 + 1.1e-5, 0.0], [0.0, 1.0]], _DIAGONAL),
+    ([[2.0, 0.0], [0.0, 2.0]], _DIAGONAL),
+    ([[1.0, 2.0], [2.0, 1.0]], _RANGE),
+    ([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]], _PSD),
+    ([[1.0, np.nan], [np.nan, 1.0]], _SYMMETRIC),
+    ([[np.nan, 0.0], [0.0, 1.0]], _SYMMETRIC),
+    # equal infinities are close, as in np.allclose
+    ([[1.0, np.inf], [np.inf, 1.0]], _RANGE),
+    ([[1.0, -np.inf], [-np.inf, 1.0]], _RANGE),
+    ([[1.0, np.inf], [-np.inf, 1.0]], _SYMMETRIC),
+    ([[1.0, np.inf], [0.5, 1.0]], _SYMMETRIC),
+    ([[np.inf, 0.0], [0.0, 1.0]], _DIAGONAL),
+    ([[1.0, 0.5], [0.5, 1.0]], None),
+    ([[1.0]], None),
+    (np.zeros((0, 0)), None),
+], ids=["non-square", "one-d", "asymmetric", "asymmetric-within-rtol",
+        "asymmetric-beyond-rtol", "diagonal-within-rtol", "diagonal-beyond-rtol",
+        "diagonal-two", "out-of-range", "not-psd", "nan-off-diagonal", "nan-diagonal",
+        "inf", "minus-inf", "opposite-infs", "inf-against-finite", "inf-diagonal",
+        "valid", "one-by-one", "empty"])
+def test_correlation_model_messages(matrix, message):
+    # every check and message of the np.allclose form; inf - inf warns nowhere
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            CorrelationModel(np.asarray(matrix, dtype=float))
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CorrelationModel(np.asarray(matrix, dtype=float))
 
 
 def test_stage_increments():

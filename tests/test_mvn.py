@@ -23,7 +23,7 @@ from pairwise_closure.mvn import (
     equicoord_quantile,
     mvn_rect,
 )
-from pairwise_closure.sequential import joint_covariance
+from pairwise_closure.sequential import SpendingSchedule, gs_boundaries, joint_covariance
 
 
 def pairwise_corr(n_arms):
@@ -343,8 +343,12 @@ def test_quantile_takes_two_full_accuracy_evaluations(n_arms, monkeypatch):
 
     monkeypatch.setattr(mvn, "mvn_rect", counting)
     equicoord_quantile(pairwise_corr(n_arms), 0.95, seed=1, accuracy=1e-5)
-    assert accuracies.count(1e-5) == 2
-    assert len(accuracies) > 2  # the rest ran at the coarse accuracy
+    if n_arms == 3:
+        # rank 2: Newton on one scaled partition, without the kernel
+        assert accuracies == []
+    else:
+        assert accuracies.count(1e-5) == 2
+        assert len(accuracies) > 2  # the rest ran at the coarse accuracy
 
 
 def _kinked(c, acc):
@@ -804,20 +808,98 @@ def test_a_kept_pivot_plan_gives_the_bits_of_a_fresh_factorization(monkeypatch):
             cold.value, cold.err_est, cold.n_points), (name, upper)
 
 
-@pytest.mark.parametrize("config", [TrialConfig.single_stage(3, 1.0, 50),
-                                    TrialConfig.single_stage(3, (1.0, 1.7, 0.8), (40, 60, 50))],
-                         ids=["equal", "unequal"])
-def test_a_two_sided_solve_factors_its_matrix_at_most_twice(config, monkeypatch):
+def _count_factorizations(monkeypatch):
     factored, calls = [], []
     factor, rect = mvn._ordered_cholesky, mvn.mvn_rect
     monkeypatch.setattr(mvn, "_ordered_cholesky",
                         lambda *args: factored.append(1) or factor(*args))
     monkeypatch.setattr(mvn, "mvn_rect", lambda *args, **kw: calls.append(1) or rect(*args, **kw))
     mvn._kept_plan.cache_clear()
+    return factored, calls
+
+
+@pytest.mark.parametrize("config", [TrialConfig.single_stage(3, 1.0, 50),
+                                    TrialConfig.single_stage(3, (1.0, 1.7, 0.8), (40, 60, 50))],
+                         ids=["equal", "unequal"])
+def test_a_two_sided_solve_factors_its_matrix_at_most_twice(config, monkeypatch):
+    factored, calls = _count_factorizations(monkeypatch)
     equicoord_quantile(correlation(config, [1, 2, 3]), 0.95, seed=1)
-    assert len(calls) > 10 and len(factored) <= 2
-    # a one-sided box keeps no plan: one factorization per evaluation
-    factored.clear()
-    calls.clear()
+    # rank 2: one factorization, on the box of c = 1, and no kernel call
+    assert calls == [] and len(factored) == 1
+
+
+@pytest.mark.parametrize("sigma2, n", [(1.0, 50), ((1.0, 1.7, 0.8), (40, 60, 50))],
+                         ids=["equal", "unequal"])
+def test_a_rank2_one_sided_solve_factors_its_matrix_at_most_twice(sigma2, n, monkeypatch):
+    # a one-sided box keeps no pivot plan, but the scaled partition needs
+    # only the factorization at c = 1, for the quantile and for a boundary
+    config = TrialConfig.single_stage(3, sigma2, n, sided="one-sided")
+    factored, calls = _count_factorizations(monkeypatch)
     equicoord_quantile(correlation(config, [1, 2, 3]), 0.95, seed=1, tail="upper")
-    assert len(factored) == len(calls) > 10
+    assert calls == [] and len(factored) <= 2
+    factored.clear()
+    schedule = SpendingSchedule((1.0,), (0.05,))
+    gs_boundaries(config, schedule, seed=1).value({1, 2, 3})
+    assert calls == [] and len(factored) <= 2
+
+
+def _rank2_max_boxes():
+    """(name, corr, central) of every K=3 subset of rank 2: equal and
+    unequal variances, two- and one-sided."""
+    for sigma2, n in ((1.0, 50), ((1.0, 1.7, 0.8), (40, 60, 50))):
+        for sided in ("two-sided", "one-sided"):
+            config = TrialConfig.single_stage(3, sigma2, n, sided=sided)
+            m = config.n_comparisons
+            for size in range(2, m + 1):
+                for members in itertools.combinations(range(1, m + 1), size):
+                    corr = correlation(config, members)
+                    # both directions of one pair alone have rank 1
+                    if np.linalg.matrix_rank(corr.matrix) == 2:
+                        yield f"{sigma2}-{sided}-{members}", corr, config.central
+
+
+def test_scaled_partition_matches_the_kernel_and_its_slope():
+    cs = np.linspace(0.1, 6.0, 60)
+    h = 1e-5
+    names = []
+    for name, corr, central in _rank2_max_boxes():
+        gauss = mvn._max_partition(corr, central, cs[0], cs[-1])
+        value, slope, err = gauss(cs)
+        direct = [mvn_rect(0.0, corr, mvn._max_rect(c, corr.dim, central)).value for c in cs]
+        assert np.abs(value - direct).max() <= 1e-14, name
+        assert err.max() <= 1e-14, name
+        # the exact slope against a central difference, inside the range
+        up, down = gauss(cs[1:-1] + h)[0], gauss(cs[1:-1] - h)[0]
+        assert np.abs(slope[1:-1] - (up - down) / (2.0 * h)).max() <= 1e-8, name
+        names.append(name)
+    assert len(names) == 2 * (4 + 54)
+
+
+@pytest.mark.parametrize("tail", ["central", "upper"])
+def test_rank2_quantile_is_the_studentized_range(tail):
+    # one-sided, the full set holds both directions of every pair: max |Z|
+    config = TrialConfig.single_stage(3, 1.0, 30, sided="two-sided" if tail == "central"
+                                      else "one-sided")
+    corr = correlation(config, range(1, config.n_comparisons + 1))
+    exact = studentized_range.ppf(0.95, 3, np.inf) / np.sqrt(2.0)
+    assert abs(equicoord_quantile(corr, 0.95, tail=tail) - exact) <= 1e-12
+
+
+def test_rank2_root_falls_back_to_illinois_on_a_bad_slope(monkeypatch):
+    xtols = []
+    illinois, scaled = mvn._illinois, mvn._ScaledRank2.__call__
+
+    def recording(f, a, fa, b, fb, xtol):
+        xtols.append(xtol)
+        return illinois(f, a, fa, b, fb, xtol)
+
+    def downhill(gauss, c):
+        value, slope, err = scaled(gauss, c)
+        return value, -slope, err
+
+    monkeypatch.setattr(mvn, "_illinois", recording)
+    monkeypatch.setattr(mvn._ScaledRank2, "__call__", downhill)
+    tol = 1e-4
+    root = equicoord_quantile(pairwise_corr(3), 0.95, tol=tol)
+    assert xtols == [tol]
+    assert abs(root - studentized_range.ppf(0.95, 3, np.inf) / np.sqrt(2.0)) <= tol

@@ -306,14 +306,14 @@ class TestLfcCheck:
             "is_minimum": True, "trivial": True,
         }),
         (3, 1.0, 100, 0.5, "search", {
-            "mode": "search", "lfc_power": 0.8962869339133175,
-            "min_power": 0.8962869339133175, "minimizing_means": (0.5, 0.0, 0.25),
+            "mode": "search", "lfc_power": 0.8962869339133173,
+            "min_power": 0.8962869339133173, "minimizing_means": (0.5, 0.0, 0.25),
             "scaling": (1.0, 1.0, 1.0), "alternatives": [], "is_minimum": True,
             "trivial": False,
         }),
         (3, (1.0, 1.7, 0.8), (40, 60, 50), 0.8, "search", {
-            "mode": "search", "lfc_power": 0.8860467674845538,
-            "min_power": 0.8857152734532531, "minimizing_means": (0.8, 0.0, 0.420625),
+            "mode": "search", "lfc_power": 0.886046767484554,
+            "min_power": 0.8857152734532533, "minimizing_means": (0.8, 0.0, 0.420625),
             "scaling": (1.0, 1.0, 1.0515625), "alternatives": [], "is_minimum": True,
             "trivial": False,
         }),

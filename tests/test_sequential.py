@@ -43,11 +43,11 @@ TWO_LOOKS = (0.5, 1.0)
 # default accuracy), one vector per class, and of one generalised vector.  A
 # refactor of the cache or the root finder that moves a single bit fails.
 K3_STAGE_BOUNDS_BITS = {
-    1: (2.2414027276049446, 2.1251187897555814),
-    2: (2.477502443696933, 2.3759258413970805),
-    3: (2.6037565009996495, 2.506368472505838),
+    1: (2.241402727604947, 2.12511878975558),
+    2: (2.4775024436969333, 2.375925841397079),
+    3: (2.603756500999651, 2.506368472505837),
 }
-GENERALISED_OBF_BITS = (3.095615036318835, 2.3589110827033504)
+GENERALISED_OBF_BITS = (3.095615035399027, 2.358911082771121)
 # batch_gs_test on _pinned_batch() against gs_k3_q2: per row, the analysis at
 # which each comparison's rejection completed (0 = not rejected)
 BATCH_GS_STOPPED = [
@@ -313,9 +313,11 @@ class TestBoundarySchedule:
         sched = SpendingSchedule.power_family(0.05, TWO_LOOKS)
         bounds = gs_boundaries(cfg_k3_q2, sched, seed=3)
         bounds.value({1, 2, 3})
-        # stage 1 integrates 3 coordinates, stage 2 all 6
+        # stage 1, of rank 2, is solved without the kernel; stage 2
+        # integrates all 6 coordinates
+        assert all(dim == 6 for acc, dim in calls)
         full = [dim for acc, dim in calls if acc == bounds.accuracy]
-        assert full == [3, 3, 6, 6]
+        assert full == [6, 6]
 
     def test_rebuild_is_bit_identical(self, cfg_k3_q2, gs_k3_q2):
         again = gs_boundaries(cfg_k3_q2, gs_k3_q2.schedule, seed=3)

@@ -14,7 +14,9 @@ ends, on its own grid and on grids of two and three nodes) and its batch
 test, simulated statistics, ``batch_gs_test`` and
 ``gs_closed_test`` with every local decision, ``mvn_rect`` on symmetric
 boxes swept over many half-widths per matrix (the calls that reuse a
-matrix's kept pivot plan), ``run_scenario`` over every
+matrix's kept pivot plan), one-sided K=3 equicoordinate quantiles, the
+two-look Pocock spends and a one-sided K=3 Q=2 boundary table on them,
+``run_scenario`` over every
 procedure on a two-sided staged design, over the five single-stage
 procedures at K=4 and over the staged procedures on a one-sided design,
 group-sequential and generalised boundary tables, the
@@ -130,7 +132,7 @@ def outputs() -> dict:
         stage_pvalue,
     )
     from pairwise_closure.model import TrialConfig, correlation
-    from pairwise_closure.mvn import Rectangle, mvn_rect
+    from pairwise_closure.mvn import Rectangle, equicoord_quantile, mvn_rect
     from pairwise_closure.power import disjunctive_power, lfc, lfc_check, sample_size
     from pairwise_closure.sequential import (
         SpendingSchedule,
@@ -194,6 +196,15 @@ def outputs() -> dict:
         for corr in (correlation(k3, [1, 2, 3]), correlation(k3_unequal, [1, 2, 3]),
                      correlation(k3_unequal, [1, 3]), correlation(k4, [1, 2, 3]),
                      correlation(k4, [1, 2, 3, 4]), correlation(k4, [1, 2, 6]))]
+    # the rank-2 Newton solves: one-sided quantiles, whose boxes are
+    # orthants, and the two-look Pocock constant behind its spends
+    k3_one_sided = TrialConfig.single_stage(3, (1.0, 1.7, 0.8), (40, 60, 50), sided="one-sided")
+    out["equicoord_quantile/one-sided"] = [
+        equicoord_quantile(correlation(k3_one_sided, members), 0.95, seed=1, accuracy=acc,
+                           tail="upper")
+        for members in ([1, 2], [1, 4], [1, 2, 3], range(1, 7))]
+    pocock = SpendingSchedule.pocock(0.05, (0.5, 1.0), seed=1, accuracy=acc)
+    out["pocock"] = pocock
     out["sample_size"] = [
         sample_size(k3, lfc(3, 0.5), seed=1, accuracy=acc),
         sample_size(k3_unequal, (0.4, 0.0, 0.2), power_target=0.8, seed=2, accuracy=acc),
@@ -252,6 +263,9 @@ def outputs() -> dict:
                                     for d in (gs_closed_test(x, gs) for x in (null, data))]
         out[f"{name}/generalised"] = generalised_boundaries(
             cfg, spend, seed=8, accuracy=acc).entries()
+    cfg, _ = designs["one-sided"]
+    # a first look that spends enough for its boundary to matter
+    out["one-sided/gs-pocock"] = gs_boundaries(cfg, pocock, seed=8, accuracy=acc).entries()
 
     cfg, _ = designs["two-sided"]
     scenario = SimScenario(
