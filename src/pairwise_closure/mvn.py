@@ -119,7 +119,26 @@ of every rank-2 boundary vector.  The others, of rank 3 and more or at a
 later stage, whose earlier limits do not scale with c, go to
 ``_two_phase_root``, which finds them with cheap low-accuracy evaluations
 first, at the one accuracy ``_coarse_accuracy`` sets for both, and only
-two full-accuracy ones in the usual case.
+two full-accuracy ones in the usual case, a Newton step and a secant step.
+A rank >= 3 quantile or first-stage boundary is searched first in the
+bracket above, widened by 0.05 on each side, then on the whole range when
+that does not bracket the root.
+
+Only the first full-accuracy evaluation of such a solve, the anchor,
+integrates its box in full (``_SolveAnchor``).  Each later one integrates
+the difference between its integrand and the anchor's on the anchor's
+factorization, shifts and points: common random numbers (Glasserman &
+Yao 1992).  The factor depends on the limits only through the pivot
+picks, so one plan serves any box, once its limits are permuted and
+scaled.  Each shift's estimate is the anchor's mean plus its mean
+difference, and rounds double until the usual ``err_est`` of the twelve
+meets the accuracy: the K=4 two-look stage-2 box needs 65,536 lattice
+points for its anchor and 64 for a Newton step's difference.  A box
+whose difference would spend more evaluations (two per point) than the
+anchor did, or that keeps other coordinates after the doubly infinite
+drop, is integrated fresh.  An anchor lives for one solve.  On a cube,
+the factorization at c = 1 that found a rank >= 3 root's rank becomes the
+matrix's kept plan, so it is not wasted; an orthant's picks move with c.
 """
 
 from __future__ import annotations
@@ -260,6 +279,9 @@ _SECANT_STEPS = 3
 # convergence leaves it within about |P''/P'| 1e-16 of the exact root)
 _NEWTON_STEPS = 8
 _NEWTON_XTOL = 1e-8
+# rank >= 3 equicoordinate roots: the coarse search starts from the bracket
+# of one coordinate's quantile and Bonferroni's, widened by this much
+_BRACKET_PAD = 0.05
 
 
 @lru_cache(maxsize=None)
@@ -440,18 +462,20 @@ def _constraints(folded, zero, lo, hi):
 
 
 class _PivotPlan:
-    """One factorization of a correlation matrix whose limits are symmetric,
-    ``lo == -hi`` after the doubly infinite drop, with how its pivots were
+    """One factorization of a correlation matrix, with how its pivots were
     picked.
 
-    On such a box every conditional offset of :func:`_ordered_cholesky` is
-    exactly zero, so the elimination does not depend on the limits: only
-    the picks do, through ties, and the plan's limits, ``lo / ck`` and
-    ``hi / ck`` on pivot rows and ``lo``, ``hi`` on dependent ones.
-    ``limits`` scores every recorded candidate at new symmetric limits in
-    one pass and returns the factorization's limits when each step's first
-    strict argmin is its recorded pick.  ``ck`` is kept as computed; any
-    value derived from it again may differ in the last bit.
+    The elimination of :func:`_ordered_cholesky` depends on the limits only
+    through the picks, so the factor serves any box in the plan's
+    permutation: ``transform`` gives its limits, ``lo / ck`` and
+    ``hi / ck`` on pivot rows and ``lo``, ``hi`` on dependent ones.  On a
+    symmetric box, ``lo == -hi`` after the doubly infinite drop, every
+    conditional offset is exactly zero, so the picks depend on the limits
+    only through ties: ``limits`` scores every recorded candidate at new
+    symmetric limits in one pass and returns the transformed limits when
+    each step's first strict argmin is its recorded pick, that is, when a
+    fresh factorization would give the same bits.  ``ck`` is kept as
+    computed; any value derived from it again may differ in the last bit.
     """
 
     __slots__ = ("folded", "zero", "rank", "perm", "ck", "cand", "sd", "ref", "before")
@@ -476,6 +500,10 @@ class _PivotPlan:
         picked = mass[self.ref]
         if not ((mass >= picked).all() and (mass[self.before] > picked[self.before]).all()):
             return None
+        return self.transform(lo, hi)
+
+    def transform(self, lo, hi):
+        """``(lo, hi)`` of the factor's rows at the limits of any box."""
         lo, hi = lo[self.perm], hi[self.perm]
         lo[: self.rank] /= self.ck
         hi[: self.rank] /= self.ck
@@ -585,14 +613,16 @@ def _point_set(seed: int, dim: int) -> _PointSet:
     return _PointSet(seed, dim)
 
 
-def _round_sums(steps, rank, gen, start, stop, points: _PointSet) -> np.ndarray:
+def _round_sums(steps, rank, gen, start, stop, points: _PointSet, minus=None) -> np.ndarray:
     """Integrand sums over lattice points ``start .. stop - 1``, per shift.
 
     A chunk's shifted, folded points are read from ``points`` when kept
     there.  Otherwise its unshifted points are built once and shared by the
     shifts, and the result is kept when the chunk ends by ``_KEPT_POINTS``.
     Every shift of the chunk goes to one ``_evaluate`` call, and each
-    shift's sum adds its chunk sums in chunk order.
+    shift's sum adds its chunk sums in chunk order.  With ``minus``, the
+    constraints of another box on the same factorization, the integrand is
+    the difference f(steps) - f(minus) at each point.
     """
     sums = np.zeros(_N_SHIFTS)
     for lo in range(start, stop, _CHUNK):
@@ -610,12 +640,15 @@ def _round_sums(steps, rank, gen, start, stop, points: _PointSet) -> np.ndarray:
             if hi <= _KEPT_POINTS:
                 points.chunks[lo, hi] = xs
         values = _evaluate(steps, rank, xs)
+        if minus is not None:
+            values -= _evaluate(minus, rank, xs)
         sums += values.reshape(_N_SHIFTS, hi - lo).sum(axis=1)
     return sums
 
 
-def _qmc_estimate(steps, rank, accuracy, seed, max_points):
-    """Randomized-lattice estimate: ``(value, err_est, points spent)``.
+def _qmc_estimate(steps, rank, accuracy, seed, max_points, anchor=None):
+    """Randomized-lattice estimate: ``(value, err_est, points spent, means)``,
+    ``means`` holding each shift's mean, or None without quadrature.
 
     One block of ``_N_SHIFTS`` random shifts serves the whole call, and
     every call with the same seed and dimension: the shifts, and the folded
@@ -627,22 +660,32 @@ def _qmc_estimate(steps, rank, accuracy, seed, max_points):
     evaluates only its new points and adds them to every shift's running
     sum.  The estimate is the mean of the per-shift means over all points
     so far, and the error estimate three standard errors of that mean.
+
+    With an ``anchor`` (:class:`_SolveAnchor`), the rounds integrate the
+    difference from the anchor's integrand and add the anchor's per-shift
+    means; the call returns None before a round that would bring its
+    evaluations, two per point, past the anchor's.
     """
     dim = rank - 1
     if dim == 0:
         # every factor is a constant interval: the value is exact
-        return _first_factor(steps[0])[1], 0.0, 1
+        return _first_factor(steps[0])[1], 0.0, 1, None
     gen = _lattice_generators(dim)
     points = _point_set(seed, dim)
     totals = np.zeros(_N_SHIFTS)
     done, n = 0, _FIRST_ROUND
+    minus, per_point = (None, 1) if anchor is None else (anchor.steps, 2)
     while True:
-        totals += _round_sums(steps, rank, gen, done, n, points)
+        spent = per_point * n * _N_SHIFTS
+        if anchor is not None and spent > anchor.spent:
+            return None
+        totals += _round_sums(steps, rank, gen, done, n, points, minus)
         means = totals / n
-        spent = n * _N_SHIFTS
+        if anchor is not None:
+            means += anchor.means
         err = 3.0 * max(float(means.std(ddof=1)) / math.sqrt(_N_SHIFTS), 1e-16)
         if err <= accuracy:
-            return float(means.mean()), err, spent
+            return float(means.mean()), err, spent, means
         if spent >= max_points:
             raise AccuracyError(
                 f"accuracy {accuracy:g} not reached after {spent} points "
@@ -806,15 +849,16 @@ class _ScaledRank2:
 
 
 def _max_partition(model: CorrelationModel, central: bool, c_lo: float,
-                   c_hi: float) -> _ScaledRank2 | None:
-    """:class:`_ScaledRank2` of the event that the maximum statistic of
-    ``model`` stays below c, for c in [c_lo, c_hi]: the matrix factored
-    once, on the box of c = 1.  None when its rank is not 2."""
+                   c_hi: float) -> "_ScaledRank2 | _PivotPlan":
+    """The event that the maximum statistic of ``model`` stays below c, for
+    c in [c_lo, c_hi], from the matrix factored once, on the box of c = 1:
+    :class:`_ScaledRank2` when its rank is 2, else the factorization's
+    :class:`_PivotPlan`."""
     unit = _max_rect(1.0, model.dim, central)
-    cho, lo, hi, rank, _ = _ordered_cholesky(model.matrix, unit.lower, unit.upper)
-    if rank != 2:
-        return None
+    cho, lo, hi, rank, pivots = _ordered_cholesky(model.matrix, unit.lower, unit.upper)
     folded, zero = _integration_plan(cho, rank)
+    if rank != 2:
+        return _PivotPlan(folded, zero, rank, pivots)
     return _ScaledRank2(_constraints(folded, zero, lo, hi), c_lo, c_hi)
 
 
@@ -833,6 +877,11 @@ def _check_accuracy(accuracy: float) -> None:
         raise ValueError(f"accuracy must be finite and positive, got {accuracy!r}")
 
 
+def _bounded(lo, hi) -> np.ndarray:
+    """The coordinates with a finite limit: the others are dropped."""
+    return np.flatnonzero((lo > -np.inf) | (hi < np.inf))
+
+
 def mvn_rect(
     mean,
     corr,
@@ -840,6 +889,8 @@ def mvn_rect(
     accuracy: float = DEFAULT_ACCURACY,
     seed: int = 0,
     max_points: int = DEFAULT_MAX_POINTS,
+    *,
+    _anchor: "_SolveAnchor | None" = None,
 ) -> ProbResult:
     """Probability that a multivariate normal vector falls in a rectangle.
 
@@ -902,7 +953,7 @@ def mvn_rect(
     lo = rect.lower - mu
     hi = rect.upper - mu
     # a coordinate unbounded on both sides contributes its marginal, 1
-    keep = np.flatnonzero((lo > -np.inf) | (hi < np.inf))
+    keep = _bounded(lo, hi)
     lo, hi = lo[keep], hi[keep]
     if keep.size == 0:
         return ProbResult(1.0, 0.0, 0)
@@ -918,8 +969,10 @@ def mvn_rect(
     if limits is None:
         cho, tlo, thi, rank, pivots = _ordered_cholesky(matrix, lo, hi)
         folded, zero = _integration_plan(cho, rank)
+        if kept is not None or (_anchor is not None and rank > 2):
+            plan = _PivotPlan(folded, zero, rank, pivots)
         if kept is not None:
-            kept.plan = _PivotPlan(folded, zero, rank, pivots)
+            kept.plan = plan
     else:
         tlo, thi = limits
         folded, zero, rank = plan.folded, plan.zero, plan.rank
@@ -931,8 +984,60 @@ def mvn_rect(
         value, err, spent = _rank2_estimate(steps)
         _check_rule_error(err, accuracy)
     else:
-        value, err, spent = _qmc_estimate(steps, rank, accuracy, seed, max_points)
+        value, err, spent, means = _qmc_estimate(steps, rank, accuracy, seed, max_points)
+        # the first full-accuracy call of a root solve becomes its anchor
+        if _anchor is not None and means is not None:
+            _anchor.plan, _anchor.keep, _anchor.steps, _anchor.means, _anchor.spent = (
+                plan, keep, steps, means, spent)
     return ProbResult(float(min(max(value, 0.0), 1.0)), err, spent)
+
+
+class _SolveAnchor:
+    """The probabilities of one root solve's boxes on one matrix, at mean
+    zero: the difference evaluation of the module text.
+
+    ``anchor(rect, accuracy)`` is a :class:`ProbResult`.  Calls at another
+    accuracy than ``accuracy``, and the first at it, are ``fresh`` calls:
+    :func:`mvn_rect` as the caller's module names it.  The first hands
+    ``fresh`` the anchor, which records, on the lattice, its plan, kept
+    coordinates, constraints and per-shift means.  Each later call at
+    ``accuracy`` integrates the difference, or falls back to ``fresh``.
+    """
+
+    __slots__ = ("model", "seed", "accuracy", "fresh", "plan", "keep", "steps", "means",
+                 "spent")
+
+    def __init__(self, model: CorrelationModel, seed: int, accuracy: float, fresh) -> None:
+        self.model, self.seed, self.accuracy, self.fresh = model, seed, accuracy, fresh
+        self.plan = self.keep = self.steps = self.means = None
+        self.spent = 0
+
+    def __call__(self, rect: Rectangle, accuracy: float) -> ProbResult:
+        full = accuracy == self.accuracy
+        if full and self.steps is not None:
+            found = self._difference(rect)
+            if found is not None:
+                return found
+        first = full and self.steps is None
+        return self.fresh(0.0, self.model, rect, accuracy=accuracy, seed=self.seed,
+                          _anchor=self if first else None)
+
+    def _difference(self, rect: Rectangle) -> ProbResult | None:
+        """P(rect) at full accuracy as the anchor's estimate plus the
+        difference, or None for a fresh call."""
+        if 2 * _FIRST_ROUND * _N_SHIFTS > self.spent:
+            return None
+        keep = _bounded(rect.lower, rect.upper)
+        if not np.array_equal(keep, self.keep):
+            return None
+        plan = self.plan
+        steps = _constraints(plan.folded, plan.zero,
+                             *plan.transform(rect.lower[keep], rect.upper[keep]))
+        found = _qmc_estimate(steps, plan.rank, self.accuracy, self.seed, math.inf, self)
+        if found is None:
+            return None
+        value, err, spent, _ = found
+        return ProbResult(float(min(max(value, 0.0), 1.0)), err, spent)
 
 
 def equicoord_quantile(
@@ -956,10 +1061,13 @@ def equicoord_quantile(
     quantile and Bonferroni's make, with Illinois on the same P as its
     fallback; no seed enters.  That bracket must lie in (0, 8].
 
-    Otherwise the root is bracketed on [0, 8] (``"central"``) or [-8, 8]
-    (``"upper"``) and found by :func:`_two_phase_root`: Illinois regula
-    falsi on cheap low-accuracy probabilities locates it, then two
-    full-accuracy evaluations, a Newton step and a secant step, polish it.
+    Otherwise the root is found by :func:`_two_phase_root`, bracketed first
+    by those two quantiles widened by 0.05 on each side, and on [0, 8]
+    (``"central"``) or [-8, 8] (``"upper"``) when they fail to bracket it:
+    Illinois regula falsi on cheap low-accuracy probabilities locates it,
+    then two full-accuracy evaluations, a Newton step and a secant step,
+    polish it.  Only the first of those integrates its box in full; each
+    later one integrates the difference from it (:class:`_SolveAnchor`).
     The coarse evaluations run at :func:`_coarse_accuracy` of the tail level
     1 - prob, the same policy as the group-sequential boundary solves.
     Every probability evaluation reuses the same seed, so the objective is a
@@ -999,28 +1107,32 @@ def equicoord_quantile(
     model = corr if isinstance(corr, CorrelationModel) else CorrelationModel(corr)
     dim = model.dim
     central = tail == "central"
-    root = _equicoord_root(model, prob, central, tol, accuracy)
+    root, ranges = _equicoord_root(model, prob, central, tol, accuracy)
     if root is not None:
         return root
+    anchor = _SolveAnchor(model, seed, accuracy, mvn_rect)
 
     def objective(c: float, acc: float) -> float:
-        rect = _max_rect(c, dim, central)
-        return mvn_rect(0.0, model, rect, accuracy=acc, seed=seed).value - prob
+        return anchor(_max_rect(c, dim, central), acc).value - prob
 
     coarse = _coarse_accuracy(accuracy, 1.0 - prob)
-    return _two_phase_root(objective, *_max_range(central), tol, accuracy, coarse)
+    return _first_bracket(
+        lambda lo, hi: _two_phase_root(objective, lo, hi, tol, accuracy, coarse), ranges)
 
 
 def _equicoord_root(model: CorrelationModel, prob: float, central: bool, tol: float,
-                    accuracy: float) -> float | None:
+                    accuracy: float):
     """The equicoordinate quantile of ``model`` at ``prob`` when its rank is
-    at most 2, or None.
+    at most 2, or the ranges the caller's general solve should search.
 
-    One coordinate has the normal quantile in closed form.  At rank 2 the
-    root is bracketed by one coordinate's quantile, where P(c) is at most
-    ``prob``, and by Bonferroni's, Phi^{-1}(1 - alpha / (2 m)) or
+    Returns ``(root, ranges)``: the root, or None and the ranges to try in
+    turn, each ``(lo, hi)``, the last being ``_max_range``.  The root is
+    bracketed by one coordinate's quantile, where P(c) is at most ``prob``,
+    and by Bonferroni's, Phi^{-1}(1 - alpha / (2 m)) or
     Phi^{-1}(1 - alpha / m) with alpha = 1 - prob, where P(c) is at least
-    ``prob``.  The matrix is factored once, on the box at c = 1, and
+    ``prob``.  The matrix is factored once, on the box at c = 1.
+
+    One coordinate has the normal quantile in closed form.  At rank 2,
     :class:`_ScaledRank2` evaluates P and its exact slope on one partition
     for the whole bracket.  Newton runs from the Bonferroni point; it keeps
     the bracket of the signs seen, and once a step is at most
@@ -1031,20 +1143,28 @@ def _equicoord_root(model: CorrelationModel, prob: float, central: bool, tol: fl
     of its sign change.  Every evaluation raises :class:`AccuracyError`
     when the gap between its two rules exceeds ``accuracy``.
 
-    None, for the caller's general solve, when the rank is 3 or more, when
-    the bracket does not lie in (0, 8], or when the exact P contradicts a
-    bound in rounding.
+    At rank 3 and more the general solve searches the bracket widened by
+    ``_BRACKET_PAD`` first, and on a cube the factorization becomes the
+    matrix's kept plan.  Otherwise (the bracket outside (0, 8], rank 1, or
+    an exact P that contradicts a bound in rounding) it searches
+    ``_max_range`` alone.
     """
     dim = model.dim
+    full = (_max_range(central),)
     if dim == 1:
-        return float(ndtri(0.5 * (1.0 + prob)) if central else ndtri(prob))
+        return float(ndtri(0.5 * (1.0 + prob)) if central else ndtri(prob)), full
     tails = (0.5 if central else 1.0) * (1.0 - prob)
     c_lo, c_hi = float(-ndtri(tails)), float(-ndtri(tails / dim))
-    if not 0.0 < c_lo < c_hi <= _max_range(central)[1]:
-        return None
+    lo, hi = full[0]
+    if not 0.0 < c_lo < c_hi <= hi:
+        return None, full
     gauss = _max_partition(model, central, c_lo, c_hi)
-    if gauss is None:
-        return None
+    if isinstance(gauss, _PivotPlan):
+        if gauss.rank < 3:
+            return None, full
+        if central:
+            _kept_plan(model.matrix.tobytes(), model.matrix.shape).plan = gauss
+        return None, ((max(c_lo - _BRACKET_PAD, lo), min(c_hi + _BRACKET_PAD, hi)),) + full
 
     def excess(c):
         """P - prob and dP/dc at each of ``c``."""
@@ -1054,7 +1174,7 @@ def _equicoord_root(model: CorrelationModel, prob: float, central: bool, tol: fl
 
     (fa, fb), (_, dx) = excess([c_lo, c_hi])
     if fa > 0.0 or fb < 0.0:
-        return None
+        return None, full
     a, b, x, fx = c_lo, c_hi, c_hi, fb
     for _ in range(_NEWTON_STEPS):
         # a slope that is not positive gives NaN, outside every bracket, and
@@ -1064,13 +1184,25 @@ def _equicoord_root(model: CorrelationModel, prob: float, central: bool, tol: fl
             break
         x -= step
         if abs(step) <= min(_NEWTON_XTOL, tol):
-            return x
+            return x, full
         (fx,), (dx,) = excess([x])
         if fx < 0.0:
             a, fa = x, fx
         else:
             b, fb = x, fx
-    return float(_illinois(lambda c: float(excess([c])[0][0]), a, fa, b, fb, tol))
+    return float(_illinois(lambda c: float(excess([c])[0][0]), a, fa, b, fb, tol)), full
+
+
+def _first_bracket(solve, ranges) -> float:
+    """``solve(lo, hi)`` on the first of ``ranges`` that brackets the root:
+    a :class:`SolverError` moves on to the next range, except on the last."""
+    *tight, last = ranges
+    for lo, hi in tight:
+        try:
+            return solve(lo, hi)
+        except SolverError:
+            pass
+    return solve(*last)
 
 
 def _coarse_accuracy(accuracy: float, level: float) -> float:
@@ -1099,11 +1231,14 @@ def _two_phase_root(objective, lo, hi, tol, accuracy, coarse) -> float:
     * Coarse phase: Illinois regula falsi at the ``coarse`` accuracy finds
       c0 to a bracket of width 5e-3, and two more coarse evaluations at
       c0 +- 5e-3 give the local slope.
-    * Fine phase: one evaluation at full ``accuracy`` at c0 gives a Newton
-      step to c1, a second at c1 a secant step to c2.  c2 is accepted when
-      the step is at most tol/2 and c2 lies inside the bracket known at
-      full accuracy.  Otherwise further secant steps follow, one
-      full-accuracy evaluation each, up to ``_SECANT_STEPS`` in all.
+    * Fine phase: two full-accuracy evaluations, a Newton step and a secant
+      step.  One evaluation at full ``accuracy`` at c0 gives a Newton step
+      to c1, a second at c1 a secant step to c2.  c2 is accepted when the
+      step is at most tol/2 and c2 lies inside the bracket known at full
+      accuracy.  Otherwise further secant steps follow, one full-accuracy
+      evaluation each, up to ``_SECANT_STEPS`` in all.  The callers'
+      objectives evaluate through a :class:`_SolveAnchor`: only the first
+      of these integrates its box in full.
     * Fallback: when an iterate leaves the bracket, the slope has the wrong
       sign or the steps run out, Illinois at full accuracy shrinks the
       bracket known at full accuracy to a width of at most ``tol``.

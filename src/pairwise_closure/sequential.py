@@ -51,8 +51,10 @@ from .mvn import (
     _check_tol,
     _coarse_accuracy,
     _equicoord_root,
+    _first_bracket,
     _max_range,
     _max_rect,
+    _SolveAnchor,
     _two_phase_root,
     equicoord_quantile,
     mvn_rect,
@@ -282,23 +284,24 @@ class BoundarySchedule(_ClassCache):
             block = CorrelationModel(joint[: q * width, : q * width])
             # the first stage alone is an equicoordinate quantile, solved in
             # closed form or by Newton when its rank is at most 2
-            root = (_equicoord_root(block, 1.0 - alpha_q, central, self.tol, self.accuracy)
-                    if q == 1 else None)
+            root, ranges = (
+                _equicoord_root(block, 1.0 - alpha_q, central, self.tol, self.accuracy)
+                if q == 1 else (None, (_max_range(central),)))
             if root is not None:
                 values.append(root)
                 continue
+            anchor = _SolveAnchor(block, seed, self.accuracy, mvn_rect)
             upper = np.repeat(values + [math.nan], width)
 
             def objective(c: float, acc: float) -> float:
                 upper[-width:] = c
-                return _crossing_prob(block, upper, central, acc, seed) - alpha_q
+                return 1.0 - anchor(_max_rect(upper, upper.size, central), acc).value - alpha_q
 
-            values.append(
-                _two_phase_root(
-                    objective, *_max_range(central), tol=self.tol, accuracy=self.accuracy,
-                    coarse=_coarse_accuracy(self.accuracy, alpha_q),
-                )
-            )
+            coarse = _coarse_accuracy(self.accuracy, alpha_q)
+            values.append(_first_bracket(
+                lambda lo, hi: _two_phase_root(objective, lo, hi, tol=self.tol,
+                                               accuracy=self.accuracy, coarse=coarse),
+                ranges))
         return tuple(values)
 
 

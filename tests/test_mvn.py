@@ -325,30 +325,138 @@ def test_coarse_accuracy_is_one_policy():
 
 
 def test_quantile_at_level_1e3_keeps_its_bits():
-    assert equicoord_quantile(pairwise_corr(4), 0.999, seed=1) == 3.754218117759353
+    assert equicoord_quantile(pairwise_corr(4), 0.999, seed=1) == 3.7542762281979942
 
 
 def test_quantile_below_level_1e3_is_pinned():
     # the coarse phase runs at the accuracy of level 1e-3 below it
-    assert equicoord_quantile(pairwise_corr(4), 0.9999, seed=1) == 4.3045406721638875
+    assert equicoord_quantile(pairwise_corr(4), 0.9999, seed=1) == 4.3040448093254176
 
 
-@pytest.mark.parametrize("n_arms", [3, 4])
-def test_quantile_takes_two_full_accuracy_evaluations(n_arms, monkeypatch):
-    accuracies = []
+@pytest.mark.parametrize("n_arms, tail", [(3, "central"), (4, "central"), (4, "upper")])
+def test_quantile_takes_one_fresh_full_accuracy_evaluation(n_arms, tail, monkeypatch):
+    accuracies, anchored = [], []
+    qmc_estimate = mvn._qmc_estimate
 
     def counting(*args, **kwargs):
         accuracies.append(kwargs["accuracy"])
         return mvn_rect(*args, **kwargs)
 
+    def recording(steps, rank, accuracy, seed, max_points, anchor=None):
+        anchored.append(anchor is not None)
+        return qmc_estimate(steps, rank, accuracy, seed, max_points, anchor)
+
+    factored, _ = _count_factorizations(monkeypatch)
     monkeypatch.setattr(mvn, "mvn_rect", counting)
-    equicoord_quantile(pairwise_corr(n_arms), 0.95, seed=1, accuracy=1e-5)
+    monkeypatch.setattr(mvn, "_qmc_estimate", recording)
+    config = TrialConfig.single_stage(n_arms, 1.0, 30,
+                                      sided="two-sided" if tail == "central" else "one-sided")
+    corr = correlation(config, range(1, config.n_comparisons + 1))
+    equicoord_quantile(corr, 0.95, seed=1, accuracy=1e-5, tail=tail)
     if n_arms == 3:
         # rank 2: Newton on one scaled partition, without the kernel
         assert accuracies == []
+        return
+    # one fresh full-accuracy call, the anchor; the Newton and secant
+    # steps after it integrate only their difference from its box, outside
+    # the kernel's entry point
+    assert accuracies.count(1e-5) == 1
+    assert len(accuracies) > 1  # the rest ran at the coarse accuracy
+    assert anchored.count(True) >= 1
+    if tail == "central":
+        # the factorization at c = 1 that found the rank is the kept plan
+        # every kernel call of the solve reuses
+        assert len(factored) == 1
     else:
-        assert accuracies.count(1e-5) == 2
-        assert len(accuracies) > 2  # the rest ran at the coarse accuracy
+        # an orthant's picks move with c: each call factors afresh
+        assert len(factored) == len(accuracies) + 1
+
+
+def _k4_q2_joint():
+    config = TrialConfig.single_stage(4, 1.0, 50).with_stage_n(((50,) * 4, (100,) * 4))
+    return joint_covariance(config)
+
+
+def _stage2_box(first, c, width=6):
+    upper = np.repeat([first, c], width)
+    return Rectangle(-upper, upper)
+
+
+@pytest.mark.parametrize("corr, box, c0", [
+    (pairwise_corr(4), lambda c: Rectangle.centered(c, 6), 2.569),
+    (_k4_q2_joint(), lambda c: _stage2_box(3.2876, c), 2.5898),
+], ids=["k4-quantile", "k4-q2-stage-2"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_an_anchored_value_agrees_with_a_fresh_one(corr, box, c0, seed):
+    accuracy = 1e-5
+    anchor = mvn._SolveAnchor(mvn.CorrelationModel(corr), seed, accuracy, mvn_rect)
+    first = anchor(box(c0), accuracy)
+    # the anchor itself is a fresh call
+    assert first == mvn_rect(0.0, corr, box(c0), accuracy=accuracy, seed=seed)
+    for c in (c0 - 5e-3, c0 + 1e-3):
+        found = anchor._difference(box(c))
+        assert found is not None and found.n_points < first.n_points
+        assert found.err_est <= accuracy
+        fresh = mvn_rect(0.0, corr, box(c), accuracy=accuracy, seed=seed)
+        assert abs(found.value - fresh.value) <= found.err_est + fresh.err_est
+        assert anchor(box(c), accuracy) == found
+
+
+def test_anchored_evaluations_fall_back_to_fresh_calls():
+    entries = []
+
+    def fresh(*args, **kwargs):
+        entries.append(kwargs["_anchor"] is not None)
+        return mvn_rect(*args, **kwargs)
+
+    def solve_anchor(corr, accuracy):
+        return mvn._SolveAnchor(mvn.CorrelationModel(corr), 2, accuracy, fresh)
+
+    # a box that keeps other coordinates: stage 1 with nothing to spend
+    corr = _k4_q2_joint()
+    anchor = solve_anchor(corr, 1e-4)
+    anchor(_stage2_box(3.2876, 2.59), 1e-4)
+    dropped = _stage2_box(np.inf, 2.58)
+    assert anchor._difference(dropped) is None
+    assert anchor(dropped, 1e-4) == mvn_rect(0.0, corr, dropped, accuracy=1e-4, seed=2)
+    # an anchor of one round: a difference evaluates every point twice, so
+    # even its first round would spend more than the anchor did
+    corr = pairwise_corr(4)
+    anchor = solve_anchor(corr, 1e-2)
+    first = anchor(Rectangle.centered(2.5, 6), 1e-2)
+    assert first.n_points == 12 * mvn._FIRST_ROUND
+    near = Rectangle.centered(2.49, 6)
+    assert anchor._difference(near) is None
+    assert anchor(near, 1e-2) == mvn_rect(0.0, corr, near, accuracy=1e-2, seed=2)
+    # a box far from the anchor's, whose difference is as rough as a fresh
+    # value: its rounds stop before they outspend the anchor
+    anchor = solve_anchor(corr, 1e-6)
+    first = anchor(Rectangle.centered(2.5, 6), 1e-6)
+    far = Rectangle.centered(0.6, 6)
+    assert anchor._difference(far) is None
+    assert anchor(far, 1e-6) == mvn_rect(0.0, corr, far, accuracy=1e-6, seed=2)
+    # each anchor entered the kernel for itself, then for each fallback
+    assert entries == [True, False, True, False, True, False]
+    # the coarse accuracy is always a fresh call
+    assert anchor(near, 1e-3) == mvn_rect(0.0, corr, near, accuracy=1e-3, seed=2)
+
+
+def test_solves_do_not_depend_on_call_history():
+    # a solve's anchor lives for that solve alone, and the kernel's kept
+    # points and plans give the bits of a cold call
+    one_sided = TrialConfig.single_stage(4, (1.0, 1.5, 0.7, 1.2), 40, sided="one-sided")
+    staged = TrialConfig.single_stage(3, 1.0, 50).with_stage_n(((50,) * 3, (100,) * 3))
+    schedule = SpendingSchedule.power_family(0.05, (0.5, 1.0))
+    solves = [
+        lambda: equicoord_quantile(pairwise_corr(4), 0.95, seed=1),
+        lambda: equicoord_quantile(correlation(one_sided, [1, 2, 4, 5]), 0.9, seed=2,
+                                   tail="upper"),
+        lambda: equicoord_quantile(pairwise_corr(5), 0.95, seed=1, accuracy=1e-4),
+        lambda: gs_boundaries(staged, schedule, seed=3).value({1, 2, 3}),
+    ]
+    cold = [_cold(solve) for solve in solves]
+    for i in np.random.default_rng(6).permutation(np.repeat(np.arange(len(solves)), 2)):
+        assert solves[i]() == cold[i]
 
 
 def _kinked(c, acc):
@@ -617,9 +725,9 @@ def test_max_points_stops_before_a_further_round(monkeypatch):
     rounds = []
     round_sums = mvn._round_sums
 
-    def recording(steps, rank, gen, start, stop, shifts):
+    def recording(steps, rank, gen, start, stop, *rest):
         rounds.append((start, stop))
-        return round_sums(steps, rank, gen, start, stop, shifts)
+        return round_sums(steps, rank, gen, start, stop, *rest)
 
     monkeypatch.setattr(mvn, "_round_sums", recording)
     corr = pairwise_corr(4)
@@ -664,11 +772,11 @@ def _equicorrelated(dim, rho=0.5):
     return np.full((dim, dim), rho) + (1.0 - rho) * np.eye(dim)
 
 
-def _cold(corr, rect, accuracy, seed):
+def _cold(call, *args, **kwargs):
     # a call that finds neither kept points nor a kept pivot plan
     mvn._point_set.cache_clear()
     mvn._kept_plan.cache_clear()
-    return mvn_rect(0.0, corr, rect, accuracy=accuracy, seed=seed)
+    return call(*args, **kwargs)
 
 
 def test_results_do_not_depend_on_call_history():
@@ -690,7 +798,8 @@ def test_results_do_not_depend_on_call_history():
         # seven dimensions: Kronecker directions
         (_equicorrelated(8), Rectangle.centered(2.6, 8), 1e-4, 3),
     ]
-    cold = [_cold(corr, rect, accuracy, seed) for corr, rect, accuracy, seed in cases]
+    cold = [_cold(mvn_rect, 0.0, corr, rect, accuracy=accuracy, seed=seed)
+            for corr, rect, accuracy, seed in cases]
     assert cold[0].n_points > 12 * mvn._KEPT_POINTS
     order = np.random.default_rng(5).permutation(np.repeat(np.arange(len(cases)), 3))
     for i in order:
@@ -704,7 +813,8 @@ def test_threads_sharing_the_kept_points_get_cold_results():
     # would raise or change a result
     cases = [(pairwise_corr(n_arms), Rectangle.centered(2.4, n_arms * (n_arms - 1) // 2),
               seed) for n_arms in (3, 4, 5) for seed in (0, 1)]
-    cold = [_cold(corr, rect, 1e-4, seed) for corr, rect, seed in cases]
+    cold = [_cold(mvn_rect, 0.0, corr, rect, accuracy=1e-4, seed=seed)
+            for corr, rect, seed in cases]
     failures = []
 
     keys = [(seed, dim) for seed in range(3) for dim in (1, 2)]
@@ -803,7 +913,7 @@ def test_a_kept_pivot_plan_gives_the_bits_of_a_fresh_factorization(monkeypatch):
             cases.append((name, upper, corr, rect, accuracy))
     assert any(reused) and not all(reused)
     for res, (name, upper, corr, rect, accuracy) in zip(warm, cases):
-        cold = _cold(corr, rect, accuracy, 5)
+        cold = _cold(mvn_rect, 0.0, corr, rect, accuracy=accuracy, seed=5)
         assert (res.value, res.err_est, res.n_points) == (
             cold.value, cold.err_est, cold.n_points), (name, upper)
 

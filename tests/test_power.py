@@ -292,12 +292,12 @@ class TestLfcCheck:
     # power, alternative and search result is pinned to the bit.
     @pytest.mark.parametrize("n_arms, sigma2, n, delta, mode, expected", [
         (4, 1.0, 100, 0.5, "theorem", {
-            "mode": "theorem", "lfc_power": 0.8585646316042161,
+            "mode": "theorem", "lfc_power": 0.8585642734168667,
             "alternatives": [
-                {"epsilon": -0.25, "power": 0.9402044818002147, "ge_lfc": True},
-                {"epsilon": -0.125, "power": 0.8821710611858573, "ge_lfc": True},
-                {"epsilon": 0.125, "power": 0.8821809472684374, "ge_lfc": True},
-                {"epsilon": 0.25, "power": 0.9401941643367889, "ge_lfc": True},
+                {"epsilon": -0.25, "power": 0.9402042796828346, "ge_lfc": True},
+                {"epsilon": -0.125, "power": 0.8821707360741362, "ge_lfc": True},
+                {"epsilon": 0.125, "power": 0.8821806222362338, "ge_lfc": True},
+                {"epsilon": 0.25, "power": 0.9401939621718499, "ge_lfc": True},
             ],
             "is_minimum": True, "trivial": False,
         }),

@@ -16,6 +16,8 @@ test, simulated statistics, ``batch_gs_test`` and
 boxes swept over many half-widths per matrix (the calls that reuse a
 matrix's kept pivot plan), one-sided K=3 equicoordinate quantiles, the
 two-look Pocock spends and a one-sided K=3 Q=2 boundary table on them,
+the generalised boundary vector of a K=4 Q=2 design (a later stage of
+rank 4, whose second full-accuracy evaluation integrates a difference),
 ``run_scenario`` over every
 procedure on a two-sided staged design, over the five single-stage
 procedures at K=4 and over the staged procedures on a one-sided design,
@@ -266,6 +268,10 @@ def outputs() -> dict:
     cfg, _ = designs["one-sided"]
     # a first look that spends enough for its boundary to matter
     out["one-sided/gs-pocock"] = gs_boundaries(cfg, pocock, seed=8, accuracy=acc).entries()
+    k4_q2 = TrialConfig.single_stage(4, 1.0, 50).with_stage_n(((50,) * 4, (100,) * 4))
+    k4_generalised = generalised_boundaries(
+        k4_q2, SpendingSchedule.obrien_fleming(0.05, (0.5, 1.0)), seed=8, accuracy=acc)
+    out["k4-q2/generalised"] = k4_generalised.value(k4_generalised.full_set())
 
     cfg, _ = designs["two-sided"]
     scenario = SimScenario(
