@@ -198,14 +198,16 @@ class _ClassCache:
     canonical key, and may override ``_served(subset)``, the subset whose
     value a lookup returns.  ``value`` validates a subset, memoizes its
     class key and solves each class once, in the calling process;
-    ``entries`` materializes every subset of the lattice.  The cache
-    belongs to one object and is not an argument of ``__init__``, so a copy
-    made with ``dataclasses.replace`` always starts with an empty cache.
+    ``entries`` materializes every subset of the lattice; ``_mask_value``
+    serves the step-down, which names subsets by bitmask.  The caches
+    belong to one object and are not arguments of ``__init__``, so a copy
+    made with ``dataclasses.replace`` always starts with empty caches.
     """
 
     config: TrialConfig
     _class_values: dict = field(default_factory=dict, init=False, repr=False)
     _subset_keys: dict = field(default_factory=dict, init=False, repr=False)
+    _mask_values: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_comparisons(self) -> int:
@@ -242,6 +244,15 @@ class _ClassCache:
         if key not in self._class_values:
             self._class_values[key] = self._solve(key)
         return self._class_values[key]
+
+    def _mask_value(self, mask: int):
+        """``value`` of the subset whose comparison k is bit k - 1 of
+        ``mask``, memoized by mask for every later call on this table."""
+        value = self._mask_values.get(mask)
+        if value is None:
+            members = [k + 1 for k in range(self.n_comparisons) if mask >> k & 1]
+            value = self._mask_values[mask] = self.value(members)
+        return value
 
     def entries(self) -> dict:
         """Every subset's value, by size and then lexicographically; guarded
@@ -552,9 +563,11 @@ def batch_closed_test(abs_z: np.ndarray, table: CriticalValueTable) -> np.ndarra
     first step, each row's maximum against the full-set cut, runs on every
     row column by column; only the rows that pass it are sorted and walked
     on.  Only the tail sets of rows still rejecting are looked up, so only
-    the classes the data visit are solved.  Decisions equal the full
-    lattice walk because the table is consonant.  Works for any family of
-    up to 62 comparisons.
+    the classes the data visit are solved.  Each cut is kept on the table
+    by its bitmask, so a later call on the same table, such as the next
+    block of a simulation, reads it without validating the subset again.
+    Decisions equal the full lattice walk because the table is consonant.
+    Works for any family of up to 62 comparisons.
 
     Parameters
     ----------
@@ -576,14 +589,7 @@ def batch_closed_test(abs_z: np.ndarray, table: CriticalValueTable) -> np.ndarra
     if not np.all(np.isfinite(abs_z)):
         raise ValueError("statistics must be finite")
     bits = np.left_shift(np.int64(1), np.arange(m, dtype=np.int64))
-    values: dict = {}
-
-    def critical(mask: int) -> float:
-        c = values.get(mask)
-        if c is None:
-            c = values[mask] = table.value(k + 1 for k in range(m) if mask >> k & 1)
-        return c
-
+    critical = table._mask_value
     rejected = np.zeros((m, abs_z.shape[0]), dtype=bool).T
     if abs_z.size == 0:
         return rejected

@@ -231,34 +231,29 @@ def _pair_z(means: np.ndarray, v: np.ndarray, sided: str) -> np.ndarray:
     return out.T
 
 
-def _resolved_arms(
-    n_arms: int, rejected: np.ndarray, stopped: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Arms with a rejected direction in every pair that touches them.
+def _resolved_arms(n_arms: int, rejected: np.ndarray, stopped: np.ndarray) -> np.ndarray:
+    """The analysis at which each arm has a rejected direction in every pair
+    that touches it.
 
     ``rejected`` and ``stopped`` have shape (rows, m) for a two- or
-    one-sided family, ``stopped`` holding the analysis of each rejection.
-    A pair resolves at its earliest rejecting direction, and an arm at the
-    latest of its pairs.  Returns ``(resolved, stage)``, both of shape
-    (rows, K) with each arm's column contiguous; ``stage`` is meaningful
-    only where ``resolved`` holds.  The work runs column by column.
+    one-sided family, ``stopped`` holding the analysis (1 to 65,535) of each
+    rejection.  A pair resolves at its earliest rejecting direction, and an
+    arm at the latest of its pairs.  Returns uint16 of shape (K, rows), each
+    arm's row contiguous: the analysis at which the arm resolved, or 0 where
+    it did not.
     """
     m2 = n_arms * (n_arms - 1) // 2
-    never = np.iinfo(np.int64).max
-    # one-sided columns k and k + m2 are the two directions of one pair
-    directions = [range(pair, rejected.shape[1], m2) for pair in range(m2)]
-    hit = [functools.reduce(np.logical_or, (rejected[:, c] for c in cols))
-           for cols in directions]
-    first = [functools.reduce(np.minimum, (np.where(rejected[:, c], stopped[:, c], never)
-                                           for c in cols))
-             for cols in directions]
+    # each direction's analysis less one, so that a direction not rejected
+    # (0) wraps round to 65,535, later than any analysis
+    stage = stopped.T.astype(np.uint16)
+    stage *= rejected.T
+    stage -= 1
+    # one-sided rows k and k + m2 are the two directions of one pair
+    pair = functools.reduce(np.minimum, (stage[d:d + m2] for d in range(0, len(stage), m2)))
     ii, jj = _pair_arms(n_arms, TWO_SIDED)
-    touching = [np.flatnonzero((ii == arm) | (jj == arm)).tolist() for arm in range(n_arms)]
-    resolved = np.stack([functools.reduce(np.logical_and, (hit[p] for p in pairs))
-                         for pairs in touching])
-    stage = np.stack([functools.reduce(np.maximum, (first[p] for p in pairs))
-                      for pairs in touching])
-    return resolved.T, stage.T
+    arm = np.stack([pair[(ii == a) | (jj == a)].max(axis=0) for a in range(n_arms)])
+    arm += 1
+    return arm
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .mvn import (
     equicoord_quantile,
     mvn_rect,
 )
-from .simulate import simulate_statistics
+from .simulate import _blocks, _replicate_count
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,12 @@ def disjunctive_power(
     alpha : float
     method : str
         ``"quadrature"`` evaluates one shifted rectangle probability;
-        ``"simulation"`` draws replicated trials with
-        :func:`~pairwise_closure.simulate.simulate_statistics` and also
-        returns the distribution of the number of rejections.
+        ``"simulation"`` draws replicated trials, the statistics of
+        :func:`~pairwise_closure.simulate.simulate_statistics`, and also
+        returns the distribution of the number of rejections; they are
+        drawn and decided block by block, as in
+        :func:`~pairwise_closure.simulate.run_scenario`, so memory does not
+        grow with ``n_reps``.
     seed : int
     accuracy : float
         Accuracy of the quadrature path.
@@ -129,10 +132,12 @@ def disjunctive_power(
         return PowerResult(_quadrature_power(config, mu, corr, c_full, accuracy, seed))
     if method != "simulation":
         raise ValueError(f"unknown method {method!r}")
-    z = simulate_statistics(config, mu, n_reps, seed)[0][:, 0, :]
-    rejected = batch_closed_test(_max_statistic(z, config.sided), table)
-    count = rejected.sum(axis=1)
-    per_count = tuple(float(np.mean(count == r)) for r in range(m + 1))
+    n_reps = _replicate_count(n_reps)
+    hist = np.zeros(m + 1, dtype=np.int64)
+    for _, z_cum, _ in _blocks(config, mu, n_reps, seed):
+        rejected = batch_closed_test(_max_statistic(z_cum[:, 0, :], config.sided), table)
+        hist += np.bincount(rejected.sum(axis=1), minlength=m + 1)
+    per_count = tuple(float(h / n_reps) for h in hist)
     disjunctive = 1.0 - per_count[0]
     se = math.sqrt(max(disjunctive * (1.0 - disjunctive), 1e-12) / n_reps)
     return PowerResult(disjunctive, per_count, se, n_reps, "simulation")

@@ -480,6 +480,6 @@ def drop_treatments(decision: ClosureDecision, config: TrialConfig) -> set[int]:
     is rejected (both can never be).
     """
     rejected = np.asarray(decision.rejected, dtype=bool)[None, :]
-    stopped = np.zeros(rejected.shape, dtype=np.int64)
-    resolved, _ = _resolved_arms(config.n_arms, rejected, stopped)
-    return {arm + 1 for arm in np.flatnonzero(resolved[0]).tolist()}
+    # each rejection counts as made at the first analysis
+    resolved = _resolved_arms(config.n_arms, rejected, rejected)[:, 0]
+    return {arm + 1 for arm in np.flatnonzero(resolved).tolist()}

@@ -9,7 +9,10 @@ total sample size after dropping fully resolved arms.
 
 Randomness comes from a counter-based generator keyed by the master seed, so
 replicate r sees the same data no matter how many replicates are requested
-or how the work is chunked.
+or how the work is split.  Replicates are drawn and decided in blocks of
+2^14, and only running counts are kept between blocks, so the peak memory of
+a run is one block's, whatever the replicate count (plus replicates x m
+bools when the decisions are kept).
 """
 
 from __future__ import annotations
@@ -44,7 +47,14 @@ from .sequential import SpendingSchedule, _first_crossing, batch_gs_test, gs_bou
 _SINGLE_STAGE = ("dunnett", "global", "bonferroni", "unadjusted", "gatekeeping")
 _STAGED = ("dunnett-gs", "dunnett-gs-generalised")
 PROCEDURES = (*_SINGLE_STAGE, *_STAGED, "combination")
-_CHUNK = 200_000
+# Replicates per block.  A run's peak memory is one block's, and the per-run
+# state (tables, boundaries, the step-down's cut memo on the table) is built
+# outside the block loop, so smaller blocks cost no more solves.  Peak RSS
+# after both runs of the simulate benchmark (K=5 with 700,000 replicates,
+# then K=3 Q=2 staged with 1,500,000; the import is about 57 MB of it), on a
+# 2-vCPU Xeon: 128.7 MB at 200,000 rows, 84.6 MB at 2^16, 71.8 MB at 2^15,
+# 65.5 MB at 2^14 and 63.1 MB at 2^13.
+_CHUNK = 1 << 14
 # a schedule's total spend may miss alpha by this much: the O'Brien-Fleming
 # spend at alpha 0.05 totals 0.050000000000000044
 _SPEND_ROUNDING = 1e-12
@@ -86,9 +96,7 @@ class SimScenario:
             raise ValueError(f"unknown procedures {unknown}; choose from {PROCEDURES}")
         if len(set(procedures)) != len(procedures):
             raise ValueError("procedures must be distinct")
-        object.__setattr__(self, "replicates", _whole(self.replicates, "replicates"))
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
+        object.__setattr__(self, "replicates", _replicate_count(self.replicates))
         _check_alpha(self.alpha)
         if any(t in _STAGED for t in procedures) and self.spending is None:
             raise ValueError("staged procedures need a spending schedule")
@@ -162,11 +170,30 @@ def simulate_statistics(
     for a single-stage design both are the same array.
     """
     mu = _arm_means(means, config.n_arms)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return _draw_statistics(config, mu, _replicate_count(replicates), rng)
+
+
+def _replicate_count(replicates) -> int:
+    """A replicate count: a whole number read through ``_whole``, at least 1."""
     replicates = _whole(replicates, "replicates")
     if replicates < 1:
         raise ValueError("need at least one replicate")
+    return replicates
+
+
+def _blocks(config, mu, replicates, seed):
+    """The statistics of :func:`simulate_statistics`, block by block.
+
+    Yields ``(start, z_cum, z_stage)`` for consecutive blocks of at most
+    ``_CHUNK`` replicates, the first replicate of the block at index
+    ``start``.  The blocks read one Philox stream in turn, so together they
+    hold the bits that one call for every replicate returns, and the memory
+    in use is one block's whatever the count.
+    """
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return _draw_statistics(config, mu, replicates, rng)
+    for start in range(0, replicates, _CHUNK):
+        yield start, *_draw_statistics(config, mu, min(_CHUNK, replicates - start), rng)
 
 
 def _draw_statistics(config, mu, n_reps, rng):
@@ -296,13 +323,15 @@ def _total_sample_size(config, rejected, stopped):
     rejected (either direction for one-sided families); it then keeps the
     enrolment of the analysis that resolved it.
     """
-    resolved, stage = _resolved_arms(config.n_arms, rejected, stopped)
+    stage = _resolved_arms(config.n_arms, rejected, stopped)
+    # each arm's enrolment if it is never resolved (at the last analysis),
+    # then at analyses 1..Q
     stage_n = np.asarray(config.stage_n, dtype=float)
+    sizes = np.concatenate([stage_n[-1:], stage_n]).T
     total = np.zeros(len(rejected))
     # arm by arm; the sizes are whole numbers, so the sum is exact in any order
     for arm in range(config.n_arms):
-        drop_stage = np.where(resolved[:, arm], stage[:, arm], config.n_stages)
-        total += stage_n[drop_stage - 1, arm]
+        total += sizes[arm].take(stage[arm])
     return total
 
 
@@ -312,27 +341,27 @@ def run_scenario(
     """Apply every procedure of the scenario to common simulated trials.
 
     Deterministic for a fixed scenario: the master seed drives both the
-    simulated data and the quadrature used for tables and boundaries.  With
-    ``keep_decisions`` the per-replicate rejection matrices are attached to
-    the result (memory scales with replicates).
+    simulated data and the quadrature used for tables and boundaries.  The
+    tables, boundaries and cuts are built once; the replicates are then
+    drawn and decided block by block, so peak memory is that of one block.
+    With ``keep_decisions`` the per-replicate rejection matrices are
+    attached to the result, which adds replicates x m bools per procedure.
     """
     cfg = scenario.config
     m = cfg.n_comparisons
     rules = _build_resources(scenario)
-    rng = np.random.Generator(np.random.Philox(key=scenario.seed))
     hist = {tag: np.zeros(m + 1, dtype=np.int64) for tag in scenario.procedures}
     n_sum = {tag: 0.0 for tag in _STAGED if tag in scenario.procedures}
     kept: dict[str, list] = {tag: [] for tag in scenario.procedures}
-    done = 0
-    while done < scenario.replicates:
-        take = min(_CHUNK, scenario.replicates - done)
-        z_cum, z_stage = _draw_statistics(cfg, scenario.means.mu, take, rng)
+    for start, z_cum, z_stage in _blocks(cfg, scenario.means.mu, scenario.replicates,
+                                         scenario.seed):
+        take = len(z_cum)
         for tag in scenario.procedures:
             try:
                 rejected, stopped = rules[tag](z_cum, z_stage)
             except NumericsError as err:
                 raise NumericsError(
-                    f"{tag} failed on replicates {done + 1}..{done + take}: {err}"
+                    f"{tag} failed on replicates {start + 1}..{start + take}: {err}"
                 ) from err
             count = np.zeros(take, dtype=np.int64)
             for col in range(m):
@@ -342,7 +371,6 @@ def run_scenario(
                 n_sum[tag] += _total_sample_size(cfg, rejected, stopped).sum()
             if keep_decisions:
                 kept[tag].append(rejected)
-        done += take
     reps = scenario.replicates
     summaries = {}
     for tag in scenario.procedures:

@@ -12,6 +12,7 @@ from scipy.special import ndtri
 
 from pairwise_closure import closure
 from pairwise_closure.closure import (
+    CriticalValueTable,
     batch_closed_test,
     bonferroni_cut,
     bonferroni_test,
@@ -585,6 +586,27 @@ class TestShortcutAgainstLattice:
         got = batch_closed_test(inner, table_k4)
         assert np.array_equal(got, expect)
         assert got.flags.f_contiguous and expect.flags.f_contiguous
+
+    def test_batch_keeps_each_cut_on_the_table(self, cfg_k4, monkeypatch):
+        table = critical_values(cfg_k4, 0.05, seed=1, accuracy=1e-3)
+        rng = np.random.default_rng(17)
+        z = np.abs(np.vstack([
+            _stress_vectors(rng, 6, 400, table.value(table.full_set())),
+            _edge_vectors(rng, table, 300),
+        ]))
+        first = batch_closed_test(z, table)
+        memo = dict(table._mask_values)
+        assert len(memo) > 1
+        for mask, cut in memo.items():
+            members = {k + 1 for k in range(6) if mask >> k & 1}
+            assert cut == table.value(members)
+        # later calls look each cut up on the table, not through value
+        monkeypatch.setattr(CriticalValueTable, "value", None)
+        assert np.array_equal(batch_closed_test(z[::-1], table), first[::-1])
+        assert np.array_equal(batch_closed_test(z[:50], table), first[:50])
+        assert table._mask_values == memo
+        # a copy keeps no memo of the table it was made from
+        assert not replace(table)._mask_values
 
     def test_batch_of_no_rows_solves_nothing(self, cfg_k4):
         table = critical_values(cfg_k4, 0.05, seed=1)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,14 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from pairwise_closure.closure import critical_values
-from pairwise_closure.model import TrialConfig, correlation, standardized_means
+from pairwise_closure import simulate
+from pairwise_closure.closure import batch_closed_test, critical_values
+from pairwise_closure.model import (
+    TrialConfig,
+    _max_statistic,
+    correlation,
+    standardized_means,
+)
 from pairwise_closure.mvn import (
     DEFAULT_ACCURACY,
     DEFAULT_QUANTILE_TOL,
@@ -93,6 +100,36 @@ class TestDisjunctivePower:
         assert len(sim.per_count) == 7
         assert sum(sim.per_count) == pytest.approx(1.0, abs=1e-12)
         assert sim.disjunctive == pytest.approx(1.0 - sim.per_count[0], abs=1e-12)
+
+    @pytest.mark.parametrize("block", [None, 1000])
+    def test_simulation_equals_one_array_of_replicates(self, cfg_k4, table_k4, block,
+                                                       monkeypatch):
+        # the simulation path as first written: every replicate in one array
+        z = simulate.simulate_statistics(cfg_k4, lfc(4, 0.4), 3500, seed=4)[0][:, 0, :]
+        count = batch_closed_test(_max_statistic(z, cfg_k4.sided), table_k4).sum(axis=1)
+        per_count = tuple(float(np.mean(count == r)) for r in range(7))
+        if block is not None:
+            monkeypatch.setattr(simulate, "_CHUNK", block)
+        sim = disjunctive_power(cfg_k4, lfc(4, 0.4), method="simulation", n_reps=3500,
+                                table=table_k4, seed=4)
+        assert sim.per_count == per_count
+        assert sim.disjunctive == 1.0 - per_count[0]
+
+    def test_simulation_memory_does_not_grow_with_replicates(self, cfg_k4, table_k4):
+        def peak_mb(n_reps):
+            tracemalloc.start()
+            try:
+                disjunctive_power(cfg_k4, lfc(4, 0.4), method="simulation",
+                                  n_reps=n_reps, table=table_k4, seed=5)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_mb(100_000), peak_mb(1_000_000)
+        # one block of statistics and decisions takes under 5 MB; the
+        # statistics of every replicate at once would take 48 MB
+        assert large <= 1.1 * small
+        assert large < 8.0
 
     def test_translation_invariance_is_exact(self, cfg_k4, table_k4):
         base = disjunctive_power(cfg_k4, [0.5, 0.0, 0.25, 0.25], table=table_k4)

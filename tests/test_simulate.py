@@ -1,6 +1,8 @@
 """Common-random-numbers simulation harness and the reference table."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from pairwise_closure.simulate import (
     ProcedureSummary,
     SimScenario,
     _build_resources,
+    _total_sample_size,
     run_scenario,
     simulate_statistics,
     table1_report,
@@ -635,3 +638,89 @@ def test_chunking_changes_nothing(name, monkeypatch):
     for tag in scenario.procedures:
         assert np.array_equal(chunked.decisions[tag], whole.decisions[tag]), tag
     assert any(whole.decisions[tag].any() for tag in scenario.procedures)
+
+
+def _reference_total_sample_size(config, rejected, stopped):
+    """Total enrolment as first written: arm by arm, from each arm's resolved
+    flag and stage, with the pair and arm rules applied column by column."""
+    n_arms = config.n_arms
+    m2 = n_arms * (n_arms - 1) // 2
+    never = np.iinfo(np.int64).max
+    directions = [range(pair, rejected.shape[1], m2) for pair in range(m2)]
+    hit = [functools.reduce(np.logical_or, (rejected[:, c] for c in cols))
+           for cols in directions]
+    first = [functools.reduce(np.minimum, (np.where(rejected[:, c], stopped[:, c], never)
+                                           for c in cols))
+             for cols in directions]
+    ii, jj = _pair_arms(n_arms, TWO_SIDED)
+    touching = [np.flatnonzero((ii == arm) | (jj == arm)).tolist() for arm in range(n_arms)]
+    resolved = np.stack([functools.reduce(np.logical_and, (hit[p] for p in pairs))
+                         for pairs in touching]).T
+    stage = np.stack([functools.reduce(np.maximum, (first[p] for p in pairs))
+                      for pairs in touching]).T
+    stage_n = np.asarray(config.stage_n, dtype=float)
+    total = np.zeros(len(rejected))
+    for arm in range(n_arms):
+        drop_stage = np.where(resolved[:, arm], stage[:, arm], config.n_stages)
+        total += stage_n[drop_stage - 1, arm]
+    return total
+
+
+@pytest.mark.parametrize("n_stages", [1, 2, 3])
+@pytest.mark.parametrize("n_arms, sided", [(3, TWO_SIDED), (4, TWO_SIDED),
+                                           (3, ONE_SIDED), (4, ONE_SIDED)])
+def test_total_sample_size_matches_the_reference(n_arms, sided, n_stages):
+    stage_n = tuple(tuple(q * (40 + 10 * arm) for arm in range(n_arms))
+                    for q in range(1, n_stages + 1))
+    config = TrialConfig(n_arms, (1.0,) * n_arms, stage_n, sided=sided)
+    m = config.n_comparisons
+    rng = np.random.default_rng(n_arms * 10 + n_stages)
+    for p_reject in (0.5, 0.9):
+        # independent draws: stages also where nothing was rejected, and rows
+        # where both directions of a one-sided pair were rejected, at the
+        # same or at different analyses
+        rejected = rng.random((3000, m)) < p_reject
+        stopped = rng.integers(1, n_stages + 1, (3000, m))
+        for layout in (np.asarray, np.asfortranarray):
+            got = _total_sample_size(config, layout(rejected), layout(stopped))
+            expect = _reference_total_sample_size(config, rejected, stopped)
+            assert np.array_equal(got, expect)
+        if sided == ONE_SIDED:
+            assert np.any(rejected[:, :m // 2] & rejected[:, m // 2:])
+
+
+# The simulate benchmark's staged scenario.  One block of its statistics and
+# decisions takes under 5 MB; a run that held every replicate at once would
+# take tens.
+STAGED_PEAK_MB = 8.0
+
+
+def _traced_peak_mb(call) -> float:
+    """Peak of the memory traced by ``tracemalloc`` (numpy's buffers too)
+    while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_replicates(cfg_k3_q2):
+    def run(replicates):
+        return run_scenario(SimScenario(
+            config=cfg_k3_q2,
+            means=MeanConfig((0.25, 0.1, 0.0)),
+            procedures=("dunnett-gs", "dunnett-gs-generalised", "combination"),
+            replicates=replicates,
+            seed=0,
+            accuracy=1e-3,
+            spending=SpendingSchedule.obrien_fleming(0.05, (0.5, 1.0)),
+        ))
+
+    # the module-level caches the tables fill are not the run's
+    run(100)
+    small = _traced_peak_mb(lambda: run(100_000))
+    large = _traced_peak_mb(lambda: run(1_000_000))
+    assert large <= 1.1 * small
+    assert large < STAGED_PEAK_MB

@@ -19,7 +19,8 @@ two-look Pocock spends and a one-sided K=3 Q=2 boundary table on them,
 the generalised boundary vector of a K=4 Q=2 design (a later stage of
 rank 4, whose second full-accuracy evaluation integrates a difference),
 ``run_scenario`` over every
-procedure on a two-sided staged design, over the five single-stage
+procedure on a two-sided staged design (once more with enough replicates
+for several blocks and a partial last one), over the five single-stage
 procedures at K=4 and over the staged procedures on a one-sided design,
 group-sequential and generalised boundary tables, the
 messages that reject a table built for another design, and the
@@ -280,6 +281,9 @@ def outputs() -> dict:
         accuracy=acc,
     )
     out["run_scenario"] = run_scenario(scenario, keep_decisions=True)
+    # three whole blocks of 2^14 replicates and a partial fourth
+    out["run_scenario/blocks"] = run_scenario(
+        dataclasses.replace(scenario, replicates=50_000), keep_decisions=True)
     out["run_scenario/k4-single-stage"] = run_scenario(SimScenario(
         k4, (0.3, 0.1, 0.0, 0.2), ("dunnett", "global", "bonferroni", "unadjusted",
                                    "gatekeeping"),
