@@ -561,9 +561,11 @@ def batch_closed_test(abs_z: np.ndarray, table: CriticalValueTable) -> np.ndarra
     is rejected when it and every larger one exceed the critical value of
     their tail set (that statistic together with all smaller ones).  The
     first step, each row's maximum against the full-set cut, runs on every
-    row column by column; only the rows that pass it are sorted and walked
-    on.  Only the tail sets of rows still rejecting are looked up, so only
-    the classes the data visit are solved.  Each cut is kept on the table
+    row column by column; only the rows that pass it are walked on, one
+    rank at a time: each row still rejecting takes the first largest of the
+    statistics it has not taken yet, so ties go in column order.  Only the
+    tail sets of rows still rejecting are looked up, so only the classes
+    the data visit are solved.  Each cut is kept on the table
     by its bitmask, so a later call on the same table, such as the next
     block of a simulation, reads it without validating the subset again.
     Decisions equal the full lattice walk because the table is consonant.
@@ -597,23 +599,32 @@ def batch_closed_test(abs_z: np.ndarray, table: CriticalValueTable) -> np.ndarra
     passed = np.flatnonzero(functools.reduce(np.maximum, abs_z.T) > critical((1 << m) - 1))
     for start in range(0, passed.size, _BLOCK_ROWS):
         rows = passed[start:start + _BLOCK_ROWS]
+        # the rows still rejecting, each pick struck out with -inf
         block = abs_z[rows]
-        order = np.argsort(-block, axis=1, kind="stable")
-        ranked = np.take_along_axis(block, order, axis=1)
-        # tails[:, r] marks the comparisons ranked r and below
-        tails = np.bitwise_or.accumulate(bits[order[:, ::-1]], axis=1)[:, ::-1]
         # every row here has crossed at rank 0, the full set
-        crossed = np.zeros(block.shape, dtype=bool)
-        crossed[:, 0] = True
-        alive = np.arange(block.shape[0])
-        for rank in range(1, m):
-            masks, which = np.unique(tails[alive, rank], return_inverse=True)
-            cuts = np.array([critical(int(mask)) for mask in masks])
-            alive = alive[ranked[alive, rank] > cuts[which]]
-            if alive.size == 0:
+        col = block.argmax(axis=1)
+        rejected[rows, col] = True
+        # each row's tail set, the comparisons not yet picked, is
+        # masks[which]; a row's next one drops its pick's bit, so the tail
+        # sets of a rank are found by (which, col) in one pass, not a sort
+        masks, which = np.array([(1 << m) - 1]), np.zeros(rows.size, dtype=np.int64)
+        for _ in range(1, m):
+            at = np.arange(rows.size)
+            block[at, col] = -np.inf
+            pair = which * m + col
+            seen = np.zeros(masks.size * m, dtype=bool)
+            seen[pair] = True
+            found = np.flatnonzero(seen)
+            masks = masks[found // m] ^ bits[found % m]
+            which = (np.cumsum(seen) - 1)[pair]
+            # argmax takes the first of equal values: the stable descending order
+            col = block.argmax(axis=1)
+            cuts = np.array(list(map(critical, masks.tolist())))
+            keep = block[at, col] > cuts[which]
+            rows, col, which, block = rows[keep], col[keep], which[keep], block[keep]
+            if rows.size == 0:
                 break
-            crossed[alive, rank] = True
-        rejected[rows[:, None], order] = crossed
+            rejected[rows, col] = True
     return rejected
 
 

@@ -117,12 +117,15 @@ the Bonferroni point takes about four passes, and Illinois on the same P
 is its fallback.  This solves every rank-2 quantile and the first stage
 of every rank-2 boundary vector.  The others, of rank 3 and more or at a
 later stage, whose earlier limits do not scale with c, go to
-``_two_phase_root``, which finds them with cheap low-accuracy evaluations
-first, at the one accuracy ``_coarse_accuracy`` sets for both, and only
-two full-accuracy ones in the usual case, a Newton step and a secant step.
-A rank >= 3 quantile or first-stage boundary is searched first in the
-bracket above, widened by 0.05 on each side, then on the whole range when
-that does not bracket the root.
+``_two_phase_root``.  Its coarse phase, at the accuracy
+``_coarse_accuracy`` sets, runs regula falsi on the normal score
+-Phi^{-1}(1 - P), nearly linear in c, and reads the slope for the fine
+phase off its final bracket; the fine phase then usually takes two
+full-accuracy evaluations, a Newton and a secant step.  The search starts
+in a bracket widened by 0.05 on each side, falling back to the whole
+range: the one above for a quantile or first stage; for a later stage,
+where one coordinate alone would spend all of alpha_q, and where the
+union bound would spend just the increment over the last stage solved.
 
 Only the first full-accuracy evaluation of such a solve, the anchor,
 integrates its box in full (``_SolveAnchor``).  Each later one integrates
@@ -270,7 +273,7 @@ _GRID = np.arange(-_Y_MAX, _Y_MAX + 1.0, 3.0)
 _GL_SIZES = (24, 12)
 _GL_NODES, _GL_WEIGHTS = map(
     np.concatenate, zip(*(np.polynomial.legendre.leggauss(n) for n in _GL_SIZES)))
-# coarse-phase root tolerance, also the half-step of its slope difference
+# width of the coarse phase's final bracket, whose ends give the slope
 _COARSE_XTOL = 5e-3
 # full-accuracy secant steps before the bracketed fallback
 _SECANT_STEPS = 3
@@ -279,8 +282,7 @@ _SECANT_STEPS = 3
 # convergence leaves it within about |P''/P'| 1e-16 of the exact root)
 _NEWTON_STEPS = 8
 _NEWTON_XTOL = 1e-8
-# rank >= 3 equicoordinate roots: the coarse search starts from the bracket
-# of one coordinate's quantile and Bonferroni's, widened by this much
+# general roots: the coarse search starts from a bracket widened by this much
 _BRACKET_PAD = 0.05
 
 
@@ -1061,17 +1063,13 @@ def equicoord_quantile(
     quantile and Bonferroni's make, with Illinois on the same P as its
     fallback; no seed enters.  That bracket must lie in (0, 8].
 
-    Otherwise the root is found by :func:`_two_phase_root`, bracketed first
-    by those two quantiles widened by 0.05 on each side, and on [0, 8]
-    (``"central"``) or [-8, 8] (``"upper"``) when they fail to bracket it:
-    Illinois regula falsi on cheap low-accuracy probabilities locates it,
-    then two full-accuracy evaluations, a Newton step and a secant step,
-    polish it.  Only the first of those integrates its box in full; each
-    later one integrates the difference from it (:class:`_SolveAnchor`).
-    The coarse evaluations run at :func:`_coarse_accuracy` of the tail level
-    1 - prob, the same policy as the group-sequential boundary solves.
-    Every probability evaluation reuses the same seed, so the objective is a
-    fixed function of c and the result is deterministic.
+    Otherwise :func:`_two_phase_root` finds the root of the tail 1 - P at
+    1 - prob, searching those two quantiles widened by 0.05 on each side,
+    then [0, 8] (``"central"``) or [-8, 8] (``"upper"``): regula falsi on
+    the normal score of cheap low-accuracy tails locates it, then usually
+    two full-accuracy evaluations polish it, the first integrating its box
+    in full and the second only the difference (:class:`_SolveAnchor`).
+    Every evaluation reuses the seed, so the result is deterministic.
 
     Parameters
     ----------
@@ -1081,13 +1079,12 @@ def equicoord_quantile(
     seed : int
     tol : float
         Tolerance on the quantile; finite and positive.  The secant result
-        is accepted once its last step is at most tol/2; when the secant
-        steps do not settle, a bracketed fallback returns a point within
-        tol of a sign change of the full-accuracy objective.  The result
-        can additionally be off by roughly ``accuracy`` divided by the
-        local density of the maximum statistic.  A rank-2 Newton solve
-        stops after a step of at most min(tol, 1e-8), within about 1e-15
-        of the exact root; its fallback returns a point within tol of it.
+        is accepted after a step of at most tol/2; the bracketed fallback
+        returns a point within tol of a sign change of the full-accuracy
+        objective.  The result can also be off by about ``accuracy`` over
+        the density of the maximum statistic.  A rank-2 Newton solve stops
+        after a step of at most min(tol, 1e-8), within about 1e-15 of the
+        exact root; its fallback, within tol of it.
     accuracy : float
         Accuracy of the inner rectangle probabilities; at rank 2, the most
         the gap between the two Gauss-Legendre rules may reach.
@@ -1112,12 +1109,11 @@ def equicoord_quantile(
         return root
     anchor = _SolveAnchor(model, seed, accuracy, mvn_rect)
 
-    def objective(c: float, acc: float) -> float:
-        return anchor(_max_rect(c, dim, central), acc).value - prob
+    def tail(c: float, acc: float) -> float:
+        return 1.0 - anchor(_max_rect(c, dim, central), acc).value
 
-    coarse = _coarse_accuracy(accuracy, 1.0 - prob)
     return _first_bracket(
-        lambda lo, hi: _two_phase_root(objective, lo, hi, tol, accuracy, coarse), ranges)
+        lambda lo, hi: _two_phase_root(tail, 1.0 - prob, lo, hi, tol, accuracy), ranges)
 
 
 def _equicoord_root(model: CorrelationModel, prob: float, central: bool, tol: float,
@@ -1155,8 +1151,7 @@ def _equicoord_root(model: CorrelationModel, prob: float, central: bool, tol: fl
         return float(ndtri(0.5 * (1.0 + prob)) if central else ndtri(prob)), full
     tails = (0.5 if central else 1.0) * (1.0 - prob)
     c_lo, c_hi = float(-ndtri(tails)), float(-ndtri(tails / dim))
-    lo, hi = full[0]
-    if not 0.0 < c_lo < c_hi <= hi:
+    if not 0.0 < c_lo < c_hi <= full[0][1]:
         return None, full
     gauss = _max_partition(model, central, c_lo, c_hi)
     if isinstance(gauss, _PivotPlan):
@@ -1164,7 +1159,7 @@ def _equicoord_root(model: CorrelationModel, prob: float, central: bool, tol: fl
             return None, full
         if central:
             _kept_plan(model.matrix.tobytes(), model.matrix.shape).plan = gauss
-        return None, ((max(c_lo - _BRACKET_PAD, lo), min(c_hi + _BRACKET_PAD, hi)),) + full
+        return None, _padded(c_lo, c_hi, central)
 
     def excess(c):
         """P - prob and dP/dc at each of ``c``."""
@@ -1190,7 +1185,14 @@ def _equicoord_root(model: CorrelationModel, prob: float, central: bool, tol: fl
             a, fa = x, fx
         else:
             b, fb = x, fx
-    return float(_illinois(lambda c: float(excess([c])[0][0]), a, fa, b, fb, tol)), full
+    return float(_illinois(lambda c: float(excess([c])[0][0]), a, fa, b, fb, tol)[0]), full
+
+
+def _padded(c_lo: float, c_hi: float, central: bool) -> tuple:
+    """The ranges a general root solve tries in turn: [c_lo, c_hi] widened by
+    ``_BRACKET_PAD`` and clipped to ``_max_range``, then ``_max_range``."""
+    lo, hi = full = _max_range(central)
+    return (max(c_lo - _BRACKET_PAD, lo), min(c_hi + _BRACKET_PAD, hi)), full
 
 
 def _first_bracket(solve, ranges) -> float:
@@ -1219,55 +1221,58 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
-def _two_phase_root(objective, lo, hi, tol, accuracy, coarse) -> float:
-    """Root of a monotone ``objective(c, accuracy)`` that changes sign on [lo, hi].
+def _two_phase_root(tail, level, lo, hi, tol, accuracy) -> float:
+    """Root of a decreasing tail probability ``tail(c, accuracy)`` at
+    ``level``, searched on [lo, hi].
 
     Serves the equicoordinate quantiles of rank 3 and more, and the
     group-sequential boundary solves except the first stage of a class of
     rank at most 2 (:func:`_equicoord_root` solves those); a later stage's
     limits at the earlier analyses stay fixed, so its probability does not
-    scale with c.  The objective may increase or decrease.
+    scale with c.
 
-    * Coarse phase: Illinois regula falsi at the ``coarse`` accuracy finds
-      c0 to a bracket of width 5e-3, and two more coarse evaluations at
-      c0 +- 5e-3 give the local slope.
-    * Fine phase: two full-accuracy evaluations, a Newton step and a secant
-      step.  One evaluation at full ``accuracy`` at c0 gives a Newton step
-      to c1, a second at c1 a secant step to c2.  c2 is accepted when the
-      step is at most tol/2 and c2 lies inside the bracket known at full
-      accuracy.  Otherwise further secant steps follow, one full-accuracy
-      evaluation each, up to ``_SECANT_STEPS`` in all.  The callers'
-      objectives evaluate through a :class:`_SolveAnchor`: only the first
-      of these integrates its box in full.
+    * Coarse phase: at :func:`_coarse_accuracy` of ``level``, Illinois
+      solves s(c) = -Phi^{-1}(tail) = -Phi^{-1}(level), the tail clamped to
+      [_U_LO, _U_HI], to a bracket of width at most ``_COARSE_XTOL``.  s is
+      nearly linear in c (for one coordinate it is c).  The raw tails at
+      the bracket's ends give the slope; at full accuracy the same search,
+      to ``tol``, is the result.
+    * Fine phase, on g(c) = level - tail(c, accuracy): a full-accuracy
+      evaluation at c0 gives a Newton step to c1, a second at c1 a secant
+      step to c2, accepted when the step is at most tol/2 and c2 lies
+      inside the bracket known at full accuracy; otherwise more secant
+      steps follow, up to ``_SECANT_STEPS``.  The callers' tails evaluate
+      through a :class:`_SolveAnchor`.
     * Fallback: when an iterate leaves the bracket, the slope has the wrong
-      sign or the steps run out, Illinois at full accuracy shrinks the
-      bracket known at full accuracy to a width of at most ``tol``.
+      sign or the steps run out, Illinois on g shrinks the bracket known at
+      full accuracy to a width of at most ``tol``.
 
-    Raises :class:`SolverError` when the objective does not change sign on
-    [lo, hi] at the coarse accuracy.
+    Raises :class:`SolverError` when the coarse tail does not cross
+    ``level`` on [lo, hi].
     """
     _check_tol(tol)
-    f_lo, f_hi = objective(lo, coarse), objective(hi, coarse)
-    if min(f_lo, f_hi) > 0.0 or max(f_lo, f_hi) < 0.0:
+    coarse = _coarse_accuracy(accuracy, level)
+    target = float(ndtri(level))
+    raw = {}
+
+    def score(c: float) -> float:
+        t = raw[c] = tail(c, coarse)
+        return target - float(ndtri(min(max(t, _U_LO), _U_HI)))
+
+    s_lo, s_hi = score(lo), score(hi)
+    if s_lo > 0.0 or s_hi < 0.0:
         raise SolverError(f"failed to bracket the root in [{lo}, {hi}]")
-    # orient the objective so that it increases
-    sign = 1.0 if f_hi >= f_lo else -1.0
-
-    def coarse_g(c: float) -> float:
-        return sign * objective(c, coarse)
-
-    def full_g(c: float) -> float:
-        return sign * objective(c, accuracy)
-
     if coarse <= accuracy:
-        return _illinois(full_g, lo, sign * f_lo, hi, sign * f_hi, tol)
-    c0 = _illinois(coarse_g, lo, sign * f_lo, hi, sign * f_hi, _COARSE_XTOL)
-    left, right = max(lo, c0 - _COARSE_XTOL), min(hi, c0 + _COARSE_XTOL)
-    slope = (coarse_g(right) - coarse_g(left)) / (right - left)
+        return _illinois(score, lo, s_lo, hi, s_hi, tol)[0]
+    c0, left, right = _illinois(score, lo, s_lo, hi, s_hi, _COARSE_XTOL)
+    slope = (raw[left] - raw[right]) / (right - left)
 
     # [a, b] is the bracket known at full accuracy; ga or gb stays None
     # while that end's value is known only coarsely
     a, ga, b, gb = lo, None, hi, None
+
+    def full_g(c: float) -> float:
+        return level - tail(c, accuracy)
 
     def g_full(c: float) -> float:
         nonlocal a, ga, b, gb
@@ -1297,10 +1302,10 @@ def _two_phase_root(objective, lo, hi, tol, accuracy, coarse) -> float:
         x0, g0, x1 = x1, g1, x2
     ga = full_g(a) if ga is None else ga
     gb = full_g(b) if gb is None else gb
-    return _illinois(full_g, a, ga, b, gb, tol)
+    return _illinois(full_g, a, ga, b, gb, tol)[0]
 
 
-def _illinois(f, a, fa, b, fb, xtol) -> float:
+def _illinois(f, a, fa, b, fb, xtol) -> tuple[float, float, float]:
     """Illinois regula falsi (Dowell & Jarratt 1971) for an increasing ``f``.
 
     ``fa = f(a) <= 0 <= fb = f(b)`` with ``a < b``.  Each step samples the
@@ -1308,7 +1313,7 @@ def _illinois(f, a, fa, b, fb, xtol) -> float:
     end kept twice in a row has its weight halved, so both ends converge.
     A bracket that has not halved over two steps is bisected instead.
     Returns the secant point of the final bracket, whose width is at most
-    ``xtol``.
+    ``xtol``, and that bracket's ends.
     """
     wa, wb, kept = fa, fb, 0
     widths = (math.inf, math.inf)  # bracket widths one and two steps back
@@ -1324,7 +1329,7 @@ def _illinois(f, a, fa, b, fb, xtol) -> float:
         widths = (width, widths[0])
         fc = f(c)
         if fc == 0.0:
-            return c
+            return c, a, b
         if fc < 0.0:
             if kept == 1:
                 wb *= 0.5
@@ -1333,4 +1338,4 @@ def _illinois(f, a, fa, b, fb, xtol) -> float:
             if kept == -1:
                 wa *= 0.5
             b, fb, wb, kept = c, fc, fc, -1
-    return b - fb * (b - a) / (fb - fa) if fb > fa else 0.5 * (a + b)
+    return (b - fb * (b - a) / (fb - fa) if fb > fa else 0.5 * (a + b)), a, b

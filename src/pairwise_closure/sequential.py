@@ -38,6 +38,7 @@ from .model import (
     TrialConfig,
     _check_alpha,
     _max_statistic,
+    _normal_tails,
     _pair_z,
     _real,
     _reals,
@@ -49,11 +50,10 @@ from .mvn import (
     DEFAULT_ACCURACY,
     DEFAULT_QUANTILE_TOL,
     _check_tol,
-    _coarse_accuracy,
     _equicoord_root,
     _first_bracket,
-    _max_range,
     _max_rect,
+    _padded,
     _SolveAnchor,
     _two_phase_root,
     equicoord_quantile,
@@ -239,6 +239,16 @@ class BoundarySchedule(_ClassCache):
     ``dataclasses.replace`` starts with an empty one, and class keys need
     not name the spending schedule; the schedule's information times and
     rounded cumulative spends are part of every derived seed instead.
+
+    Stage q's boundary is the root where the crossing probability through q
+    reaches alpha_q, the earlier boundaries held fixed; a stage whose
+    increment is below ``_SPEND_FLOOR`` gets an infinite boundary and is
+    not solved.  A later stage is searched first in the bracket of its own
+    spend: from Phi^{-1}(1 - alpha_q / tails), where one coordinate alone
+    crosses with alpha_q, to Phi^{-1}(1 - (alpha_q - alpha_p) /
+    (tails * width)), where the union bound over the class's comparisons
+    carries the increment over alpha_p, the spend of the last stage solved;
+    widened by 0.05 on each side, with the whole range as the fallback.
     """
 
     schedule: SpendingSchedule
@@ -273,34 +283,38 @@ class BoundarySchedule(_ClassCache):
         spends = tuple(round(a, 12) for a in self.schedule.per_stage)
         seed = _derived_seed(self.seed, (key, self.schedule.info_times, spends))
         central = self.config.central
+        tails = _normal_tails(self.config.sided)
         values: list[float] = []
         prev = 0.0
         for q, alpha_q in enumerate(self.schedule.per_stage, start=1):
             if alpha_q - prev < _SPEND_FLOOR:
                 values.append(math.inf)
                 continue
-            prev = alpha_q
             # the stages so far: earlier boundaries, then the one solved for
             block = CorrelationModel(joint[: q * width, : q * width])
             # the first stage alone is an equicoordinate quantile, solved in
-            # closed form or by Newton when its rank is at most 2
-            root, ranges = (
-                _equicoord_root(block, 1.0 - alpha_q, central, self.tol, self.accuracy)
-                if q == 1 else (None, (_max_range(central),)))
+            # closed form or by Newton when its rank is at most 2; a later
+            # one starts in the bracket of its own spend (see the class text)
+            if q == 1:
+                root, ranges = _equicoord_root(block, 1.0 - alpha_q, central, self.tol,
+                                               self.accuracy)
+            else:
+                root, ranges = None, _padded(
+                    float(-ndtri(alpha_q / tails)),
+                    float(-ndtri((alpha_q - prev) / (tails * width))), central)
+            prev = alpha_q
             if root is not None:
                 values.append(root)
                 continue
             anchor = _SolveAnchor(block, seed, self.accuracy, mvn_rect)
             upper = np.repeat(values + [math.nan], width)
 
-            def objective(c: float, acc: float) -> float:
+            def tail(c: float, acc: float) -> float:
                 upper[-width:] = c
-                return 1.0 - anchor(_max_rect(upper, upper.size, central), acc).value - alpha_q
+                return 1.0 - anchor(_max_rect(upper, upper.size, central), acc).value
 
-            coarse = _coarse_accuracy(self.accuracy, alpha_q)
             values.append(_first_bracket(
-                lambda lo, hi: _two_phase_root(objective, lo, hi, tol=self.tol,
-                                               accuracy=self.accuracy, coarse=coarse),
+                lambda lo, hi: _two_phase_root(tail, alpha_q, lo, hi, self.tol, self.accuracy),
                 ranges))
         return tuple(values)
 

@@ -433,6 +433,40 @@ def _row_table_test(table, seen, as_bool):
     return first_crossing
 
 
+class _ScrambledCuts:
+    """A stand-in table whose cut is drawn afresh for every tail set, with no
+    order between sets: unlike a consonant table's, its decisions show which
+    of two tied statistics the walk takes first."""
+
+    n_comparisons = 6
+
+    def __init__(self, seed: int) -> None:
+        self.cuts = np.random.default_rng(seed).uniform(0.5, 3.5, 1 << self.n_comparisons)
+
+    def _mask_value(self, mask: int) -> float:
+        return float(self.cuts[mask])
+
+
+def _sorted_walk(stat: np.ndarray, table) -> np.ndarray:
+    """The step-down as first vectorized: every row sorted once, stably in
+    decreasing order, with the tail set of each rank accumulated from the
+    bottom, then walked rank by rank from the full set."""
+    m = table.n_comparisons
+    bits = np.left_shift(np.int64(1), np.arange(m, dtype=np.int64))
+    order = np.argsort(-stat, axis=1, kind="stable")
+    ranked = np.take_along_axis(stat, order, axis=1)
+    tails = np.bitwise_or.accumulate(bits[order[:, ::-1]], axis=1)[:, ::-1]
+    crossed = np.zeros(stat.shape, dtype=bool)
+    alive = np.arange(stat.shape[0])
+    for rank in range(m):
+        cuts = np.array([table._mask_value(int(mask)) for mask in tails[alive, rank]])
+        alive = alive[ranked[alive, rank] > cuts]
+        crossed[alive, rank] = True
+    rejected = np.zeros(stat.shape, dtype=bool)
+    rejected[np.arange(stat.shape[0])[:, None], order] = crossed
+    return rejected
+
+
 class TestClosureRule:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -573,6 +607,26 @@ class TestShortcutAgainstLattice:
         batch = batch_closed_test(np.abs(z), table_k4)
         for row, flags in zip(z, batch):
             assert closed_test(row, table_k4, method="lattice").rejected == tuple(flags)
+
+    @pytest.mark.parametrize("table_name", ["table_k4", "one_sided_k3", "scrambled"])
+    def test_batch_walk_matches_the_sorted_walk(self, table_name, request, monkeypatch):
+        table = (_ScrambledCuts(6) if table_name == "scrambled"
+                 else request.getfixturevalue(table_name))
+        one_sided = table_name != "table_k4"
+        rng = np.random.default_rng(18)
+        z = np.vstack([
+            # integer values, so most rows hold ties, and negative ones
+            # where the family is one-sided
+            rng.integers(-3 if one_sided else 0, 5, size=(600, 6)),
+            # every rank passes
+            5 + rng.integers(0, 3, size=(100, 6)),
+            rng.normal(scale=2.0, size=(300, 6)),
+        ]).astype(float)
+        # blocks of a few rows, and a partial last one
+        monkeypatch.setattr(closure, "_BLOCK_ROWS", 37)
+        got = batch_closed_test(z, table)
+        assert np.array_equal(got, _sorted_walk(z, table))
+        assert got[600:700].all()
 
     @pytest.mark.parametrize("rows", [1, 2, 700])
     def test_batch_reads_any_memory_layout(self, table_k4, rows):

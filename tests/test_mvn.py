@@ -325,12 +325,12 @@ def test_coarse_accuracy_is_one_policy():
 
 
 def test_quantile_at_level_1e3_keeps_its_bits():
-    assert equicoord_quantile(pairwise_corr(4), 0.999, seed=1) == 3.7542762281979942
+    assert equicoord_quantile(pairwise_corr(4), 0.999, seed=1) == 3.7542760954898386
 
 
 def test_quantile_below_level_1e3_is_pinned():
     # the coarse phase runs at the accuracy of level 1e-3 below it
-    assert equicoord_quantile(pairwise_corr(4), 0.9999, seed=1) == 4.3040448093254176
+    assert equicoord_quantile(pairwise_corr(4), 0.9999, seed=1) == 4.30404463028844
 
 
 @pytest.mark.parametrize("n_arms, tail", [(3, "central"), (4, "central"), (4, "upper")])
@@ -370,6 +370,20 @@ def test_quantile_takes_one_fresh_full_accuracy_evaluation(n_arms, tail, monkeyp
     else:
         # an orthant's picks move with c: each call factors afresh
         assert len(factored) == len(accuracies) + 1
+
+
+def test_k4_quantile_makes_at_most_six_coarse_calls(monkeypatch):
+    # the score-scale search: two ends, then regula falsi on a nearly
+    # linear score
+    accuracies = []
+
+    def counting(*args, **kwargs):
+        accuracies.append(kwargs["accuracy"])
+        return mvn_rect(*args, **kwargs)
+
+    monkeypatch.setattr(mvn, "mvn_rect", counting)
+    equicoord_quantile(pairwise_corr(4), 0.95, accuracy=1e-5)
+    assert sum(acc > 1e-5 for acc in accuracies) <= 6
 
 
 def _k4_q2_joint():
@@ -460,12 +474,12 @@ def test_solves_do_not_depend_on_call_history():
 
 
 def _kinked(c, acc):
-    # Monotone with a kink at its root 2.05: steep below, flat above.  Its
-    # coarse evaluations see only a near-flat line through 2, so the coarse
-    # slope sends the Newton step far outside the bracket.
+    # A tail crossing 0.5 with a kink at its root 2.05: steep below, flat
+    # above.  Its coarse evaluations see only a near-flat line through 2, so
+    # the coarse slope sends the Newton step far outside the bracket.
     if acc > 1e-5:
-        return 1e-6 * (c - 2.0)
-    return c - 2.05 if c < 2.05 else 1e-3 * (c - 2.05)
+        return 0.5 - 1e-6 * (c - 2.0)
+    return 0.5 - (c - 2.05 if c < 2.05 else 1e-3 * (c - 2.05))
 
 
 def test_root_falls_back_to_illinois_when_newton_leaves_the_bracket(monkeypatch):
@@ -478,26 +492,26 @@ def test_root_falls_back_to_illinois_when_newton_leaves_the_bracket(monkeypatch)
 
     monkeypatch.setattr(mvn, "_illinois", recording)
     tol = 1e-4
-    root = _two_phase_root(_kinked, 0.0, 8.0, tol=tol, accuracy=1e-5, coarse=5e-4)
+    root = _two_phase_root(_kinked, 0.5, 0.0, 8.0, tol=tol, accuracy=1e-5)
     assert xtols == [5e-3, tol]  # the coarse phase, then the fallback
-    expected = brentq(lambda c: _kinked(c, 1e-5), 0.0, 8.0, xtol=1e-12)
+    expected = brentq(lambda c: _kinked(c, 1e-5) - 0.5, 0.0, 8.0, xtol=1e-12)
     assert root == pytest.approx(expected, abs=tol)
-    again = _two_phase_root(_kinked, 0.0, 8.0, tol=tol, accuracy=1e-5, coarse=5e-4)
+    again = _two_phase_root(_kinked, 0.5, 0.0, 8.0, tol=tol, accuracy=1e-5)
     assert again == root
 
 
 def test_root_of_a_decreasing_objective():
     def falling(c, acc):
-        return ndtr(-c) - 0.025
+        return ndtr(-c)
 
-    root = _two_phase_root(falling, 0.0, 8.0, tol=1e-6, accuracy=1e-5, coarse=5e-4)
+    root = _two_phase_root(falling, 0.025, 0.0, 8.0, tol=1e-6, accuracy=1e-5)
     assert root == pytest.approx(ndtri(0.975), abs=1e-6)
 
 
 def test_unbracketed_root_raises():
     with pytest.raises(SolverError):
-        _two_phase_root(lambda c, acc: c + 1.0, 0.0, 8.0, tol=1e-4, accuracy=1e-5,
-                        coarse=5e-4)
+        _two_phase_root(lambda c, acc: ndtr(-c - 1.0), 0.5, 0.0, 8.0, tol=1e-4,
+                        accuracy=1e-5)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-4, np.nan, np.inf])
@@ -509,7 +523,7 @@ def test_invalid_tol_is_rejected(tol):
         raise AssertionError("objective evaluated despite an invalid tol")
 
     with pytest.raises(ValueError, match="tol"):
-        _two_phase_root(never, 0.0, 8.0, tol=tol, accuracy=1e-5, coarse=5e-4)
+        _two_phase_root(never, 0.05, 0.0, 8.0, tol=tol, accuracy=1e-5)
 
 
 @pytest.mark.parametrize("accuracy", [0.0, -1e-5, np.nan, np.inf])

@@ -329,12 +329,12 @@ class TestLfcCheck:
     # power, alternative and search result is pinned to the bit.
     @pytest.mark.parametrize("n_arms, sigma2, n, delta, mode, expected", [
         (4, 1.0, 100, 0.5, "theorem", {
-            "mode": "theorem", "lfc_power": 0.8585642734168667,
+            "mode": "theorem", "lfc_power": 0.8585642717207441,
             "alternatives": [
-                {"epsilon": -0.25, "power": 0.9402042796828346, "ge_lfc": True},
-                {"epsilon": -0.125, "power": 0.8821707360741362, "ge_lfc": True},
-                {"epsilon": 0.125, "power": 0.8821806222362338, "ge_lfc": True},
-                {"epsilon": 0.25, "power": 0.9401939621718499, "ge_lfc": True},
+                {"epsilon": -0.25, "power": 0.9402042787257489, "ge_lfc": True},
+                {"epsilon": -0.125, "power": 0.8821707345346363, "ge_lfc": True},
+                {"epsilon": 0.125, "power": 0.8821806206971106, "ge_lfc": True},
+                {"epsilon": 0.25, "power": 0.9401939612145389, "ge_lfc": True},
             ],
             "is_minimum": True, "trivial": False,
         }),

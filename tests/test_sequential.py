@@ -10,7 +10,7 @@ from scipy.special import ndtr, ndtri
 from pairwise_closure import sequential
 from pairwise_closure.closure import _all_subsets, closed_test
 from pairwise_closure.model import TrialConfig, correlation, z_statistics
-from pairwise_closure.mvn import mvn_rect
+from pairwise_closure.mvn import _max_range, mvn_rect
 from pairwise_closure.sequential import (
     SpendingSchedule,
     StageData,
@@ -43,11 +43,11 @@ TWO_LOOKS = (0.5, 1.0)
 # default accuracy), one vector per class, and of one generalised vector.  A
 # refactor of the cache or the root finder that moves a single bit fails.
 K3_STAGE_BOUNDS_BITS = {
-    1: (2.241402727604947, 2.12511878975558),
-    2: (2.4775024436969333, 2.375927079886082),
-    3: (2.603756500999651, 2.506359617012171),
+    1: (2.241402727604947, 2.1251187897555788),
+    2: (2.4775024436969333, 2.3759270752956088),
+    3: (2.603756500999651, 2.5063596293615693),
 }
-GENERALISED_OBF_BITS = (3.095615035399027, 2.358911082771121)
+GENERALISED_OBF_BITS = (3.095615035399027, 2.3589110824174426)
 # batch_gs_test on _pinned_batch() against gs_k3_q2: per row, the analysis at
 # which each comparison's rejection completed (0 = not rejected)
 BATCH_GS_STOPPED = [
@@ -706,3 +706,75 @@ class TestSpendCalibration:
         z = _staged_null_z(cfg_k3_q2, n_reps, seed=8)
         emp = np.cov(z.reshape(n_reps, -1).T)
         assert np.max(np.abs(emp - joint_covariance(cfg_k3_q2))) < 0.02
+
+
+def _k4_q2(sided):
+    cfg = TrialConfig.single_stage(4, 1.0, 50, sided=sided).with_stage_n(((50,) * 4, (100,) * 4))
+    return cfg, SpendingSchedule.obrien_fleming(0.05, TWO_LOOKS)
+
+
+def _idle_middle_look():
+    # the middle look spends nothing, so the last one is bracketed by the
+    # increment over the first
+    cfg = TrialConfig.single_stage(3, 1.0, 40).with_stage_n(
+        ((40,) * 3, (80,) * 3, (120,) * 3))
+    return cfg, SpendingSchedule((1 / 3, 2 / 3, 1.0), (0.01, 0.01, 0.05))
+
+
+def _whole_range(c_lo, c_hi, central):
+    return (_max_range(central),)
+
+
+class TestStageBrackets:
+    @pytest.mark.parametrize("design", [
+        lambda: _k4_q2("two-sided"), lambda: _k4_q2("one-sided"), _idle_middle_look,
+    ], ids=["k4-q2", "k4-q2-one-sided", "idle-middle-look"])
+    def test_stage_bracket_holds_the_whole_range_root(self, design, monkeypatch):
+        cfg, sched = design()
+        brackets = []
+        padded = sequential._padded
+
+        def recording(c_lo, c_hi, central):
+            brackets.append((c_lo, c_hi))
+            return padded(c_lo, c_hi, central)
+
+        monkeypatch.setattr(sequential, "_padded", recording)
+        bounds = gs_boundaries(cfg, sched, seed=5, accuracy=1e-4)
+        got = bounds.value(bounds.full_set())
+        monkeypatch.setattr(sequential, "_padded", _whole_range)
+        whole = gs_boundaries(cfg, sched, seed=5, accuracy=1e-4).value(bounds.full_set())
+        later = [c for c in whole[1:] if math.isfinite(c)]
+        assert len(brackets) == len(later) == 1
+        for (c_lo, c_hi), c in zip(brackets, later):
+            assert c_lo < c < c_hi
+        assert [math.isinf(c) for c in got] == [math.isinf(c) for c in whole]
+        assert got == pytest.approx(whole, abs=bounds.tol)
+
+    def test_a_wrong_stage_bracket_falls_back_to_the_whole_range(self, cfg_k3_q2,
+                                                                   monkeypatch):
+        sched = SpendingSchedule.obrien_fleming(0.05, TWO_LOOKS)
+
+        def beyond(c_lo, c_hi, central):
+            return (c_hi + 1.0, c_hi + 2.0), _max_range(central)
+
+        monkeypatch.setattr(sequential, "_padded", beyond)
+        bounds = gs_boundaries(cfg_k3_q2, sched, seed=5, accuracy=1e-4)
+        wrong = bounds.value({1, 2, 3})
+        monkeypatch.setattr(sequential, "_padded", _whole_range)
+        whole = gs_boundaries(cfg_k3_q2, sched, seed=5, accuracy=1e-4).value({1, 2, 3})
+        assert wrong == pytest.approx(whole, abs=bounds.tol)
+
+    def test_generalised_k4_full_set_makes_ten_coarse_calls(self, monkeypatch):
+        # counts of the score-scale search, whatever the hardware: two
+        # stages of five coarse calls each, two ends and three steps
+        accuracies = []
+
+        def counting(*args, **kwargs):
+            accuracies.append(kwargs["accuracy"])
+            return mvn_rect(*args, **kwargs)
+
+        monkeypatch.setattr(sequential, "mvn_rect", counting)
+        cfg, sched = _k4_q2("two-sided")
+        bounds = generalised_boundaries(cfg, sched, seed=0)
+        bounds.value(bounds.full_set())
+        assert sum(acc > bounds.accuracy for acc in accuracies) <= 10

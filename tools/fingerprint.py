@@ -18,6 +18,9 @@ matrix's kept pivot plan), one-sided K=3 equicoordinate quantiles, the
 two-look Pocock spends and a one-sided K=3 Q=2 boundary table on them,
 the generalised boundary vector of a K=4 Q=2 design (a later stage of
 rank 4, whose second full-accuracy evaluation integrates a difference),
+the full-set boundary vector of a one-sided K=4 Q=2 design and the
+boundary table of three looks whose middle one spends nothing (later
+stages searched in the bracket of their own spend),
 ``run_scenario`` over every
 procedure on a two-sided staged design (once more with enough replicates
 for several blocks and a partial last one), over the five single-stage
@@ -273,6 +276,18 @@ def outputs() -> dict:
     k4_generalised = generalised_boundaries(
         k4_q2, SpendingSchedule.obrien_fleming(0.05, (0.5, 1.0)), seed=8, accuracy=acc)
     out["k4-q2/generalised"] = k4_generalised.value(k4_generalised.full_set())
+    # later stages searched in the bracket of their own spend: a one-sided
+    # K=4 Q=2 full set, and three looks whose middle one spends nothing
+    k4_q2_one_sided = TrialConfig.single_stage(4, 1.0, 50, sided="one-sided").with_stage_n(
+        ((50,) * 4, (100,) * 4))
+    one_sided_gs = gs_boundaries(k4_q2_one_sided, SpendingSchedule.obrien_fleming(
+        0.05, (0.5, 1.0)), seed=8, accuracy=acc)
+    out["k4-q2-one-sided/gs"] = one_sided_gs.value(one_sided_gs.full_set())
+    idle_middle = TrialConfig.single_stage(3, 1.0, 40).with_stage_n(
+        ((40,) * 3, (80,) * 3, (120,) * 3))
+    out["idle-middle-look/gs"] = gs_boundaries(
+        idle_middle, SpendingSchedule((1 / 3, 2 / 3, 1.0), (0.01, 0.01, 0.05)), seed=8,
+        accuracy=acc).entries()
 
     cfg, _ = designs["two-sided"]
     scenario = SimScenario(
